@@ -11,9 +11,8 @@ schema errors)::
       "cost":    {"family": "energy_arbitrage",
                   "p_buy": [1, 1], "p_sell": [1, 1]},
       "solve":   {"max_iterations": 20000, "step_rule": "diminishing",
-                  "step_parameter": null, "projection_tolerance": 1e-8,
-                  "objective_tolerance": 1e-9, "seed": 0,
-                  "initial_point": "offset-b"},
+                  "step_parameter": null, "objective_tolerance": 1e-9,
+                  "seed": 0, "initial_point": "offset-b"},
       "outputs": ["solution", "certificate"]
     }
 
@@ -22,12 +21,15 @@ nonnegative); the admissible power interval per period is
 [-u_min[t], u_max[t]].  "solve" and "outputs" are optional.  Valid cost
 families: peak_shaving (load), load_balancing (load), power_regulation
 (signal), energy_arbitrage (p_buy, p_sell), power_smoothing (renewable).
+The projection is exact, so "solve" has no "projection_tolerance"; a
+scenario that still sets it gets the unknown-field schema error.
 
 Verbs: solve, certify, sample-sets, oracle-check.  Command-line flags
 override scenario-file solve options, which override defaults.
 
 Exit codes: 0 ok, 2 infeasible, 3 not converged, 4 best-effort only
-(no convexity guarantee), 64 usage, 65 schema/validation.
+(no convexity guarantee), 64 usage, 65 schema/validation.  Exit 2 is an
+exact verdict; diagnostic.json names the first unreachable period.
 
 Floating-point values in emitted JSON/CSV use fixed 17-significant-digit
 formatting, so identical runs produce byte-identical artifacts.
@@ -220,7 +222,6 @@ def _parse_solve_options(raw: dict, horizon: int) -> solver_mod.SolveOptions:
         "max_iterations",
         "step_rule",
         "step_parameter",
-        "projection_tolerance",
         "objective_tolerance",
         "seed",
         "initial_point",
@@ -234,9 +235,8 @@ def _parse_solve_options(raw: dict, horizon: int) -> solver_mod.SolveOptions:
             if isinstance(raw[key], bool) or not isinstance(raw[key], int):
                 raise SchemaError(f"solve.{key}: expected an integer")
             kwargs[key] = raw[key]
-    for key in ("projection_tolerance", "objective_tolerance"):
-        if key in raw:
-            kwargs[key] = _number(raw, key, "solve")
+    if "objective_tolerance" in raw:
+        kwargs["objective_tolerance"] = _number(raw, "objective_tolerance", "solve")
     if "step_parameter" in raw and raw["step_parameter"] is not None:
         kwargs["step_parameter"] = _number(raw, "step_parameter", "solve")
     if "step_rule" in raw:
@@ -345,7 +345,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "max_iterations": opts.max_iterations,
             "step_rule": opts.step_rule,
             "step_parameter": opts.step_parameter,
-            "projection_tolerance": opts.projection_tolerance,
             "objective_tolerance": opts.objective_tolerance,
             "seed": opts.seed,
             "initial_point": initial if isinstance(initial, str) else initial.tolist(),
@@ -408,8 +407,9 @@ def run_solve(
 ) -> tuple[int, Optional[solver_mod.Solution]]:
     """Solve a scenario and write its requested artifacts.
 
-    Returns (exit code, solution or None).  On a suspected-empty feasible
-    set, writes diagnostic.json and returns the infeasible exit code.
+    Returns (exit code, solution or None).  On an empty feasible set,
+    writes diagnostic.json naming the first unreachable period and returns
+    the infeasible exit code.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -419,7 +419,7 @@ def run_solve(
     except InfeasibleProblem as exc:
         _write_text(
             out / "diagnostic.json",
-            dumps_json({"error": "infeasible", "message": str(exc)}),
+            dumps_json({"error": "infeasible", "period": exc.period, "message": str(exc)}),
         )
         return EXIT_INFEASIBLE, None
 

@@ -29,25 +29,13 @@ class NoSubgradientOracle(LossyStorageError):
     """A custom cost was asked for a subgradient but declared no oracle for it."""
 
 
-class ProjectionError(LossyStorageError, RuntimeError):
-    """Alternating-projection failure; carries the final residual."""
-
-    def __init__(self, message: str, residual: float, cycles: int):
-        super().__init__(message)
-        self.residual = residual
-        self.cycles = cycles
-
-
-class NotConverged(ProjectionError):
-    """Projection residual still above tolerance after the cycle budget."""
-
-
-class EmptyIntersectionSuspected(ProjectionError):
-    """Residual stagnated above tolerance: the two boxes likely do not intersect."""
-
-
 class InfeasibleProblem(LossyStorageError, RuntimeError):
-    """The feasible energy set appears to be empty."""
+    """The feasible energy set is empty; `period` is the first period
+    (0-based) whose energy box no energy reachable before it can meet."""
+
+    def __init__(self, message: str, period: int):
+        super().__init__(message)
+        self.period = period
 
 
 class HorizonTooLarge(LossyStorageError, ValueError):

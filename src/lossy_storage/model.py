@@ -104,11 +104,15 @@ class DynamicsMatrices:
     a_matrix:  T x T lower-triangular, a_matrix[i, j] = delta * lam**(i-j).
     b_offset:  b[t] = lam**(t+1) * x0.
     a_inverse: analytic inverse (1/delta) * (I - lam * L), L the lower shift.
+    lam:       the retention factor, so x[t] - lam * x[t-1] = delta * v[t].
+    delta:     the period length.
     """
 
     a_matrix: np.ndarray
     b_offset: np.ndarray
     a_inverse: np.ndarray
+    lam: float
+    delta: float
 
 
 def validate_params(raw: StorageParams, bounds: Bounds) -> ValidatedProblem:
@@ -181,7 +185,7 @@ def build_dynamics(params: StorageParams) -> DynamicsMatrices:
         rows = np.arange(1, t)
         a_inv[rows, rows - 1] = -lam / delta
 
-    return DynamicsMatrices(a_matrix=a, b_offset=b, a_inverse=a_inv)
+    return DynamicsMatrices(a_matrix=a, b_offset=b, a_inverse=a_inv, lam=lam, delta=delta)
 
 
 def step(x_t: float, u_t: float, params: StorageParams) -> float:

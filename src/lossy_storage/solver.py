@@ -2,12 +2,16 @@
 
 Minimizes cost(energy_to_power(x)) over the feasible energy polytope by
 projected subgradient descent with normalized directions, best-iterate
-tracking and tail averaging.  Projection onto the polytope runs Dykstra's
-alternating projections between the plain energy box and the velocity box;
-the latter is the affine preimage of a box under the invertible dynamics
-matrix, so its Euclidean projection is itself a small box-constrained least
-squares, solved by an accelerated projected-gradient inner loop (cap
-10 * T**2 iterations at a tenth of the outer tolerance).
+tracking and tail averaging.
+
+The polytope is a chain: each x_t lies in the energy box, and each step
+x_t - lam * x_{t-1} in delta times the velocity box (x_{-1} the initial
+energy).  `project_onto_polytope` projects onto it exactly by dynamic
+programming over the periods, as for the fused lasso (Johnson, JCGS 2013):
+a forward sweep of reachable energy intervals decides feasibility and names
+the first empty period, a backward pass carries the piecewise-linear
+derivative of each period's cost-to-go, and a forward pass clips each
+period's minimizer into what the previous period's choice can reach.
 
 The solver never claims more than the certificate supports: solutions carry
 "global-optimum-claimed" only when the convexity certificate fired,
@@ -17,6 +21,7 @@ otherwise "best-effort".
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -30,14 +35,10 @@ from .costs import (
     instance_digest,
     subgradient_energy_cost,
 )
-from .errors import (
-    EmptyIntersectionSuspected,
-    InfeasibleProblem,
-    LengthMismatch,
-    NotConverged,
-)
+from .errors import InfeasibleProblem, LengthMismatch
 from .model import ValidatedProblem, build_dynamics
 from .transform import (
+    MEMBERSHIP_TOL,
     EnergyPolytope,
     build_energy_polytope,
     energy_to_power,
@@ -75,7 +76,6 @@ class SolveOptions:
     max_iterations: int = 20000
     step_rule: str = "diminishing"
     step_parameter: Optional[float] = None
-    projection_tolerance: float = 1e-8
     objective_tolerance: float = 1e-9
     seed: int = 0
     initial_point: Union[str, np.ndarray] = "offset-b"
@@ -85,8 +85,8 @@ class SolveOptions:
             raise ValueError("max_iterations must be >= 1")
         if self.step_rule not in STEP_RULES:
             raise ValueError(f"step_rule must be one of {STEP_RULES}, got {self.step_rule!r}")
-        if self.projection_tolerance <= 0.0 or self.objective_tolerance <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.objective_tolerance <= 0.0:
+            raise ValueError("objective_tolerance must be positive")
         if isinstance(self.initial_point, str):
             if self.initial_point not in INITIAL_POINT_POLICIES:
                 raise ValueError(
@@ -116,129 +116,134 @@ class Solution:
     instance_digest: str
 
 
-class _ProjectionContext:
-    """Precomputed spectral data for the inner box-least-squares solver."""
-
-    def __init__(self, polytope: EnergyPolytope):
-        self.polytope = polytope
-        a = polytope.dynamics.a_matrix
-        self.a = a
-        self.a_inv = polytope.dynamics.a_inverse
-        self.b = polytope.dynamics.b_offset
-        self.gram = a.T @ a
-        eigs = np.linalg.eigvalsh(self.gram)
-        self.lipschitz = float(eigs[-1])
-        mu = max(float(eigs[0]), 1e-300)
-        ratio = math.sqrt(mu / self.lipschitz)
-        self.momentum = (1.0 - ratio) / (1.0 + ratio)
-        self.inner_cap = 10 * a.shape[0] ** 2
-        self._last_v: Optional[np.ndarray] = None
-
-    def residual(self, x: np.ndarray) -> float:
-        """Largest constraint violation of x against both boxes."""
-        poly = self.polytope
-        v = self.a_inv @ (x - self.b)
-        gaps = (
-            poly.x_lower - x,
-            x - poly.x_upper,
-            poly.v_lower - v,
-            v - poly.v_upper,
-        )
-        return max(0.0, *(float(np.max(g)) for g in gaps))
-
-    def project_velocity_box(
-        self, y: np.ndarray, tol: float, v_start: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Euclidean projection of y onto {x : v_lower <= A^{-1}(x-b) <= v_upper}.
-
-        Parametrized by v (x = A v + b, exact since A is invertible), this is
-        min |A v + b - y|^2 over a box: solved by accelerated projected
-        gradient, warm-started at the clamped unconstrained solution (or the
-        previous call's solution, whichever scores better).
-        """
-        poly = self.polytope
-        rhs = self.a.T @ (y - self.b)
-        if v_start is None:
-            v_start = np.clip(self.a_inv @ (y - self.b), poly.v_lower, poly.v_upper)
-            if self._last_v is not None:
-                cold = self.a @ v_start - (y - self.b)
-                warm = self.a @ self._last_v - (y - self.b)
-                if float(warm @ warm) < float(cold @ cold):
-                    v_start = self._last_v
-        v = np.clip(v_start, poly.v_lower, poly.v_upper)
-        z = v
-        v_tol = tol / math.sqrt(self.lipschitz)
-        for _ in range(self.inner_cap):
-            grad = self.gram @ z - rhs
-            v_new = np.clip(z - grad / self.lipschitz, poly.v_lower, poly.v_upper)
-            delta = float(np.max(np.abs(v_new - v)))
-            z = v_new + self.momentum * (v_new - v)
-            v = v_new
-            if delta <= v_tol:
-                break
-        self._last_v = v
-        return self.a @ v + self.b
-
-
-def project_onto_polytope(
-    x,
-    polytope: EnergyPolytope,
-    tol: float = 1e-8,
-    max_cycles: int = 1000,
-    ctx: Optional[_ProjectionContext] = None,
-) -> np.ndarray:
-    """Euclidean projection of x onto the feasible energy polytope.
-
-    Dykstra's alternating projections between the energy box and the
-    velocity box, with correction terms to converge to the true projection
-    onto the intersection rather than a mere feasible point.
-
-    Raises NotConverged if the residual stays above tol after max_cycles,
-    and EmptyIntersectionSuspected when the residual additionally stagnated,
-    which is the pragmatic (heuristic) signal that the two boxes do not
-    intersect.
-    """
-    if ctx is None:
-        ctx = _ProjectionContext(polytope)
-    x = np.asarray(x, dtype=float)
-    if ctx.residual(x) <= 0.0:
-        return x.copy()
-
-    inner_tol = tol / 10.0
-    a = x.copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    last_target = None
-    history = np.empty(max_cycles)
-    for cycle in range(max_cycles):
-        y = np.clip(a + p, polytope.x_lower, polytope.x_upper)
-        p = a + p - y
-        target = y + q
-        # consecutive cycles often reproduce the same target exactly once the
-        # box constraint is inactive; skip the redundant inner solve
-        if last_target is None or not np.array_equal(target, last_target):
-            a = ctx.project_velocity_box(target, inner_tol)
-            last_target = target
-        q = target - a
-        residual = float(np.max(np.abs(a - y)))
-        history[cycle] = residual
-        if residual <= tol:
-            return a
-
-    tail = history[int(0.9 * max_cycles) : max_cycles]
-    if tail.size >= 2 and tail[0] - tail[-1] < 1e-12:
-        raise EmptyIntersectionSuspected(
-            f"projection residual stagnated at {history[max_cycles - 1]:.3e} "
-            f"after {max_cycles} cycles; intersection looks empty",
-            residual=history[max_cycles - 1],
-            cycles=max_cycles,
-        )
-    raise NotConverged(
-        f"projection residual {history[max_cycles - 1]:.3e} still above "
-        f"tol={tol:.1e} after {max_cycles} cycles",
-        residual=history[max_cycles - 1],
-        cycles=max_cycles,
+def _residual(x: np.ndarray, polytope: EnergyPolytope) -> float:
+    """Largest constraint violation of x against both boxes, with the
+    velocity v = A^{-1}(x - b) taken from the recursion
+    (x_t - lam * x_{t-1}) / delta."""
+    dyn = polytope.dynamics
+    steps = np.empty_like(x)
+    steps[0] = x[0] - dyn.b_offset[0]
+    np.subtract(x[1:], dyn.lam * x[:-1], out=steps[1:])
+    v = steps / dyn.delta
+    gaps = (
+        polytope.x_lower - x,
+        x - polytope.x_upper,
+        polytope.v_lower - v,
+        v - polytope.v_upper,
     )
+    return max(0.0, *(float(np.max(g)) for g in gaps))
+
+
+def _clip_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, list]:
+    """Restrict the piecewise-linear function through (xs, ds) to
+    [left, right], a subinterval of [xs[0], xs[-1]]."""
+    if left > xs[0]:
+        i = bisect_left(xs, left)  # xs[i - 1] < left <= xs[i]
+        d = ds[i - 1] + (ds[i] - ds[i - 1]) * (left - xs[i - 1]) / (xs[i] - xs[i - 1])
+        xs, ds = [left] + xs[i:], [d] + ds[i:]
+    if right < xs[-1]:
+        j = bisect_right(xs, right)  # xs[j - 1] <= right < xs[j]
+        d = ds[j - 1] + (ds[j] - ds[j - 1]) * (right - xs[j - 1]) / (xs[j] - xs[j - 1])
+        xs, ds = xs[:j] + [right], ds[:j] + [d]
+    return xs, ds
+
+
+def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
+    """Exact Euclidean projection of x onto the feasible energy polytope.
+
+    Members come back unchanged, and so does x clipped onto the energy box
+    when that clip is a member: it is then the nearest point of a superset.
+    Otherwise a dynamic program over the periods finds the projection in
+    O(T * k) time, k the number of knots alive in the cost-to-go (a few to a
+    few dozen in practice).
+
+    Raises InfeasibleProblem naming the first period that no energy
+    reachable from the earlier periods can meet, when it misses the energy
+    box by more than MEMBERSHIP_TOL.  Closer misses are bridged at the
+    midpoint of the gap.
+    """
+    x = np.asarray(x, dtype=float)
+    if _residual(x, polytope) <= 0.0:
+        return x.copy()
+    clipped = np.clip(x, polytope.x_lower, polytope.x_upper)
+    if _residual(clipped, polytope) <= 0.0:
+        return clipped
+
+    dyn = polytope.dynamics
+    lam = dyn.lam
+    start = float(dyn.b_offset[0])  # lam * x0, where the first step starts
+    y = x.tolist()
+    x_lower, x_upper = polytope.x_lower.tolist(), polytope.x_upper.tolist()
+    step_lower = (dyn.delta * polytope.v_lower).tolist()
+    step_upper = (dyn.delta * polytope.v_upper).tolist()
+    horizon = len(y)
+
+    # Forward pass: the interval of energies reachable in each period.
+    low = high = start
+    for t in range(horizon):
+        reach_low, reach_high = low + step_lower[t], high + step_upper[t]
+        low, high = max(reach_low, x_lower[t]), min(reach_high, x_upper[t])
+        if low - high > MEMBERSHIP_TOL:
+            raise InfeasibleProblem(
+                f"no feasible energy in period {t}: the reachable energies "
+                f"[{reach_low:.9g}, {reach_high:.9g}] miss the energy box "
+                f"[{x_lower[t]:.9g}, {x_upper[t]:.9g}] by {low - high:.3g}",
+                period=t,
+            )
+        if low > high:
+            low = high = 0.5 * (low + high)
+        low, high = lam * low, lam * high
+
+    # Backward pass over the cost-to-go of each period.  (xs, ds) are the
+    # knots of its derivative, linear between knots, with a repeated
+    # abscissa for a jump; xs[0] and xs[-1] bound the energies from which
+    # the later periods stay feasible.  Running backward lets the recovery
+    # below multiply by lam; recovering backward would divide by it and
+    # amplify rounding by 1/lam per binding step.
+    minimizers, lows, highs = [0.0] * horizon, [0.0] * horizon, [0.0] * horizon
+    xs = [x_lower[-1], x_upper[-1]]
+    ds = [xs[0] - y[-1], xs[1] - y[-1]]
+    for t in range(horizon - 1, -1, -1):
+        low, high = max(xs[0], x_lower[t]), min(xs[-1], x_upper[t])
+        if low > high:  # a gap the forward pass bridged
+            low = high = 0.5 * (low + high)
+            xs, ds = [low], [0.0]
+        else:
+            xs, ds = _clip_knots(xs, ds, low, high)
+        k = bisect_left(ds, 0.0)
+        if k == 0:
+            m = xs[0]
+        elif k == len(xs):
+            m = xs[-1]
+        else:
+            m = xs[k - 1] - ds[k - 1] * (xs[k] - xs[k - 1]) / (ds[k] - ds[k - 1])
+        minimizers[t], lows[t], highs[t] = m, low, high
+        if t:
+            # the cost-to-go seen from period t - 1: knots left of the
+            # minimizer are reached by the highest step, those right of it
+            # by the lowest, and the minimum spans every step in between
+            a, c, y_prev = step_lower[t], step_upper[t], y[t - 1]
+            xs = (
+                [(z - c) / lam for z in xs[:k]]
+                + [(m - c) / lam, (m - a) / lam]
+                + [(z - a) / lam for z in xs[k:]]
+            )
+            ds = [
+                lam * d + z - y_prev
+                for z, d in zip(xs, ds[:k] + [0.0, 0.0] + ds[k:])
+            ]
+
+    # Recovery: each period's minimizer, clipped into the energies the step
+    # from the previous period's choice can reach.
+    out, previous = [0.0] * horizon, start
+    for t in range(horizon):
+        out[t] = min(
+            max(minimizers[t], previous + step_lower[t], lows[t]),
+            previous + step_upper[t],
+            highs[t],
+        )
+        previous = lam * out[t]
+    return np.array(out)
 
 
 def _initial_point(options: SolveOptions, polytope: EnergyPolytope) -> np.ndarray:
@@ -264,27 +269,22 @@ def solve(
     Projected subgradient descent on normalized directions with the chosen
     step rule, tracking the best iterate and a tail average (restarted each
     time the iteration count doubles); the better of the two is returned.
-    Deterministic for fixed options.  Raises InfeasibleProblem when the
-    initial projection reports a suspected-empty polytope.
+    Deterministic for fixed options.  Raises InfeasibleProblem, naming the
+    first period no reachable energy meets, when the polytope is empty; the
+    first projection decides this exactly, so no later step can raise.
     """
     opts = options if options is not None else SolveOptions()
     params, bounds = problem.params, problem.bounds
     dyn = build_dynamics(params)
     polytope = build_energy_polytope(params, bounds, dyn)
     certificate = certify_convexity(cost, params)
-    ctx = _ProjectionContext(polytope)
 
     diameter = float(np.linalg.norm(polytope.x_upper - polytope.x_lower))
     step_base = opts.step_parameter if opts.step_parameter is not None else diameter / 10.0
     if step_base <= 0.0:
         step_base = 1.0  # degenerate zero-volume box; any positive step works
 
-    try:
-        x = project_onto_polytope(
-            _initial_point(opts, polytope), polytope, opts.projection_tolerance, ctx=ctx
-        )
-    except EmptyIntersectionSuspected as exc:
-        raise InfeasibleProblem(str(exc)) from exc
+    x = project_onto_polytope(_initial_point(opts, polytope), polytope)
 
     best_x = x.copy()
     best_f = evaluate_energy_cost(cost, x, params, dyn)
@@ -310,9 +310,7 @@ def solve(
             status = STATUS_CONVERGED
             break
         step = step_base if opts.step_rule == "constant" else step_base / math.sqrt(k)
-        x = project_onto_polytope(
-            x - (step / g_norm) * g, polytope, opts.projection_tolerance, ctx=ctx
-        )
+        x = project_onto_polytope(x - (step / g_norm) * g, polytope)
         f = evaluate_energy_cost(cost, x, params, dyn)
         if f < best_f:
             best_f = f
@@ -332,9 +330,7 @@ def solve(
                 break
             window_best = best_f
 
-    x_avg = avg_sum / avg_count
-    if ctx.residual(x_avg) > opts.projection_tolerance:
-        x_avg = project_onto_polytope(x_avg, polytope, opts.projection_tolerance, ctx=ctx)
+    x_avg = project_onto_polytope(avg_sum / avg_count, polytope)
     f_avg = evaluate_energy_cost(cost, x_avg, params, dyn)
     if f_avg < best_f:
         best_f, best_x = f_avg, x_avg
@@ -347,7 +343,7 @@ def solve(
         power_to_energy(u_star, params, dyn) - bounds.x_max,
     )
     power_residual = max(0.0, *(float(np.max(gap)) for gap in power_gaps))
-    residual = max(ctx.residual(best_x), power_residual)
+    residual = max(_residual(best_x, polytope), power_residual)
 
     return Solution(
         x_star=best_x,

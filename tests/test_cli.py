@@ -98,7 +98,6 @@ def test_scenario_round_trip(tmp_path, two_period_scenario_path):
         "max_iterations",
         "step_rule",
         "step_parameter",
-        "projection_tolerance",
         "objective_tolerance",
         "seed",
         "initial_point",
@@ -130,6 +129,46 @@ def test_run_solve_infeasible_writes_diagnostic(tmp_path):
     assert solution is None
     diag = json.loads((tmp_path / "out" / "diagnostic.json").read_text())
     assert diag["error"] == "infeasible"
+    assert diag["period"] == 0
+
+
+def leaky_day_infeasible_at(period, margin):
+    """lam = 0.999 day whose energy floor in `period` sits `margin` above the
+    highest energy full charging reaches there."""
+    horizon = 24
+    storage = {"eta_c": 0.9, "eta_d": 0.9, "lambda": 0.999, "delta": 1.0, "x0": 2.0,
+               "horizon": horizon}
+    bounds = {"u_max": [1.0] * horizon, "u_min": [1.0] * horizon,
+              "x_max": [8.0] * horizon, "x_min": [0.0] * horizon}
+    highest = storage["x0"]
+    for t in range(period + 1):
+        highest = (storage["lambda"] * highest
+                   + storage["delta"] * storage["eta_c"] * bounds["u_max"][t])
+        if t < period:
+            highest = min(highest, bounds["x_max"][t])
+    bounds["x_min"][period] = highest + margin
+    bounds["x_max"][period] = highest + margin + 1.0
+    prices = [float(30 + (t % 12)) for t in range(horizon)]
+    return {"storage": storage, "bounds": bounds,
+            "cost": {"family": "energy_arbitrage", "p_buy": prices, "p_sell": prices},
+            "solve": {"max_iterations": 50}}
+
+
+@pytest.mark.parametrize("margin", [1.0, 1e-6, 1e-8])
+def test_solve_exits_infeasible_naming_the_period(tmp_path, margin):
+    path = write_json(tmp_path, leaky_day_infeasible_at(9, margin))
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_INFEASIBLE
+    diag = json.loads((out / "diagnostic.json").read_text())
+    assert diag["error"] == "infeasible"
+    assert diag["period"] == 9
+    assert not (out / "solution.json").exists()
+
+
+def test_leaky_day_without_the_cut_solves(tmp_path):
+    path = write_json(tmp_path, leaky_day_infeasible_at(9, -1e-3))
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path)]) == cli.EXIT_NOT_CONVERGED
+    assert (tmp_path / "solution.json").exists()
 
 
 def test_exit_code_not_converged(tmp_path):
@@ -265,6 +304,15 @@ def test_main_schema_exit_code(tmp_path):
     invalid["storage"]["eta_d"] = -1
     path2 = write_json(tmp_path, invalid, "invalid.json")
     assert cli.main(["solve", "--scenario", str(path2), "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
+
+
+def test_projection_tolerance_is_an_unknown_field(tmp_path):
+    old = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    old["solve"]["projection_tolerance"] = 1e-8
+    path = write_json(tmp_path, old)
+    with pytest.raises(SchemaError, match="projection_tolerance"):
+        cli.load_scenario(path)
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
 
 
 def test_certify_verb(tmp_path, two_period_scenario_path):

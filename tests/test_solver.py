@@ -1,16 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import lossy_storage as ls
-from lossy_storage.errors import (
-    EmptyIntersectionSuspected,
-    InfeasibleProblem,
-    NotConverged,
-)
+from lossy_storage.errors import InfeasibleProblem
 from lossy_storage.solver import project_onto_polytope
 from lossy_storage.transform import energy_membership_mask
 
-from conftest import make_certified_instance
+from conftest import make_certified_instance, random_instance
 
 
 @pytest.fixture
@@ -29,8 +27,6 @@ def test_options_validation():
         ls.SolveOptions(max_iterations=0)
     with pytest.raises(ValueError):
         ls.SolveOptions(step_rule="newton")
-    with pytest.raises(ValueError):
-        ls.SolveOptions(projection_tolerance=0.0)
     with pytest.raises(ValueError):
         ls.SolveOptions(initial_point="center-ish")
     opts = ls.SolveOptions(initial_point=[0.5, 0.5])
@@ -77,16 +73,75 @@ def test_projection_idempotent(two_period_polytope):
 def test_projection_detects_empty_intersection():
     params, bounds = empty_intersection_instance()
     poly = ls.build_energy_polytope(params, bounds, ls.build_dynamics(params))
-    with pytest.raises(EmptyIntersectionSuspected) as excinfo:
+    with pytest.raises(InfeasibleProblem) as excinfo:
         project_onto_polytope([1.0, 1.0], poly)
-    assert excinfo.value.residual > 1.0
+    assert excinfo.value.period == 0
 
 
-def test_projection_not_converged_with_tiny_budget(two_period_polytope):
-    # projection lands on the wedge between the two boxes, which needs more
-    # than two alternating cycles at this tolerance
-    with pytest.raises(NotConverged):
-        project_onto_polytope([-1.0, 3.0], two_period_polytope, tol=1e-12, max_cycles=2)
+def active_set_projection(y, params, bounds):
+    """Nearest feasible point by enumerating active sets; None when empty.
+
+    In each period x_t sits at its lower bound, its upper bound or is free,
+    and so does the step v_t = (x_t - lam x_{t-1}) / delta.  The projection is
+    the equality-constrained least-squares point of its own active set, so
+    the nearest feasible candidate over all 9**T sets is the projection.
+    """
+    horizon, lam, delta = params.horizon, params.lam, params.delta
+    v_lower = -bounds.u_min_mag / params.eta_d
+    v_upper = params.eta_c * bounds.u_max
+    previous = lam * params.x0  # lam * x_{-1}, the step's offset in period 0
+    best, best_dist = None, np.inf
+    for pattern in itertools.product(range(3), repeat=2 * horizon):
+        rows, rhs = [], []
+        for t in range(horizon):
+            x_side, v_side = pattern[2 * t], pattern[2 * t + 1]
+            if x_side < 2:
+                row = np.zeros(horizon)
+                row[t] = 1.0
+                rows.append(row)
+                rhs.append((bounds.x_min, bounds.x_max)[x_side][t])
+            if v_side < 2:
+                row = np.zeros(horizon)
+                row[t] = 1.0
+                if t > 0:
+                    row[t - 1] = -lam
+                rows.append(row)
+                rhs.append(delta * (v_lower, v_upper)[v_side][t] + (previous if t == 0 else 0.0))
+        x = y.copy()
+        if rows:
+            e, f = np.array(rows), np.array(rhs)
+            x = y - np.linalg.pinv(e) @ (e @ y - f)
+            if np.max(np.abs(e @ x - f)) > 1e-9:
+                continue  # contradictory active set
+        v = (x - np.concatenate([[previous], lam * x[:-1]])) / delta
+        feasible = (
+            np.all(x >= bounds.x_min - 1e-10)
+            and np.all(x <= bounds.x_max + 1e-10)
+            and np.all(v >= v_lower - 1e-10)
+            and np.all(v <= v_upper + 1e-10)
+        )
+        dist = float(np.sum((x - y) ** 2))
+        if feasible and dist < best_dist:
+            best, best_dist = x, dist
+    return best
+
+
+def test_projection_matches_active_set_reference():
+    rng = np.random.default_rng(2403)
+    verdicts = set()
+    for _ in range(150):
+        horizon = int(rng.integers(1, 4))
+        params, bounds = random_instance(rng, horizon)
+        poly = ls.build_energy_polytope(params, bounds, ls.build_dynamics(params))
+        y = rng.uniform(-1.0, bounds.x_max + 1.0)
+        expected = active_set_projection(y, params, bounds)
+        verdicts.add(expected is None)
+        if expected is None:
+            with pytest.raises(InfeasibleProblem):
+                project_onto_polytope(y, poly)
+        else:
+            assert np.max(np.abs(project_onto_polytope(y, poly) - expected)) <= 1e-9
+    assert verdicts == {True, False}  # the draws cover both verdicts
 
 
 def test_solve_infeasible_problem_raises():
