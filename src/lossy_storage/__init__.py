@@ -26,7 +26,7 @@ from .costs import (
 )
 from .model import (
     Bounds,
-    DynamicsMatrices,
+    Dynamics,
     StorageParams,
     ValidatedProblem,
     build_dynamics,
@@ -58,7 +58,7 @@ __all__ = [
     "ConvexityCertificate",
     "CostSpec",
     "CustomCost",
-    "DynamicsMatrices",
+    "Dynamics",
     "EnergyArbitrage",
     "EnergyPolytope",
     "GapReport",

@@ -32,8 +32,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import LengthMismatch, NoSubgradientOracle
-from .model import Bounds, DynamicsMatrices, StorageParams, build_dynamics
-from .transform import energy_to_power, inverse_loss_map, velocity
+from .model import Bounds, Dynamics, StorageParams, build_dynamics
+from .transform import energy_to_power, inverse_loss_map, velocity, velocity_adjoint
 
 __all__ = [
     "PeakShaving",
@@ -221,14 +221,14 @@ def evaluate_power_cost(cost: CostSpec, u) -> float:
 
 
 def evaluate_energy_cost(
-    cost: CostSpec, x, params: StorageParams, dyn: DynamicsMatrices
+    cost: CostSpec, x, params: StorageParams, dyn: Dynamics
 ) -> float:
     """Cost of an energy profile: the power cost of energy_to_power(x)."""
     return evaluate_power_cost(cost, energy_to_power(x, params, dyn))
 
 
 def energy_cost_batch(
-    cost: CostSpec, profiles: np.ndarray, params: StorageParams, dyn: DynamicsMatrices
+    cost: CostSpec, profiles: np.ndarray, params: StorageParams, dyn: Dynamics
 ) -> np.ndarray:
     """Vectorized `evaluate_energy_cost` over rows of an (n, T) array."""
     return power_cost_batch(cost, energy_to_power(profiles, params, dyn))
@@ -267,22 +267,23 @@ def _power_subgradient(cost: CostSpec, u: np.ndarray) -> np.ndarray:
 
 
 def subgradient_energy_cost(
-    cost: CostSpec, x, params: StorageParams, dyn: DynamicsMatrices
+    cost: CostSpec, x, params: StorageParams, dyn: Dynamics
 ) -> np.ndarray:
     """Chain-rule subgradient of the energy-coordinate objective at x.
 
-    With v = A^{-1}(x - b) and u the recovered power profile, returns
-    (A^{-1})^T D(v) g where g is a subgradient of the family at u and D is
+    With v = A^{-1}(x - b) the velocity and u the recovered power profile,
+    returns A^{-T} D(v) g: g is a subgradient of the family at u, D is
     diagonal with 1/eta_c on charging coordinates (v_i >= 0, the kink
-    included) and eta_d on discharging ones.  Valid subgradient of the
-    composition whenever the certificate holds.
+    included) and eta_d on discharging ones, and A^{-T} is the reversed
+    first difference of the recursion (`velocity_adjoint`).  Valid
+    subgradient of the composition whenever the certificate holds.
     """
     x = np.asarray(x, dtype=float)
     _check_cost_length(cost, params.horizon)
     v = velocity(x, params, dyn)
     u = inverse_loss_map(v, params)
     scale = np.where(v >= 0.0, 1.0 / params.eta_c, params.eta_d)
-    return dyn.a_inverse.T @ (scale * _power_subgradient(cost, u))
+    return velocity_adjoint(scale * _power_subgradient(cost, u), dyn)
 
 
 def _normalized_monotone_flags(cost: CustomCost, horizon: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Storage model: parameters, bounds, dynamics matrices, state-of-charge recursion.
+"""Storage model: parameters, bounds and the state-of-charge recursion.
 
 The storage is described by charging/discharging efficiencies eta_c, eta_d in
 (0, 1], a per-period self-discharge retention factor lam in (0, 1], a period
@@ -7,10 +7,12 @@ periods.  The state-of-charge recursion
 
     x[t+1] = lam * x[t] + delta * (eta_c * max(u[t], 0) + (1/eta_d) * min(u[t], 0))
 
-is equivalently written as x = A f(u) + b with a lower-triangular matrix A
-whose entries are delta * lam**(i-j) and an offset b[t] = lam**(t+1) * x0.
-Decision vectors are stored 0-based as (x_1 .. x_T); x0 is data, not a
-decision variable.
+is a chain: each period's energy depends on the previous one only.  The
+paper writes it as x = A f(u) + b, with A[i, j] = delta * lam**(i-j) below
+the diagonal and the zero-power trajectory b[t] = lam**(t+1) * x0.  A is
+never formed: `Dynamics` keeps b, lam and delta, and `transform` applies A,
+A^{-1} and A^{-T} as O(T) recurrences.  Decision vectors are stored 0-based
+as (x_1 .. x_T); x0 is data, not a decision variable.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ __all__ = [
     "StorageParams",
     "Bounds",
     "ValidatedProblem",
-    "DynamicsMatrices",
+    "Dynamics",
     "validate_params",
     "build_dynamics",
     "step",
@@ -98,19 +100,15 @@ class ValidatedProblem:
 
 
 @dataclass(frozen=True, eq=False)
-class DynamicsMatrices:
-    """Explicit matrix form of the state-of-charge recursion.
+class Dynamics:
+    """The state-of-charge recursion x[t] = lam * x[t-1] + delta * v[t].
 
-    a_matrix:  T x T lower-triangular, a_matrix[i, j] = delta * lam**(i-j).
-    b_offset:  b[t] = lam**(t+1) * x0.
-    a_inverse: analytic inverse (1/delta) * (I - lam * L), L the lower shift.
-    lam:       the retention factor, so x[t] - lam * x[t-1] = delta * v[t].
-    delta:     the period length.
+    b_offset: the zero-power trajectory, b[t] = lam**(t+1) * x0.
+    lam:      the retention factor.
+    delta:    the period length.
     """
 
-    a_matrix: np.ndarray
     b_offset: np.ndarray
-    a_inverse: np.ndarray
     lam: float
     delta: float
 
@@ -153,39 +151,15 @@ def validate_params(raw: StorageParams, bounds: Bounds) -> ValidatedProblem:
     return ValidatedProblem(params=raw, bounds=Bounds(**checked))
 
 
-def build_dynamics(params: StorageParams) -> DynamicsMatrices:
-    """Construct A, b and the analytic A^{-1} for validated parameters.
+def build_dynamics(params: StorageParams) -> Dynamics:
+    """The chain form of the dynamics for validated parameters, in O(T).
 
-    Powers of lam are accumulated by repeated multiplication (not pow) so the
-    construction is bit-stable for lam near 1 and large horizons.
+    Powers of lam are accumulated by repeated multiplication (not pow) so b
+    is bit-stable for lam near 1 and large horizons.
     """
-    t = int(params.horizon)
     lam = float(params.lam)
-    delta = float(params.delta)
-
-    pows = np.empty(t)
-    pows[0] = 1.0
-    for k in range(1, t):
-        pows[k] = pows[k - 1] * lam
-
-    a = np.zeros((t, t))
-    for k in range(t):
-        rows = np.arange(k, t)
-        a[rows, rows - k] = delta * pows[k]
-
-    b = np.empty(t)
-    acc = 1.0
-    for k in range(t):
-        acc *= lam
-        b[k] = acc * params.x0
-
-    a_inv = np.zeros((t, t))
-    np.fill_diagonal(a_inv, 1.0 / delta)
-    if t > 1:
-        rows = np.arange(1, t)
-        a_inv[rows, rows - 1] = -lam / delta
-
-    return DynamicsMatrices(a_matrix=a, b_offset=b, a_inverse=a_inv, lam=lam, delta=delta)
+    b = np.cumprod(np.full(int(params.horizon), lam)) * params.x0
+    return Dynamics(b_offset=b, lam=lam, delta=float(params.delta))
 
 
 def step(x_t: float, u_t: float, params: StorageParams) -> float:

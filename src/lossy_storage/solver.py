@@ -43,6 +43,7 @@ from .transform import (
     build_energy_polytope,
     energy_to_power,
     power_to_energy,
+    velocity,
 )
 
 __all__ = [
@@ -117,14 +118,8 @@ class Solution:
 
 
 def _residual(x: np.ndarray, polytope: EnergyPolytope) -> float:
-    """Largest constraint violation of x against both boxes, with the
-    velocity v = A^{-1}(x - b) taken from the recursion
-    (x_t - lam * x_{t-1}) / delta."""
-    dyn = polytope.dynamics
-    steps = np.empty_like(x)
-    steps[0] = x[0] - dyn.b_offset[0]
-    np.subtract(x[1:], dyn.lam * x[:-1], out=steps[1:])
-    v = steps / dyn.delta
+    """Largest constraint violation of x against both boxes."""
+    v = velocity(x, None, polytope.dynamics)
     gaps = (
         polytope.x_lower - x,
         x - polytope.x_upper,
@@ -336,11 +331,12 @@ def solve(
         best_f, best_x = f_avg, x_avg
 
     u_star = energy_to_power(best_x, params, dyn)
+    x_of_u = power_to_energy(u_star, params, dyn)
     power_gaps = (
         -bounds.u_min_mag - u_star,
         u_star - bounds.u_max,
-        bounds.x_min - power_to_energy(u_star, params, dyn),
-        power_to_energy(u_star, params, dyn) - bounds.x_max,
+        bounds.x_min - x_of_u,
+        x_of_u - bounds.x_max,
     )
     power_residual = max(0.0, *(float(np.max(gap)) for gap in power_gaps))
     residual = max(_residual(best_x, polytope), power_residual)

@@ -8,6 +8,9 @@ the bijection
     power_to_energy(u) = A f(u) + b             (concave per component)
     energy_to_power(x) = f_inv(A^{-1} (x - b))  (convex per component)
 
+A is never formed: this module alone applies A, A^{-1} and A^{-T} as O(T)
+recurrences (`power_to_energy`, `velocity`, `velocity_adjoint`).
+
 The set of feasible power profiles
 
     U = { u in the power box : x_min <= power_to_energy(u) <= x_max }
@@ -28,12 +31,13 @@ as rows (shape (n, T)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .errors import LengthMismatch
-from .model import Bounds, DynamicsMatrices, StorageParams, build_dynamics
+from .model import Bounds, Dynamics, StorageParams, build_dynamics
 
 __all__ = [
     "Violation",
@@ -45,6 +49,7 @@ __all__ = [
     "power_to_energy",
     "energy_to_power",
     "velocity",
+    "velocity_adjoint",
     "in_power_set",
     "power_feasibility_mask",
     "build_energy_polytope",
@@ -87,7 +92,7 @@ class EnergyPolytope:
     v_upper: np.ndarray
     x_lower: np.ndarray
     x_upper: np.ndarray
-    dynamics: DynamicsMatrices
+    dynamics: Dynamics
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,19 +127,37 @@ def inverse_loss_map(v, params: StorageParams) -> np.ndarray:
     return (1.0 / params.eta_c) * np.maximum(v, 0.0) + params.eta_d * np.minimum(v, 0.0)
 
 
-def power_to_energy(u, params: StorageParams, dyn: DynamicsMatrices) -> np.ndarray:
-    """Energy profile induced by a power profile: A f(u) + b."""
-    return loss_map(u, params) @ dyn.a_matrix.T + dyn.b_offset
+def power_to_energy(u, params: StorageParams, dyn: Dynamics) -> np.ndarray:
+    """Energy profile induced by a power profile: A f(u) + b, with A applied
+    as the recurrence y_t = lam * y_{t-1} + delta * f(u_t) from y_{-1} = 0."""
+    rates = params.delta * loss_map(u, params)
+    # one profile steps through Python floats (numpy scalars are several
+    # times slower); a batch takes one vector step per period, across rows
+    periods = rates.tolist() if rates.ndim == 1 else rates.T
+    y = accumulate(periods, lambda y_prev, rate: dyn.lam * y_prev + rate)
+    return np.array(list(y)).T + dyn.b_offset
 
 
-def velocity(x, params: StorageParams, dyn: DynamicsMatrices) -> np.ndarray:
+def velocity(x, params: Optional[StorageParams], dyn: Dynamics) -> np.ndarray:
     """The intermediate v = A^{-1}(x - b), the natural coordinate of the
-    polytope's second box.  Exposed for diagnostics."""
-    x = _check_length(x, params.horizon, "x")
-    return (x - dyn.b_offset) @ dyn.a_inverse.T
+    polytope's second box: the first difference (d_t - lam * d_{t-1}) / delta
+    of d = x - b, so x = b gives v = 0 exactly.  params is unused (callers
+    holding only a polytope pass None)."""
+    x = _check_length(x, dyn.b_offset.shape[0], "x")
+    d = x - dyn.b_offset
+    d[..., 1:] -= dyn.lam * d[..., :-1]
+    return d / dyn.delta
 
 
-def energy_to_power(x, params: StorageParams, dyn: DynamicsMatrices) -> np.ndarray:
+def velocity_adjoint(w, dyn: Dynamics) -> np.ndarray:
+    """A^{-T} w, the transpose of `velocity`'s linear part: the reversed
+    first difference (w_t - lam * w_{t+1}) / delta."""
+    r = np.array(w, dtype=float)
+    r[..., :-1] -= dyn.lam * r[..., 1:]
+    return r / dyn.delta
+
+
+def energy_to_power(x, params: StorageParams, dyn: Dynamics) -> np.ndarray:
     """Power profile recovering a given energy profile: f_inv(A^{-1}(x - b))."""
     return inverse_loss_map(velocity(x, params, dyn), params)
 
@@ -160,7 +183,7 @@ def in_power_set(
     params: StorageParams,
     bounds: Bounds,
     tol: float = MEMBERSHIP_TOL,
-    dyn: Optional[DynamicsMatrices] = None,
+    dyn: Optional[Dynamics] = None,
 ) -> MembershipVerdict:
     """Membership of u in the (generally nonconvex) feasible power set."""
     u = _check_length(u, params.horizon, "u")
@@ -180,7 +203,7 @@ def power_feasibility_mask(
     profiles: np.ndarray,
     params: StorageParams,
     bounds: Bounds,
-    dyn: DynamicsMatrices,
+    dyn: Dynamics,
     tol: float = MEMBERSHIP_TOL,
 ) -> np.ndarray:
     """Vectorized `in_power_set` over rows of an (n, T) array; returns bools."""
@@ -194,7 +217,7 @@ def power_feasibility_mask(
 
 
 def build_energy_polytope(
-    params: StorageParams, bounds: Bounds, dyn: DynamicsMatrices
+    params: StorageParams, bounds: Bounds, dyn: Dynamics
 ) -> EnergyPolytope:
     """Assemble the half-space form of the feasible energy set.
 
@@ -217,7 +240,7 @@ def in_energy_polytope(
     violations = _box_violations(
         x, polytope.x_lower, polytope.x_upper, tol, "x_lower", "x_upper"
     )
-    v = (x - polytope.dynamics.b_offset) @ polytope.dynamics.a_inverse.T
+    v = velocity(x, None, polytope.dynamics)
     violations += _box_violations(
         v, polytope.v_lower, polytope.v_upper, tol, "v_lower", "v_upper"
     )
@@ -231,7 +254,7 @@ def energy_membership_mask(
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
     ok = np.all(profiles >= polytope.x_lower - tol, axis=1)
     ok &= np.all(profiles <= polytope.x_upper + tol, axis=1)
-    v = (profiles - polytope.dynamics.b_offset) @ polytope.dynamics.a_inverse.T
+    v = velocity(profiles, None, polytope.dynamics)
     ok &= np.all(v >= polytope.v_lower - tol, axis=1)
     ok &= np.all(v <= polytope.v_upper + tol, axis=1)
     return ok
@@ -242,7 +265,7 @@ def _worst_violation(verdict: MembershipVerdict) -> Violation:
 
 
 def _scaled_pattern_candidates(
-    params: StorageParams, bounds: Bounds, dyn: DynamicsMatrices
+    params: StorageParams, bounds: Bounds, dyn: Dynamics
 ):
     """Charge-early vs discharge-then-charge pairs, scaled to the instance.
 
@@ -254,8 +277,7 @@ def _scaled_pattern_candidates(
     t = params.horizon
     if t < 2:
         return
-    delta = params.delta
-    a, b = dyn.a_matrix, dyn.b_offset
+    delta, lam, b = params.delta, params.lam, dyn.b_offset
     v_up = params.eta_c * bounds.u_max
     v_lo = -(1.0 / params.eta_d) * bounds.u_min_mag
 
@@ -266,7 +288,7 @@ def _scaled_pattern_candidates(
         for d in (-frac * v0a, frac * v_lo[0]):
             if not (v_lo[0] <= d < 0.0):
                 continue
-            v1b = min(v_up[1], (bounds.x_max[1] - b[1] - a[1, 0] * d) / a[1, 1])
+            v1b = min(v_up[1], (bounds.x_max[1] - b[1] - delta * lam * d) / delta)
             if v1b <= 0.0:
                 continue
             va = np.zeros(t)

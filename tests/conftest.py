@@ -27,6 +27,18 @@ def two_period_dyn(two_period_params):
     return ls.build_dynamics(two_period_params)
 
 
+def dense_dynamics(params: ls.StorageParams):
+    """Dense A and A^{-1} of the storage recursion, built from their
+    definition: A[i, j] = delta * lam**(i-j) for j <= i, else 0, and
+    A^{-1} = (I - lam * L) / delta with L the lower shift.  A test-only
+    reference; the package applies both as recurrences."""
+    t = params.horizon
+    i, j = np.indices((t, t))
+    a = np.where(j <= i, params.delta * params.lam ** np.maximum(i - j, 0), 0.0)
+    a_inv = (np.eye(t) - params.lam * np.eye(t, k=-1)) / params.delta
+    return a, a_inv
+
+
 def random_params(rng: np.random.Generator, horizon: int) -> ls.StorageParams:
     """Valid storage parameters drawn uniformly from the documented domains."""
     return ls.StorageParams(

@@ -5,7 +5,7 @@ import lossy_storage as ls
 from lossy_storage.costs import power_cost_batch
 from lossy_storage.errors import NoSubgradientOracle
 
-from conftest import random_instance
+from conftest import dense_dynamics, random_instance
 
 
 def test_peak_shaving_evaluation():
@@ -184,7 +184,8 @@ def test_subgradient_arbitrage_discharge_region(two_period_params, two_period_dy
     v = ls.velocity(x, two_period_params, two_period_dyn)
     assert np.all(v < 0)
     g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
-    expected = two_period_dyn.a_inverse.T @ (two_period_params.eta_d * np.array([2.0, 3.0]))
+    a_inv = dense_dynamics(two_period_params)[1]
+    expected = a_inv.T @ (two_period_params.eta_d * np.array([2.0, 3.0]))
     assert np.allclose(g, expected, atol=1e-12)
 
 
@@ -192,7 +193,8 @@ def test_subgradient_kink_uses_charging_branch(two_period_params, two_period_dyn
     cost = ls.EnergyArbitrage(p_buy=[1.0, 1.0], p_sell=[5.0, 5.0])
     x = two_period_dyn.b_offset.copy()  # v = 0 exactly
     g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
-    expected = two_period_dyn.a_inverse.T @ ((1.0 / two_period_params.eta_c) * np.array([1.0, 1.0]))
+    a_inv = dense_dynamics(two_period_params)[1]
+    expected = a_inv.T @ ((1.0 / two_period_params.eta_c) * np.array([1.0, 1.0]))
     assert np.allclose(g, expected, atol=1e-12)
 
 
@@ -239,7 +241,7 @@ def test_custom_cost_subgradient_oracle_used(two_period_params, two_period_dyn):
     g = ls.subgradient_energy_cost(cost, [0.9, 0.9], two_period_params, two_period_dyn)
     v = ls.velocity(np.array([0.9, 0.9]), two_period_params, two_period_dyn)
     scale = np.where(v >= 0, 1 / two_period_params.eta_c, two_period_params.eta_d)
-    assert np.allclose(g, two_period_dyn.a_inverse.T @ scale, atol=1e-12)
+    assert np.allclose(g, dense_dynamics(two_period_params)[1].T @ scale, atol=1e-12)
 
 
 # --- probes ------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lossy_storage as ls
+from lossy_storage.transform import velocity_adjoint
 from lossy_storage.errors import (
     InvalidBound,
     InvalidEfficiency,
@@ -10,7 +11,7 @@ from lossy_storage.errors import (
     ValidationError,
 )
 
-from conftest import random_instance
+from conftest import dense_dynamics, random_instance
 
 
 def test_validate_accepts_canonical_instance(two_period_params, two_period_bounds):
@@ -71,38 +72,57 @@ def test_validate_rejects_length_mismatch(two_period_params):
 
 
 def test_dynamics_cumulative_sum_case(two_period_params, two_period_dyn):
-    assert np.array_equal(two_period_dyn.a_matrix, [[1.0, 0.0], [1.0, 1.0]])
-    assert np.array_equal(two_period_dyn.a_inverse, [[1.0, 0.0], [-1.0, 1.0]])
+    # lam = delta = 1: A is a cumulative sum, A^{-1} a first difference
     assert np.array_equal(two_period_dyn.b_offset, [0.75, 0.75])
+    assert np.array_equal(
+        ls.power_to_energy([1.0, 1.0], two_period_params, two_period_dyn), [1.25, 1.75]
+    )
+    assert np.array_equal(ls.velocity([1.0, 1.5], two_period_params, two_period_dyn), [0.25, 0.5])
+    assert np.array_equal(velocity_adjoint([1.0, 1.0], two_period_dyn), [0.0, 1.0])
 
 
 def test_dynamics_decay_entry():
+    # a unit pulse at period 0 reaches period 2 as delta * lam**2
     params = ls.StorageParams(eta_c=1.0, eta_d=1.0, lam=0.9, delta=0.5, x0=0.0, horizon=3)
-    dyn = ls.build_dynamics(params)
-    assert dyn.a_matrix[2][0] == pytest.approx(0.5 * 0.9**2, abs=1e-15)
-    assert dyn.a_matrix[2][0] == pytest.approx(0.405, abs=1e-15)
+    x = ls.power_to_energy([1.0, 0.0, 0.0], params, ls.build_dynamics(params))
+    assert x[2] == pytest.approx(0.5 * 0.9**2, abs=1e-15)
+    assert x[2] == pytest.approx(0.405, abs=1e-15)
 
 
 def test_dynamics_matrix_identity_random():
+    # the recurrences agree with the dense A f + b, A^{-1}(x - b) and A^{-T} w
     rng = np.random.default_rng(42)
     for _ in range(25):
         horizon = int(rng.integers(1, 21))
-        params, _ = random_instance(rng, horizon)
+        params, bounds = random_instance(rng, horizon)
         dyn = ls.build_dynamics(params)
-        err = np.max(np.abs(dyn.a_matrix @ dyn.a_inverse - np.eye(horizon)))
-        assert err <= 1e-12
+        a, a_inv = dense_dynamics(params)
+        assert np.max(np.abs(a @ a_inv - np.eye(horizon))) <= 1e-12
+        u = rng.uniform(-bounds.u_min_mag, bounds.u_max)
+        x = rng.uniform(-1.0, 3.0, horizon)
+        w = rng.standard_normal(horizon)
+        f = ls.loss_map(u, params)
+        assert np.max(np.abs(ls.power_to_energy(u, params, dyn) - (a @ f + dyn.b_offset))) <= 1e-12
+        assert np.max(np.abs(ls.velocity(x, params, dyn) - a_inv @ (x - dyn.b_offset))) <= 1e-12
+        assert np.max(np.abs(velocity_adjoint(w, dyn) - a_inv.T @ w)) <= 1e-12
+        batch = rng.uniform(-bounds.u_min_mag, bounds.u_max, (3, horizon))
+        expected = ls.loss_map(batch, params) @ a.T + dyn.b_offset
+        assert np.max(np.abs(ls.power_to_energy(batch, params, dyn) - expected)) <= 1e-12
 
 
 def test_dynamics_triangularity():
+    # causality: changing u_t leaves x_s unchanged for s < t and moves every later x_s
     rng = np.random.default_rng(7)
-    params, _ = random_instance(rng, 8)
+    params, bounds = random_instance(rng, 8)
     dyn = ls.build_dynamics(params)
-    for i in range(8):
-        for j in range(8):
-            if j <= i:
-                assert dyn.a_matrix[i, j] > 0.0
-            else:
-                assert dyn.a_matrix[i, j] == 0.0
+    u = rng.uniform(-bounds.u_min_mag, bounds.u_max)
+    x = ls.power_to_energy(u, params, dyn)
+    for t in range(8):
+        bumped = u.copy()
+        bumped[t] += 0.5
+        x_bumped = ls.power_to_energy(bumped, params, dyn)
+        assert np.array_equal(x_bumped[:t], x[:t])
+        assert np.all(x_bumped[t:] > x[t:])
 
 
 def test_step_examples(two_period_params):

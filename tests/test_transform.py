@@ -1,8 +1,17 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lossy_storage as ls
-from lossy_storage.transform import energy_membership_mask, power_feasibility_mask
+from lossy_storage.transform import (
+    energy_membership_mask,
+    power_feasibility_mask,
+    velocity_adjoint,
+)
 
 from conftest import random_instance
 
@@ -214,3 +223,77 @@ def test_no_witness_for_charge_only_instance(two_period_params):
 def test_witness_rejects_nonpositive_attempts(two_period_params, two_period_bounds):
     with pytest.raises(ValueError):
         ls.find_nonconvexity_witness(two_period_params, two_period_bounds, attempts=0)
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    horizon=st.sampled_from([1, 2, 24, 8760]) | st.integers(1, 8760),
+    eta_c=st.sampled_from([1e-3, 0.05, 0.5, 1.0]) | st.floats(1e-3, 1.0),
+    eta_d=st.sampled_from([1e-3, 0.05, 0.5, 1.0]) | st.floats(1e-3, 1.0),
+    lam=st.sampled_from([1e-3, 0.5, 0.999, 1.0]),
+    delta=st.sampled_from([0.25, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_operators_at_extreme_parameters(horizon, eta_c, eta_d, lam, delta, seed):
+    rng = np.random.default_rng(seed)
+    params = ls.StorageParams(
+        eta_c=eta_c, eta_d=eta_d, lam=lam, delta=delta,
+        x0=float(rng.uniform(0.0, 10.0)), horizon=horizon,
+    )
+    dyn = ls.build_dynamics(params)
+    u = rng.uniform(-1.0, 1.0, (2, horizon))
+
+    # the recurrence against the step-by-step simulation, singly and batched;
+    # each step rounds by a few eps of the energy scale, and errors add up
+    # over at most T steps
+    x = ls.power_to_energy(u[0], params, dyn)
+    batch = ls.power_to_energy(u, params, dyn)
+    scale = 1.0 + float(np.max(np.abs(batch)))
+    for row, x_row in zip(u, batch):
+        assert np.max(np.abs(x_row - ls.simulate(row, params))) <= 4 * horizon * EPS * scale
+    assert np.array_equal(batch[0], x)
+
+    # round trip: the difference of rounded energies carries a few eps of the
+    # energy scale, divided by delta and then by eta_c on charging periods
+    back = ls.energy_to_power(x, params, dyn)
+    assert np.max(np.abs(back - u[0])) <= 8 * EPS * scale / (delta * eta_c)
+
+    # adjoint identity <A^{-1} d, w> = <d, A^{-T} w>, on a zero offset so
+    # that velocity applies A^{-1} itself
+    linear = dataclasses.replace(dyn, b_offset=np.zeros(horizon))
+    d, w = rng.standard_normal((2, horizon))
+    lhs = float(ls.velocity(d, params, linear) @ w)
+    rhs = float(d @ velocity_adjoint(w, linear))
+    bound = horizon * EPS * (1.0 + lam) / delta * float(np.linalg.norm(d) * np.linalg.norm(w))
+    assert abs(lhs - rhs) <= 4 * bound
+
+
+def test_chain_operators_memory_at_a_year_of_hours():
+    # the operators are O(T): a year of hourly periods stays far below the
+    # 2 * 8 * T^2 bytes (1.2 GB) that a dense A and A^{-1} would take
+    horizon = 8760
+    rng = np.random.default_rng(29)
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.8, lam=0.999, delta=1.0, x0=1.0, horizon=horizon)
+    bounds = ls.Bounds(
+        u_max=np.ones(horizon),
+        u_min_mag=np.ones(horizon),
+        x_max=np.full(horizon, 100.0),
+        x_min=np.zeros(horizon),
+    )
+    cost = ls.EnergyArbitrage(p_buy=rng.uniform(1.0, 2.0, horizon), p_sell=rng.uniform(0.0, 0.5, horizon))
+    u = rng.uniform(-1.0, 1.0, horizon)
+    tracemalloc.start()
+    try:
+        dyn = ls.build_dynamics(params)
+        x = ls.power_to_energy(u, params, dyn)
+        ls.velocity(x, params, dyn)
+        ls.subgradient_energy_cost(cost, x, params, dyn)
+        poly = ls.build_energy_polytope(params, bounds, dyn)
+        energy_membership_mask(np.stack([x, dyn.b_offset]), poly)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
