@@ -46,6 +46,7 @@ __all__ = [
     "ConvexityCertificate",
     "ProbeReport",
     "evaluate_power_cost",
+    "separable_cost_terms",
     "power_cost_batch",
     "evaluate_energy_cost",
     "energy_cost_batch",
@@ -193,19 +194,31 @@ def _check_cost_length(cost: CostSpec, horizon: int) -> None:
             )
 
 
+def separable_cost_terms(
+    cost: CostSpec, u: np.ndarray
+) -> Optional[tuple[np.ufunc, np.ndarray]]:
+    """Per-period terms of a family that is a sum or a max over periods,
+    with the ufunc that folds them (np.add or np.maximum); None for power
+    smoothing and custom costs.  u has the periods on its last axis; the
+    terms are elementwise, so any (..., T) array works."""
+    if isinstance(cost, PeakShaving):
+        return np.maximum, np.abs(u + cost.load)
+    if isinstance(cost, LoadBalancing):
+        return np.add, (u + cost.load) ** 2
+    if isinstance(cost, PowerRegulation):
+        return np.add, np.abs(u - cost.signal)
+    if isinstance(cost, EnergyArbitrage):
+        return np.add, cost.p_buy * np.maximum(u, 0.0) + cost.p_sell * np.minimum(u, 0.0)
+    return None
+
+
 def power_cost_batch(cost: CostSpec, profiles: np.ndarray) -> np.ndarray:
     """Cost of each row of an (n, T) array of power profiles."""
     u = np.atleast_2d(np.asarray(profiles, dtype=float))
-    if isinstance(cost, PeakShaving):
-        return np.max(np.abs(u + cost.load), axis=-1)
-    if isinstance(cost, LoadBalancing):
-        return np.sum((u + cost.load) ** 2, axis=-1)
-    if isinstance(cost, PowerRegulation):
-        return np.sum(np.abs(u - cost.signal), axis=-1)
-    if isinstance(cost, EnergyArbitrage):
-        return np.sum(
-            cost.p_buy * np.maximum(u, 0.0) + cost.p_sell * np.minimum(u, 0.0), axis=-1
-        )
+    separable = separable_cost_terms(cost, u)
+    if separable is not None:
+        reducer, terms = separable
+        return reducer.reduce(terms, axis=-1)
     if isinstance(cost, PowerSmoothing):
         return np.sum(np.abs(np.diff(cost.renewable - u, axis=-1)), axis=-1)
     if isinstance(cost, CustomCost):
