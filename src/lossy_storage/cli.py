@@ -10,9 +10,8 @@ schema errors)::
                   "x_max": [1, 1], "x_min": [0, 0]},
       "cost":    {"family": "energy_arbitrage",
                   "p_buy": [1, 1], "p_sell": [1, 1]},
-      "solve":   {"max_iterations": 20000, "step_rule": "diminishing",
-                  "step_parameter": null, "objective_tolerance": 1e-9,
-                  "seed": 0, "initial_point": "offset-b"},
+      "solve":   {"max_iterations": 20000, "step_parameter": null,
+                  "objective_tolerance": 1e-9, "seed": 0},
       "outputs": ["solution", "certificate"]
     }
 
@@ -21,15 +20,20 @@ nonnegative); the admissible power interval per period is
 [-u_min[t], u_max[t]].  "solve" and "outputs" are optional.  Valid cost
 families: peak_shaving (load), load_balancing (load), power_regulation
 (signal), energy_arbitrage (p_buy, p_sell), power_smoothing (renewable).
-The projection is exact, so "solve" has no "projection_tolerance"; a
-scenario that still sets it gets the unknown-field schema error.
+The solve always starts from the zero-power profile and takes steps
+step_parameter/sqrt(k), so "solve" has no "step_rule" or "initial_point",
+and the projection is exact, so it has no "projection_tolerance"; a
+scenario that still sets any of them gets the unknown-field schema error.
+"seed" does not affect the solve; it is only recorded in solution.json.
 
 Verbs: solve, certify, sample-sets, oracle-check.  Command-line flags
 override scenario-file solve options, which override defaults.
 
 Exit codes: 0 ok, 2 infeasible, 3 not converged, 4 best-effort only
 (no convexity guarantee), 64 usage, 65 schema/validation.  Exit 2 is an
-exact verdict; diagnostic.json names the first unreachable period.
+exact verdict; diagnostic.json names the first unreachable period.  An
+oracle grid with no feasible point exits 64 after solution.json is
+written: raise --resolution.
 
 Floating-point values in emitted JSON/CSV use fixed 17-significant-digit
 formatting, so identical runs produce byte-identical artifacts.
@@ -53,6 +57,7 @@ from . import solver as solver_mod
 from .errors import (
     HorizonNot2,
     InfeasibleProblem,
+    NoFeasiblePoint,
     ParseError,
     SchemaError,
     ValidationError,
@@ -217,15 +222,8 @@ def _parse_cost(raw: dict, horizon: int) -> costs_mod.CostSpec:
     return _COST_BUILDERS[family](kw)
 
 
-def _parse_solve_options(raw: dict, horizon: int) -> solver_mod.SolveOptions:
-    allowed = (
-        "max_iterations",
-        "step_rule",
-        "step_parameter",
-        "objective_tolerance",
-        "seed",
-        "initial_point",
-    )
+def _parse_solve_options(raw: dict) -> solver_mod.SolveOptions:
+    allowed = ("max_iterations", "step_parameter", "objective_tolerance", "seed")
     extra = [k for k in raw if k not in allowed]
     if extra:
         raise SchemaError(f"solve: unknown field(s) {extra}")
@@ -239,25 +237,6 @@ def _parse_solve_options(raw: dict, horizon: int) -> solver_mod.SolveOptions:
         kwargs["objective_tolerance"] = _number(raw, "objective_tolerance", "solve")
     if "step_parameter" in raw and raw["step_parameter"] is not None:
         kwargs["step_parameter"] = _number(raw, "step_parameter", "solve")
-    if "step_rule" in raw:
-        if raw["step_rule"] not in solver_mod.STEP_RULES:
-            raise SchemaError(
-                f"solve.step_rule: expected one of {solver_mod.STEP_RULES}"
-            )
-        kwargs["step_rule"] = raw["step_rule"]
-    if "initial_point" in raw:
-        point = raw["initial_point"]
-        if isinstance(point, list):
-            kwargs["initial_point"] = np.asarray(
-                _number_list(raw, "initial_point", horizon, "solve"), dtype=float
-            )
-        elif point in solver_mod.INITIAL_POINT_POLICIES:
-            kwargs["initial_point"] = point
-        else:
-            raise SchemaError(
-                "solve.initial_point: expected "
-                f"{solver_mod.INITIAL_POINT_POLICIES} or a vector"
-            )
     try:
         return solver_mod.SolveOptions(**kwargs)
     except ValueError as exc:
@@ -302,7 +281,7 @@ def load_scenario(path) -> Scenario:
     )
     cost = _parse_cost(raw["cost"], horizon)
 
-    solve_options = _parse_solve_options(raw.get("solve", {}), horizon)
+    solve_options = _parse_solve_options(raw.get("solve", {}))
 
     outputs = raw.get("outputs", ["solution"])
     if not isinstance(outputs, list) or any(o not in OUTPUT_KINDS for o in outputs):
@@ -324,7 +303,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     for name in COST_FIELDS[cost_tag]:
         cost_obj[name] = getattr(scenario.cost, name).tolist()
     opts = scenario.solve_options
-    initial = opts.initial_point
     return {
         "storage": {
             "eta_c": scenario.storage.eta_c,
@@ -343,11 +321,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "cost": cost_obj,
         "solve": {
             "max_iterations": opts.max_iterations,
-            "step_rule": opts.step_rule,
             "step_parameter": opts.step_parameter,
             "objective_tolerance": opts.objective_tolerance,
             "seed": opts.seed,
-            "initial_point": initial if isinstance(initial, str) else initial.tolist(),
         },
         "outputs": list(scenario.outputs),
     }
@@ -569,6 +545,37 @@ def _apply_overrides(scenario: Scenario, seed: Optional[int]) -> Scenario:
     return dataclasses.replace(scenario, solve_options=options)
 
 
+def _run_verb(args: argparse.Namespace, scenario: Scenario) -> int:
+    out = Path(args.out)
+    if args.verb == "solve":
+        code, _ = run_solve(scenario, out, resolution=args.resolution)
+        return code
+
+    if args.verb == "certify":
+        certificate = costs_mod.certify_convexity(scenario.cost, scenario.storage)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_text(
+            out / "certificate.json", dumps_json(_certificate_dict(certificate))
+        )
+        return EXIT_OK if certificate.certified else EXIT_BEST_EFFORT
+
+    if args.verb == "sample-sets":
+        resolution = args.resolution or DEFAULT_SAMPLE_RESOLUTION
+        emit_feasible_set_samples(scenario, resolution, out)
+        return EXIT_OK
+
+    # oracle-check: the report is written here, once, at the flag resolution
+    plain = dataclasses.replace(
+        scenario, outputs=tuple(o for o in scenario.outputs if o != "oracle-comparison")
+    )
+    code, solution = run_solve(plain, out)
+    if solution is None:
+        return code
+    points = args.resolution or _default_oracle_points(scenario.storage.horizon)
+    _write_oracle_report(scenario, solution, points, out)
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -584,48 +591,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, SchemaError, ValidationError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    scenario = _apply_overrides(scenario, args.seed)
-    out = Path(args.out)
 
-    if args.verb == "solve":
-        try:
-            code, _ = run_solve(scenario, out, resolution=args.resolution)
-        except (HorizonNot2, ValueError) as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        return code
-
-    if args.verb == "certify":
-        certificate = costs_mod.certify_convexity(scenario.cost, scenario.storage)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_text(
-            out / "certificate.json", dumps_json(_certificate_dict(certificate))
-        )
-        return EXIT_OK if certificate.certified else EXIT_BEST_EFFORT
-
-    if args.verb == "sample-sets":
-        resolution = args.resolution or DEFAULT_SAMPLE_RESOLUTION
-        try:
-            emit_feasible_set_samples(scenario, resolution, out)
-        except (HorizonNot2, ValueError) as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        return EXIT_OK
-
-    # oracle-check: the report is written here, once, at the flag resolution
-    plain = dataclasses.replace(
-        scenario, outputs=tuple(o for o in scenario.outputs if o != "oracle-comparison")
-    )
     try:
-        code, solution = run_solve(plain, out)
-        if solution is None:
-            return code
+        return _run_verb(args, _apply_overrides(scenario, args.seed))
+    except NoFeasiblePoint:
         points = args.resolution or _default_oracle_points(scenario.storage.horizon)
-        _write_oracle_report(scenario, solution, points, out)
-    except (HorizonNot2, ValueError) as exc:
+        print(
+            f"usage error: no point of the oracle grid ({points} points per axis) "
+            "is feasible, but the solve found the feasible set nonempty; "
+            "raise --resolution",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    except ValueError as exc:  # HorizonNot2, bad resolutions, oracle grid guards
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return code
 
 
 if __name__ == "__main__":

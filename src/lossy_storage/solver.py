@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .costs import (
     instance_digest,
     subgradient_energy_cost,
 )
-from .errors import InfeasibleProblem, LengthMismatch
+from .errors import InfeasibleProblem
 from .model import ValidatedProblem, build_dynamics
 from .transform import (
     MEMBERSHIP_TOL,
@@ -54,9 +54,6 @@ __all__ = [
     "recover_power_profile",
 ]
 
-STEP_RULES = ("constant", "diminishing")
-INITIAL_POINT_POLICIES = ("offset-b", "midpoint")
-
 GUARANTEE_GLOBAL = "global-optimum-claimed"
 GUARANTEE_BEST_EFFORT = "best-effort"
 
@@ -68,35 +65,24 @@ STATUS_MAX_ITERATIONS = "max-iterations"
 class SolveOptions:
     """Solver knobs.
 
-    step_parameter is the `a` in the diminishing rule a/sqrt(k) (or the
-    constant step length); None picks a tenth of the energy-box diameter.
-    initial_point is "offset-b" (start at the zero-power profile b),
-    "midpoint" (center of the energy box) or an explicit vector.
+    The solve starts from the projection of the zero-power profile b and
+    takes steps a/sqrt(k) along normalized subgradients; step_parameter is
+    that `a`, and None picks a tenth of the energy-box diameter.  It stops
+    after max_iterations, or when a window of iterations improves the best
+    objective by less than objective_tolerance.  seed does not affect the
+    solve; it is only recorded in solution.json.
     """
 
     max_iterations: int = 20000
-    step_rule: str = "diminishing"
     step_parameter: Optional[float] = None
     objective_tolerance: float = 1e-9
     seed: int = 0
-    initial_point: Union[str, np.ndarray] = "offset-b"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.step_rule not in STEP_RULES:
-            raise ValueError(f"step_rule must be one of {STEP_RULES}, got {self.step_rule!r}")
         if self.objective_tolerance <= 0.0:
             raise ValueError("objective_tolerance must be positive")
-        if isinstance(self.initial_point, str):
-            if self.initial_point not in INITIAL_POINT_POLICIES:
-                raise ValueError(
-                    f"initial_point must be one of {INITIAL_POINT_POLICIES} or a vector"
-                )
-        else:
-            object.__setattr__(
-                self, "initial_point", np.asarray(self.initial_point, dtype=float)
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +132,9 @@ def _clip_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, li
 def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     """Exact Euclidean projection of x onto the feasible energy polytope.
 
-    Members come back unchanged, and so does x clipped onto the energy box
-    when that clip is a member: it is then the nearest point of a superset.
+    x clipped onto the energy box comes back when it is a member: it is then
+    the nearest point of a superset.  A member is its own clip, so members
+    come back unchanged.
     Otherwise a dynamic program over the periods finds the projection in
     O(T * k) time, k the number of knots alive in the cost-to-go (a few to a
     few dozen in practice).
@@ -158,8 +145,6 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     midpoint of the gap.
     """
     x = np.asarray(x, dtype=float)
-    if _residual(x, polytope) <= 0.0:
-        return x.copy()
     clipped = np.clip(x, polytope.x_lower, polytope.x_upper)
     if _residual(clipped, polytope) <= 0.0:
         return clipped
@@ -241,19 +226,6 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     return np.array(out)
 
 
-def _initial_point(options: SolveOptions, polytope: EnergyPolytope) -> np.ndarray:
-    if isinstance(options.initial_point, np.ndarray):
-        start = options.initial_point.astype(float, copy=True)
-        if start.shape != polytope.x_lower.shape:
-            raise LengthMismatch(
-                f"initial point has shape {start.shape}, expected {polytope.x_lower.shape}"
-            )
-        return start
-    if options.initial_point == "offset-b":
-        return polytope.dynamics.b_offset.copy()
-    return 0.5 * (polytope.x_lower + polytope.x_upper)
-
-
 def solve(
     problem: ValidatedProblem,
     cost: CostSpec,
@@ -261,8 +233,8 @@ def solve(
 ) -> Solution:
     """Minimize the cost over the feasible energy polytope.
 
-    Projected subgradient descent on normalized directions with the chosen
-    step rule, tracking the best iterate and a tail average (restarted each
+    Projected subgradient descent on normalized directions with steps
+    a/sqrt(k), starting from the projection of b and tracking the best iterate and a tail average (restarted each
     time the iteration count doubles); the better of the two is returned.
     Deterministic for fixed options.  Raises InfeasibleProblem, naming the
     first period no reachable energy meets, when the polytope is empty; the
@@ -279,7 +251,7 @@ def solve(
     if step_base <= 0.0:
         step_base = 1.0  # degenerate zero-volume box; any positive step works
 
-    x = project_onto_polytope(_initial_point(opts, polytope), polytope)
+    x = project_onto_polytope(dyn.b_offset, polytope)
 
     best_x = x.copy()
     best_f = evaluate_energy_cost(cost, x, params, dyn)
@@ -304,7 +276,7 @@ def solve(
             trace[k:] = best_f
             status = STATUS_CONVERGED
             break
-        step = step_base if opts.step_rule == "constant" else step_base / math.sqrt(k)
+        step = step_base / math.sqrt(k)
         x = project_onto_polytope(x - (step / g_norm) * g, polytope)
         f = evaluate_energy_cost(cost, x, params, dyn)
         if f < best_f:

@@ -1,4 +1,7 @@
+import itertools
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,14 +97,7 @@ def test_scenario_round_trip(tmp_path, two_period_scenario_path):
         assert np.array_equal(getattr(again.bounds, field), getattr(scenario.bounds, field))
     assert np.array_equal(again.cost.p_buy, scenario.cost.p_buy)
     assert np.array_equal(again.cost.p_sell, scenario.cost.p_sell)
-    for field in (
-        "max_iterations",
-        "step_rule",
-        "step_parameter",
-        "objective_tolerance",
-        "seed",
-        "initial_point",
-    ):
+    for field in ("max_iterations", "step_parameter", "objective_tolerance", "seed"):
         assert getattr(again.solve_options, field) == getattr(scenario.solve_options, field)
     assert again.outputs == scenario.outputs
 
@@ -255,19 +251,6 @@ def test_main_usage_errors(tmp_path, two_period_scenario_path):
     )
 
 
-def test_initial_point_vector_round_trips_and_length_checks(tmp_path):
-    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
-    doc["solve"]["initial_point"] = [0.5, 0.5]
-    scenario = cli.load_scenario(write_json(tmp_path, doc))
-    assert np.array_equal(scenario.solve_options.initial_point, [0.5, 0.5])
-    code, solution = cli.run_solve(scenario, tmp_path / "out")
-    assert code == cli.EXIT_OK and solution is not None
-
-    doc["solve"]["initial_point"] = [0.5, 0.5, 0.5]
-    with pytest.raises(SchemaError):
-        cli.load_scenario(write_json(tmp_path, doc, "bad_point.json"))
-
-
 def test_solve_verb_rejects_sampling_outputs_for_long_horizons(tmp_path):
     three = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
     three["storage"]["horizon"] = 3
@@ -295,6 +278,29 @@ def test_oracle_check_rejects_even_resolution(tmp_path, two_period_scenario_path
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("verb", ["oracle-check", "solve"])
+def test_oracle_grid_without_a_feasible_point_is_a_usage_error(tmp_path, capsys, verb):
+    # the feasible set is nonempty but misses every point of the three-level
+    # grid {-1, 0, 1}^2: zero power leaves x0 = 0.75 below the floor 0.8, a
+    # unit charge overshoots the cap 0.9, and after a unit discharge nothing
+    # climbs back above the floor
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["bounds"]["x_min"] = [0.8, 0.8]
+    doc["bounds"]["x_max"] = [0.9, 0.9]
+    doc["solve"]["max_iterations"] = 200
+    if verb == "solve":
+        doc["outputs"] = ["solution", "oracle-comparison"]
+    path = write_json(tmp_path, doc)
+    out = tmp_path / "o"
+    argv = [verb, "--scenario", str(path), "--out", str(out), "--resolution", "3"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert (out / "solution.json").exists()
+    assert not (out / "oracle.json").exists()
+    err = capsys.readouterr().err
+    assert "--resolution" in err
+    assert "Traceback" not in err
+
+
 def test_main_schema_exit_code(tmp_path):
     bad = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
     bad["cost"] = {"family": "frequency"}
@@ -306,11 +312,19 @@ def test_main_schema_exit_code(tmp_path):
     assert cli.main(["solve", "--scenario", str(path2), "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
 
 
-def test_projection_tolerance_is_an_unknown_field(tmp_path):
+RETIRED_SOLVE_FIELDS = {
+    "projection_tolerance": 1e-8,
+    "step_rule": "diminishing",
+    "initial_point": "offset-b",
+}
+
+
+@pytest.mark.parametrize("field", RETIRED_SOLVE_FIELDS)
+def test_projection_tolerance_is_an_unknown_field(tmp_path, field):
     old = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
-    old["solve"]["projection_tolerance"] = 1e-8
+    old["solve"][field] = RETIRED_SOLVE_FIELDS[field]
     path = write_json(tmp_path, old)
-    with pytest.raises(SchemaError, match="projection_tolerance"):
+    with pytest.raises(SchemaError, match=field):
         cli.load_scenario(path)
     assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
 
@@ -347,6 +361,33 @@ def test_oracle_check_verb(tmp_path, two_period_scenario_path):
     assert doc["verdict"] == "pass"
     assert abs(doc["gap"]) <= 1e-3
     assert doc["points_per_axis"] == 401
+
+
+def documented_scenarios():
+    """Every scenario JSON example in README.md (```json blocks) and in the
+    cli module docstring (reST literal blocks)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = [("README.md", block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    for block in cli.__doc__.split("::\n\n")[1:]:
+        lines = itertools.takewhile(
+            lambda line: not line or line.startswith("    "), block.splitlines()
+        )
+        examples.append(("cli docstring", "\n".join(lines)))
+    return examples
+
+
+def test_documented_scenarios_load(tmp_path):
+    examples = documented_scenarios()
+    assert [where for where, _ in examples].count("README.md") >= 1
+    assert [where for where, _ in examples].count("cli docstring") >= 1
+    for i, (where, text) in enumerate(examples):
+        path = tmp_path / f"example{i}.json"
+        path.write_text(text, encoding="utf-8")
+        scenario = cli.load_scenario(path)
+        # the examples show every field the parser accepts
+        raw, full = json.loads(text), cli.scenario_to_dict(scenario)
+        assert set(raw) == set(full), where
+        assert set(raw["solve"]) == set(full["solve"]), where
 
 
 def test_json_floats_use_17_significant_digits():

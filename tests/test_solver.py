@@ -25,12 +25,6 @@ def empty_intersection_instance():
 def test_options_validation():
     with pytest.raises(ValueError):
         ls.SolveOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        ls.SolveOptions(step_rule="newton")
-    with pytest.raises(ValueError):
-        ls.SolveOptions(initial_point="center-ish")
-    opts = ls.SolveOptions(initial_point=[0.5, 0.5])
-    assert isinstance(opts.initial_point, np.ndarray)
 
 
 def test_projection_of_member_is_identity(two_period_polytope):
