@@ -17,10 +17,13 @@ schema errors)::
 
 Note that "u_min" entries are discharge-power magnitudes (all
 nonnegative); the admissible power interval per period is
-[-u_min[t], u_max[t]].  "solve" and "outputs" are optional.  Valid cost
-families: peak_shaving (load), load_balancing (load), power_regulation
-(signal), energy_arbitrage (p_buy, p_sell), power_smoothing (renewable).
-The solve always starts from the zero-power profile and takes steps
+[-u_min[t], u_max[t]].  "solve" and "outputs" are optional.  Cost
+families and their fields: peak_shaving (load), load_balancing (load),
+power_regulation (signal), energy_arbitrage (p_buy, p_sell),
+power_smoothing (renewable).  Cost vectors must be finite.
+"step_parameter" and "objective_tolerance" must be finite and positive; a
+null "step_parameter" picks a tenth of the energy-box diameter.  The solve
+always starts from the zero-power profile and takes steps
 step_parameter/sqrt(k), so "solve" has no "step_rule" or "initial_point",
 and the projection is exact, so it has no "projection_tolerance"; a
 scenario that still sets any of them gets the unknown-field schema error.
@@ -43,8 +46,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -88,23 +93,8 @@ EXIT_SCHEMA = 65
 
 OUTPUT_KINDS = ("solution", "feasible-set-samples", "certificate", "oracle-comparison")
 
-COST_FIELDS = {
-    "peak_shaving": ("load",),
-    "load_balancing": ("load",),
-    "power_regulation": ("signal",),
-    "energy_arbitrage": ("p_buy", "p_sell"),
-    "power_smoothing": ("renewable",),
-}
-
-_COST_BUILDERS = {
-    "peak_shaving": lambda kw: costs_mod.PeakShaving(load=kw["load"]),
-    "load_balancing": lambda kw: costs_mod.LoadBalancing(load=kw["load"]),
-    "power_regulation": lambda kw: costs_mod.PowerRegulation(signal=kw["signal"]),
-    "energy_arbitrage": lambda kw: costs_mod.EnergyArbitrage(
-        p_buy=kw["p_buy"], p_sell=kw["p_sell"]
-    ),
-    "power_smoothing": lambda kw: costs_mod.PowerSmoothing(renewable=kw["renewable"]),
-}
+#: Scenario keys that differ from the name of the dataclass field they fill.
+_RENAMED_KEYS = {"lam": "lambda", "u_min_mag": "u_min"}
 
 MIN_SAMPLE_RESOLUTION = 11
 DEFAULT_SAMPLE_RESOLUTION = 201
@@ -163,84 +153,75 @@ def _write_text(path: Path, text: str) -> None:
 # scenario loading
 
 
-def _require_keys(mapping: dict, required: Sequence[str], where: str) -> None:
-    missing = [k for k in required if k not in mapping]
-    extra = [k for k in mapping if k not in required]
+@functools.cache
+def _section_schema(cls) -> dict[str, tuple[str, object, bool]]:
+    """The keys of the scenario section that fills dataclass cls: each maps
+    to its field's name and type, and whether the key is required (the
+    field has no default)."""
+    hints = typing.get_type_hints(cls)
+    return {
+        _RENAMED_KEYS.get(f.name, f.name): (
+            f.name, hints[f.name], f.default is dataclasses.MISSING
+        )
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_value(value, kind, where: str, horizon: Optional[int]):
+    """A scenario value, checked against the type of the field it fills."""
+    if kind is np.ndarray:
+        if not isinstance(value, list) or not all(map(_is_number, value)):
+            raise SchemaError(f"{where}: expected a list of numbers")
+        if len(value) != horizon:
+            raise SchemaError(
+                f"{where}: length {len(value)} does not match horizon {horizon}"
+            )
+        return [float(v) for v in value]
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{where}: expected an integer, got {value!r}")
+        return value
+    if value is None and kind == Optional[float]:
+        return None
+    if not _is_number(value):
+        raise SchemaError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _section_fields(raw: dict, cls, where: str, horizon: Optional[int] = None) -> dict:
+    """Keyword arguments of cls from the scenario section that fills it."""
+    schema = _section_schema(cls)
+    missing = [
+        key for key, (_, _, required) in schema.items() if required and key not in raw
+    ]
+    extra = [key for key in raw if key not in schema]
     if missing:
         raise SchemaError(f"{where}: missing field(s) {missing}")
     if extra:
         raise SchemaError(f"{where}: unknown field(s) {extra}")
-
-
-def _number(mapping: dict, key: str, where: str) -> float:
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _number_list(mapping: dict, key: str, horizon: int, where: str) -> list[float]:
-    value = mapping[key]
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
-        raise SchemaError(f"{where}.{key}: expected a list of numbers")
-    if len(value) != horizon:
-        raise SchemaError(
-            f"{where}.{key}: length {len(value)} does not match horizon {horizon}"
-        )
-    return [float(v) for v in value]
-
-
-def _parse_storage(raw: dict) -> StorageParams:
-    _require_keys(raw, ("eta_c", "eta_d", "lambda", "delta", "x0", "horizon"), "storage")
-    horizon = raw["horizon"]
-    if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise SchemaError(f"storage.horizon: expected an integer, got {horizon!r}")
-    return StorageParams(
-        eta_c=_number(raw, "eta_c", "storage"),
-        eta_d=_number(raw, "eta_d", "storage"),
-        lam=_number(raw, "lambda", "storage"),
-        delta=_number(raw, "delta", "storage"),
-        x0=_number(raw, "x0", "storage"),
-        horizon=horizon,
-    )
+    return {
+        name: _parse_value(raw[key], kind, f"{where}.{key}", horizon)
+        for key, (name, kind, _) in schema.items()
+        if key in raw
+    }
 
 
 def _parse_cost(raw: dict, horizon: int) -> costs_mod.CostSpec:
     if "family" not in raw:
         raise SchemaError("cost: missing field 'family'")
     family = raw["family"]
-    if family not in COST_FIELDS:
+    if not isinstance(family, str) or family not in costs_mod.FAMILIES:
         raise SchemaError(
             f"cost.family: unknown tag {family!r}; valid tags: "
-            + ", ".join(sorted(COST_FIELDS))
+            + ", ".join(sorted(costs_mod.FAMILIES))
         )
-    fields = COST_FIELDS[family]
-    _require_keys(raw, ("family",) + fields, "cost")
-    kw = {name: _number_list(raw, name, horizon, "cost") for name in fields}
-    return _COST_BUILDERS[family](kw)
-
-
-def _parse_solve_options(raw: dict) -> solver_mod.SolveOptions:
-    allowed = ("max_iterations", "step_parameter", "objective_tolerance", "seed")
-    extra = [k for k in raw if k not in allowed]
-    if extra:
-        raise SchemaError(f"solve: unknown field(s) {extra}")
-    kwargs = {}
-    for key in ("max_iterations", "seed"):
-        if key in raw:
-            if isinstance(raw[key], bool) or not isinstance(raw[key], int):
-                raise SchemaError(f"solve.{key}: expected an integer")
-            kwargs[key] = raw[key]
-    if "objective_tolerance" in raw:
-        kwargs["objective_tolerance"] = _number(raw, "objective_tolerance", "solve")
-    if "step_parameter" in raw and raw["step_parameter"] is not None:
-        kwargs["step_parameter"] = _number(raw, "step_parameter", "solve")
-    try:
-        return solver_mod.SolveOptions(**kwargs)
-    except ValueError as exc:
-        raise SchemaError(f"solve: {exc}") from exc
+    cls = costs_mod.FAMILIES[family]
+    fields = {key: value for key, value in raw.items() if key != "family"}
+    return cls(**_section_fields(fields, cls, "cost", horizon))
 
 
 def load_scenario(path) -> Scenario:
@@ -266,22 +247,19 @@ def load_scenario(path) -> Scenario:
     for key in ("storage", "bounds", "cost"):
         if key not in raw:
             raise SchemaError(f"top level: missing field {key!r}")
-        if not isinstance(raw[key], dict):
+    for key in ("storage", "bounds", "cost", "solve"):
+        if not isinstance(raw.get(key, {}), dict):
             raise SchemaError(f"{key}: expected an object")
 
-    storage = _parse_storage(raw["storage"])
+    storage = StorageParams(**_section_fields(raw["storage"], StorageParams, "storage"))
     horizon = storage.horizon
-
-    _require_keys(raw["bounds"], ("u_max", "u_min", "x_max", "x_min"), "bounds")
-    bounds = Bounds(
-        u_max=_number_list(raw["bounds"], "u_max", horizon, "bounds"),
-        u_min_mag=_number_list(raw["bounds"], "u_min", horizon, "bounds"),
-        x_max=_number_list(raw["bounds"], "x_max", horizon, "bounds"),
-        x_min=_number_list(raw["bounds"], "x_min", horizon, "bounds"),
-    )
+    bounds = Bounds(**_section_fields(raw["bounds"], Bounds, "bounds", horizon))
     cost = _parse_cost(raw["cost"], horizon)
-
-    solve_options = _parse_solve_options(raw.get("solve", {}))
+    solve_fields = _section_fields(raw.get("solve", {}), solver_mod.SolveOptions, "solve")
+    try:
+        solve_options = solver_mod.SolveOptions(**solve_fields)
+    except ValueError as exc:
+        raise SchemaError(f"solve: {exc}") from exc
 
     outputs = raw.get("outputs", ["solution"])
     if not isinstance(outputs, list) or any(o not in OUTPUT_KINDS for o in outputs):
@@ -297,34 +275,19 @@ def load_scenario(path) -> Scenario:
     )
 
 
+def _section_dict(obj) -> dict:
+    schema = _section_schema(type(obj))
+    values = {key: getattr(obj, name) for key, (name, _, _) in schema.items()}
+    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in values.items()}
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    cost_tag = costs_mod.FAMILY_TAGS[type(scenario.cost)]
-    cost_obj = {"family": cost_tag}
-    for name in COST_FIELDS[cost_tag]:
-        cost_obj[name] = getattr(scenario.cost, name).tolist()
-    opts = scenario.solve_options
+    cost = scenario.cost
     return {
-        "storage": {
-            "eta_c": scenario.storage.eta_c,
-            "eta_d": scenario.storage.eta_d,
-            "lambda": scenario.storage.lam,
-            "delta": scenario.storage.delta,
-            "x0": scenario.storage.x0,
-            "horizon": scenario.storage.horizon,
-        },
-        "bounds": {
-            "u_max": scenario.bounds.u_max.tolist(),
-            "u_min": scenario.bounds.u_min_mag.tolist(),
-            "x_max": scenario.bounds.x_max.tolist(),
-            "x_min": scenario.bounds.x_min.tolist(),
-        },
-        "cost": cost_obj,
-        "solve": {
-            "max_iterations": opts.max_iterations,
-            "step_parameter": opts.step_parameter,
-            "objective_tolerance": opts.objective_tolerance,
-            "seed": opts.seed,
-        },
+        "storage": _section_dict(scenario.storage),
+        "bounds": _section_dict(scenario.bounds),
+        "cost": {"family": costs_mod.FAMILY_TAGS[type(cost)], **_section_dict(cost)},
+        "solve": _section_dict(scenario.solve_options),
         "outputs": list(scenario.outputs),
     }
 

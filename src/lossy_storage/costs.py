@@ -25,13 +25,14 @@ Power smoothing is never certified.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import LengthMismatch, NoSubgradientOracle
+from .errors import LengthMismatch, NoSubgradientOracle, ValidationError
 from .model import Bounds, Dynamics, StorageParams, build_dynamics
 from .transform import energy_to_power, inverse_loss_map, velocity, velocity_adjoint
 
@@ -51,6 +52,7 @@ __all__ = [
     "evaluate_energy_cost",
     "energy_cost_batch",
     "subgradient_energy_cost",
+    "lipschitz_estimate",
     "certify_convexity",
     "midpoint_convexity_probe",
     "instance_digest",
@@ -60,56 +62,56 @@ __all__ = [
 PROBE_MARGIN = 1e-7
 
 
+class _VectorFamily:
+    """Shared constructor of the built-in families: each field becomes a
+    float array, and every entry must be finite."""
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            vec = np.asarray(getattr(self, field.name), dtype=float)
+            bad = np.flatnonzero(~np.isfinite(vec))
+            if bad.size:
+                i = int(bad[0])
+                raise ValidationError(
+                    f"{field.name}[{i}] must be finite, got {float(vec.flat[i])}"
+                )
+            object.__setattr__(self, field.name, vec)
+
+
 @dataclass(frozen=True, eq=False)
-class PeakShaving:
+class PeakShaving(_VectorFamily):
     """max_t |u_t + load_t|: worst absolute net draw against a fixed load."""
 
     load: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "load", np.asarray(self.load, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
-class LoadBalancing:
+class LoadBalancing(_VectorFamily):
     """sum_t (u_t + load_t)^2: quadratic penalty on net draw."""
 
     load: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "load", np.asarray(self.load, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
-class PowerRegulation:
+class PowerRegulation(_VectorFamily):
     """sum_t |u_t - signal_t|: tracking error against a regulation signal."""
 
     signal: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "signal", np.asarray(self.signal, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
-class EnergyArbitrage:
+class EnergyArbitrage(_VectorFamily):
     """sum_t p_buy_t u_t+ + p_sell_t u_t-: buy when charging, sell when not."""
 
     p_buy: np.ndarray
     p_sell: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "p_buy", np.asarray(self.p_buy, dtype=float))
-        object.__setattr__(self, "p_sell", np.asarray(self.p_sell, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
-class PowerSmoothing:
+class PowerSmoothing(_VectorFamily):
     """sum_{t>=1} |(s_t - u_t) - (s_{t-1} - u_{t-1})|: net-output variation."""
 
     renewable: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "renewable", np.asarray(self.renewable, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -134,12 +136,19 @@ CostSpec = Union[
     PeakShaving, LoadBalancing, PowerRegulation, EnergyArbitrage, PowerSmoothing, CustomCost
 ]
 
-FAMILY_TAGS = {
-    PeakShaving: "peak_shaving",
-    LoadBalancing: "load_balancing",
-    PowerRegulation: "power_regulation",
-    EnergyArbitrage: "energy_arbitrage",
-    PowerSmoothing: "power_smoothing",
+#: The built-in families by scenario tag; their dataclass fields are the
+#: scenario's cost fields.
+FAMILIES = {
+    "peak_shaving": PeakShaving,
+    "load_balancing": LoadBalancing,
+    "power_regulation": PowerRegulation,
+    "energy_arbitrage": EnergyArbitrage,
+    "power_smoothing": PowerSmoothing,
+}
+FAMILY_TAGS = {cls: tag for tag, cls in FAMILIES.items()}
+# looked up once here: _check_cost_length runs twice per solver iteration
+_FAMILY_FIELDS = {
+    cls: tuple(field.name for field in dataclasses.fields(cls)) for cls in FAMILIES.values()
 }
 
 
@@ -174,24 +183,11 @@ class ProbeReport:
     worst_triple: Optional[tuple[np.ndarray, np.ndarray, float]] = None
 
 
-def _family_vectors(cost: CostSpec) -> dict[str, np.ndarray]:
-    if isinstance(cost, (PeakShaving, LoadBalancing)):
-        return {"load": cost.load}
-    if isinstance(cost, PowerRegulation):
-        return {"signal": cost.signal}
-    if isinstance(cost, EnergyArbitrage):
-        return {"p_buy": cost.p_buy, "p_sell": cost.p_sell}
-    if isinstance(cost, PowerSmoothing):
-        return {"renewable": cost.renewable}
-    return {}
-
-
 def _check_cost_length(cost: CostSpec, horizon: int) -> None:
-    for name, vec in _family_vectors(cost).items():
-        if vec.shape != (horizon,):
-            raise LengthMismatch(
-                f"{name} has shape {vec.shape}, expected ({horizon},)"
-            )
+    for name in _FAMILY_FIELDS.get(type(cost), ()):
+        shape = getattr(cost, name).shape
+        if shape != (horizon,):
+            raise LengthMismatch(f"{name} has shape {shape}, expected ({horizon},)")
 
 
 def separable_cost_terms(
@@ -277,6 +273,26 @@ def _power_subgradient(cost: CostSpec, u: np.ndarray) -> np.ndarray:
             )
         return np.asarray(cost.subgradient(u), dtype=float)
     raise TypeError(f"unknown cost spec {type(cost).__name__}")
+
+
+def lipschitz_estimate(cost: CostSpec, bounds: Bounds) -> Optional[float]:
+    """Lipschitz constant of the family w.r.t. the max norm, over the power
+    box; None for custom costs."""
+    lo, hi = -bounds.u_min_mag, bounds.u_max
+    t = lo.shape[0]
+    if isinstance(cost, PeakShaving):
+        return 1.0
+    if isinstance(cost, LoadBalancing):
+        return float(
+            np.sum(2.0 * np.maximum(np.abs(lo + cost.load), np.abs(hi + cost.load)))
+        )
+    if isinstance(cost, PowerRegulation):
+        return float(t)
+    if isinstance(cost, EnergyArbitrage):
+        return float(np.sum(np.maximum(np.abs(cost.p_buy), np.abs(cost.p_sell))))
+    if isinstance(cost, PowerSmoothing):
+        return 2.0 * (t - 1)
+    return None
 
 
 def subgradient_energy_cost(
@@ -414,7 +430,7 @@ def instance_digest(params: StorageParams, bounds: Bounds, cost: CostSpec) -> st
         parts.append(f"custom:{cost.label}:{cost.nondecreasing_on_nonneg!r}")
     else:
         parts.append(FAMILY_TAGS[type(cost)])
-        for name, vec in _family_vectors(cost).items():
+        for name in _FAMILY_FIELDS[type(cost)]:
             parts.append(name)
-            parts.extend(f"{v:.17g}" for v in vec)
+            parts.extend(f"{v:.17g}" for v in getattr(cost, name))
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]

@@ -34,12 +34,8 @@ import numpy as np
 
 from .costs import (
     CostSpec,
-    EnergyArbitrage,
-    LoadBalancing,
-    PeakShaving,
-    PowerRegulation,
-    PowerSmoothing,
     instance_digest,
+    lipschitz_estimate,
     power_cost_batch,
     separable_cost_terms,
 )
@@ -276,25 +272,6 @@ def brute_force_solve(
     )
 
 
-def _lipschitz_estimate(cost: CostSpec, bounds: Bounds) -> Optional[float]:
-    """Lipschitz constant of the family w.r.t. the max norm, over the power box."""
-    lo, hi = -bounds.u_min_mag, bounds.u_max
-    t = lo.shape[0]
-    if isinstance(cost, PeakShaving):
-        return 1.0
-    if isinstance(cost, LoadBalancing):
-        return float(
-            np.sum(2.0 * np.maximum(np.abs(lo + cost.load), np.abs(hi + cost.load)))
-        )
-    if isinstance(cost, PowerRegulation):
-        return float(t)
-    if isinstance(cost, EnergyArbitrage):
-        return float(np.sum(np.maximum(np.abs(cost.p_buy), np.abs(cost.p_sell))))
-    if isinstance(cost, PowerSmoothing):
-        return 2.0 * (t - 1)
-    return None
-
-
 def compare(solution, oracle_result: OracleResult, tolerance: float = 1e-3) -> GapReport:
     """Gap report between a solver Solution and an oracle run on the same
     instance; refuses mismatched instances via the digest guard."""
@@ -304,7 +281,7 @@ def compare(solution, oracle_result: OracleResult, tolerance: float = 1e-3) -> G
             f"{solution.instance_digest} vs {oracle_result.instance_digest}"
         )
     gap = float(solution.objective - oracle_result.cost_best)
-    lipschitz = _lipschitz_estimate(oracle_result.cost, oracle_result.bounds)
+    lipschitz = lipschitz_estimate(oracle_result.cost, oracle_result.bounds)
     bound = None if lipschitz is None else lipschitz * oracle_result.max_spacing
     if solution.guarantee_flag != "global-optimum-claimed":
         verdict = "no-guarantee"

@@ -67,10 +67,11 @@ class SolveOptions:
 
     The solve starts from the projection of the zero-power profile b and
     takes steps a/sqrt(k) along normalized subgradients; step_parameter is
-    that `a`, and None picks a tenth of the energy-box diameter.  It stops
-    after max_iterations, or when a window of iterations improves the best
-    objective by less than objective_tolerance.  seed does not affect the
-    solve; it is only recorded in solution.json.
+    that `a`, finite and positive, and None picks a tenth of the energy-box
+    diameter.  It stops after max_iterations, or when a window of iterations
+    improves the best objective by less than objective_tolerance (finite and
+    positive).  seed does not affect the solve; it is only recorded in
+    solution.json.
     """
 
     max_iterations: int = 20000
@@ -81,8 +82,11 @@ class SolveOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.objective_tolerance <= 0.0:
-            raise ValueError("objective_tolerance must be positive")
+        tol, step = self.objective_tolerance, self.step_parameter
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"objective_tolerance must be finite and positive, got {tol!r}")
+        if step is not None and not 0.0 < step < math.inf:
+            raise ValueError(f"step_parameter must be finite and positive, got {step!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -57,8 +58,11 @@ def test_load_scenario_rejects_unknown_family(tmp_path):
     with pytest.raises(SchemaError) as excinfo:
         cli.load_scenario(write_json(tmp_path, bad))
     message = str(excinfo.value)
-    for tag in cli.COST_FIELDS:
+    for tag in ls.costs.FAMILIES:
         assert tag in message
+    bad["cost"]["family"] = ["peak_shaving"]
+    with pytest.raises(SchemaError, match="cost.family"):
+        cli.load_scenario(write_json(tmp_path, bad))
 
 
 def test_load_scenario_rejects_extra_fields(tmp_path):
@@ -312,6 +316,86 @@ def test_main_schema_exit_code(tmp_path):
     assert cli.main(["solve", "--scenario", str(path2), "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
 
 
+def assert_scenario_error(argv, capsys):
+    """The command exits 65 with one `scenario error:` line and no traceback."""
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("solve", [5, None, [], "fast"], ids=["int", "null", "list", "string"])
+def test_solve_section_must_be_an_object(tmp_path, capsys, solve):
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["solve"] = solve
+    path = write_json(tmp_path, doc)
+    with pytest.raises(SchemaError, match="solve: expected an object"):
+        cli.load_scenario(path)
+    assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path)], capsys)
+
+
+def test_step_parameter_from_the_scenario_file(tmp_path):
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["solve"]["step_parameter"] = 0.5
+    path = write_json(tmp_path, doc)
+    assert cli.load_scenario(path).solve_options.step_parameter == 0.5
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    assert doc["objective"] == pytest.approx(-0.375, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("step_parameter", float("nan")),
+        ("step_parameter", -1.0),
+        ("step_parameter", 0.0),
+        ("objective_tolerance", float("nan")),
+    ],
+)
+def test_solve_options_must_be_finite_and_positive(tmp_path, capsys, field, value):
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["solve"][field] = value
+    path = write_json(tmp_path, doc)
+    with pytest.raises(SchemaError, match=field):
+        cli.load_scenario(path)
+    assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("verb", ["solve", "certify"])
+@pytest.mark.parametrize(
+    "cost",
+    [
+        {"family": "peak_shaving", "load": [0.5, float("nan")]},
+        {"family": "energy_arbitrage", "p_buy": [float("nan"), 1], "p_sell": [1, 1]},
+        {"family": "energy_arbitrage", "p_buy": [1, 1], "p_sell": [1, float("inf")]},
+    ],
+    ids=["nan-load", "nan-price", "infinite-price"],
+)
+def test_non_finite_cost_vectors_are_rejected(tmp_path, capsys, verb, cost):
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["cost"] = cost
+    path = write_json(tmp_path, doc)
+    with pytest.raises(ValidationError, match="must be finite"):
+        cli.load_scenario(path)
+    out = tmp_path / "o"
+    assert_scenario_error([verb, "--scenario", str(path), "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gap, code", [(5e-10, cli.EXIT_OK), (5e-9, cli.EXIT_INFEASIBLE)])
+def test_gap_within_the_membership_tolerance_is_bridged(tmp_path, gap, code):
+    # the second period's floor sits `gap` above the 1.4 reachable there
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["storage"].update(eta_c=0.9, eta_d=0.9, x0=0.0)
+    doc["bounds"].update(x_max=[0.5, 5.0], x_min=[0.0, 1.4 + gap])
+    doc["cost"]["p_sell"] = [0.5, 0.5]
+    path = write_json(tmp_path, doc)
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path)]) == code
+    if code == cli.EXIT_INFEASIBLE:
+        assert json.loads((tmp_path / "diagnostic.json").read_text())["period"] == 1
+
+
 RETIRED_SOLVE_FIELDS = {
     "projection_tolerance": 1e-8,
     "step_rule": "diminishing",
@@ -363,6 +447,19 @@ def test_oracle_check_verb(tmp_path, two_period_scenario_path):
     assert doc["points_per_axis"] == 401
 
 
+def test_oracle_check_on_an_infeasible_scenario(tmp_path):
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["storage"]["x0"] = 10.0
+    doc["bounds"]["u_max"] = [0.1, 0.1]
+    doc["bounds"]["u_min"] = [0.1, 0.1]
+    path = write_json(tmp_path, doc)
+    out = tmp_path / "oc"
+    assert cli.main(["oracle-check", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_INFEASIBLE
+    assert json.loads((out / "diagnostic.json").read_text())["error"] == "infeasible"
+    assert not (out / "solution.json").exists()
+    assert not (out / "oracle.json").exists()
+
+
 def documented_scenarios():
     """Every scenario JSON example in README.md (```json blocks) and in the
     cli module docstring (reST literal blocks)."""
@@ -388,6 +485,22 @@ def test_documented_scenarios_load(tmp_path):
         raw, full = json.loads(text), cli.scenario_to_dict(scenario)
         assert set(raw) == set(full), where
         assert set(raw["solve"]) == set(full["solve"]), where
+
+
+def test_documented_cost_families_match_the_classes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    expected = {
+        tag: tuple(field.name for field in dataclasses.fields(cls))
+        for tag, cls in ls.costs.FAMILIES.items()
+    }
+    for where, text in (("README.md", readme), ("cli docstring", cli.__doc__)):
+        flat = " ".join(text.replace("`", "").split())
+        sentence = flat.split("Cost families and their fields: ", 1)[1].split(".", 1)[0]
+        listed = {
+            tag: tuple(fields.split(", "))
+            for tag, fields in re.findall(r"(\w+) \(([^)]*)\)", sentence)
+        }
+        assert listed == expected, where
 
 
 def test_json_floats_use_17_significant_digits():

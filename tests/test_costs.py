@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import lossy_storage as ls
-from lossy_storage.costs import power_cost_batch
-from lossy_storage.errors import NoSubgradientOracle
+from lossy_storage.costs import FAMILIES, power_cost_batch
+from lossy_storage.errors import NoSubgradientOracle, ValidationError
 
 from conftest import dense_dynamics, random_instance
 
@@ -30,6 +32,21 @@ def test_regulation_and_balancing_evaluation():
     assert ls.evaluate_power_cost(
         ls.LoadBalancing(load=[0.5, 0.25]), [-0.25, 0.25]
     ) == pytest.approx(0.0625 + 0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_family_vectors_must_be_finite(tag):
+    cls = FAMILIES[tag]
+    names = [field.name for field in dataclasses.fields(cls)]
+    for name in names:
+        for bad in (np.nan, np.inf, -np.inf):
+            kwargs = {other: [1.0, 2.0] for other in names}
+            kwargs[name] = [1.0, bad]
+            with pytest.raises(ValidationError, match=rf"{name}\[1\] must be finite"):
+                cls(**kwargs)
+    cost = cls(**{name: [1, 2] for name in names})
+    for name in names:
+        assert getattr(cost, name).dtype == float
 
 
 def test_energy_cost_at_offset_equals_zero_power_cost(two_period_params, two_period_dyn):

@@ -5,7 +5,7 @@ import pytest
 
 import lossy_storage as ls
 from lossy_storage.errors import InfeasibleProblem
-from lossy_storage.solver import project_onto_polytope
+from lossy_storage.solver import _residual, project_onto_polytope
 from lossy_storage.transform import energy_membership_mask
 
 from conftest import make_certified_instance, random_instance
@@ -25,6 +25,13 @@ def empty_intersection_instance():
 def test_options_validation():
     with pytest.raises(ValueError):
         ls.SolveOptions(max_iterations=0)
+    for bad in (float("nan"), float("inf"), -1.0, 0.0):
+        with pytest.raises(ValueError, match="step_parameter"):
+            ls.SolveOptions(step_parameter=bad)
+        with pytest.raises(ValueError, match="objective_tolerance"):
+            ls.SolveOptions(objective_tolerance=bad)
+    assert ls.SolveOptions(step_parameter=None).step_parameter is None
+    assert ls.SolveOptions(step_parameter=1e-3).step_parameter == 1e-3
 
 
 def test_projection_of_member_is_identity(two_period_polytope):
@@ -70,6 +77,41 @@ def test_projection_detects_empty_intersection():
     with pytest.raises(InfeasibleProblem) as excinfo:
         project_onto_polytope([1.0, 1.0], poly)
     assert excinfo.value.period == 0
+
+
+def tolerance_gap_instance(gap):
+    """Two periods whose second energy floor sits `gap` above the highest
+    energy reachable there (0.5 after period 0, plus a 0.9 charge step)."""
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=0.0, horizon=2)
+    bounds = ls.Bounds(
+        u_max=[1, 1], u_min_mag=[1, 1], x_max=[0.5, 5.0], x_min=[0.0, 1.4 + gap]
+    )
+    return params, bounds
+
+
+def test_projection_bridges_a_gap_within_tolerance():
+    # the forward sweep bridges period 1 at the midpoint of its gap, and the
+    # backward pass then meets a bridged gap in period 0
+    params, bounds = tolerance_gap_instance(5e-10)
+    poly = ls.build_energy_polytope(params, bounds, ls.build_dynamics(params))
+    x = project_onto_polytope([0.2, 3.0], poly)
+    assert x == pytest.approx([0.5 + 2.5e-10, 1.4 + 2.5e-10], abs=1e-15)
+    assert _residual(x, poly) == pytest.approx(2.5e-10, rel=1e-6)
+    solution = ls.solve(
+        ls.validate_params(params, bounds), ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[0.5, 0.5])
+    )
+    assert solution.status == "converged"
+    assert solution.feasibility_residual == pytest.approx(2.5e-10, rel=1e-6)
+
+
+def test_gap_beyond_tolerance_is_infeasible():
+    params, bounds = tolerance_gap_instance(5e-9)
+    with pytest.raises(InfeasibleProblem) as excinfo:
+        ls.solve(
+            ls.validate_params(params, bounds),
+            ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[0.5, 0.5]),
+        )
+    assert excinfo.value.period == 1
 
 
 def active_set_projection(y, params, bounds):
