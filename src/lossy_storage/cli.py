@@ -36,7 +36,9 @@ Exit codes: 0 ok, 2 infeasible, 3 not converged, 4 best-effort only
 (no convexity guarantee), 64 usage, 65 schema/validation.  Exit 2 is an
 exact verdict; diagnostic.json names the first unreachable period.  An
 oracle grid with no feasible point exits 64 after solution.json is
-written: raise --resolution.
+written: raise --resolution.  A directory as --scenario, or an --out that
+is or lies under a file, exits 64; a scenario that is not UTF-8 or holds
+an integer beyond the float range exits 65.
 
 Floating-point values in emitted JSON/CSV use fixed 17-significant-digit
 formatting, so identical runs produce byte-identical artifacts.
@@ -180,16 +182,18 @@ def _parse_value(value, kind, where: str, horizon: Optional[int]):
             raise SchemaError(
                 f"{where}: length {len(value)} does not match horizon {horizon}"
             )
-        return [float(v) for v in value]
-    if kind is int:
+    elif kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{where}: expected an integer, got {value!r}")
         return value
-    if value is None and kind == Optional[float]:
+    elif value is None and kind == Optional[float]:
         return None
-    if not _is_number(value):
+    elif not _is_number(value):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return [float(v) for v in value] if kind is np.ndarray else float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise SchemaError(f"{where}: an integer is too large for a float") from None
 
 
 def _section_fields(raw: dict, cls, where: str, horizon: Optional[int] = None) -> dict:
@@ -227,17 +231,18 @@ def _parse_cost(raw: dict, horizon: int) -> costs_mod.CostSpec:
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file.
 
-    Raises ParseError (malformed JSON, with line info), SchemaError
-    (missing/extra/ill-typed fields, length mismatches, unknown tags) or a
-    forwarded ValidationError from parameter validation.
+    Raises ParseError (malformed JSON, with line info, or not UTF-8),
+    SchemaError (missing/extra/ill-typed fields, length mismatches, unknown
+    tags, numbers beyond the float range) or a forwarded ValidationError.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer literal too long to convert
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be an object")
     known = ("storage", "bounds", "cost", "solve", "outputs")
@@ -435,36 +440,23 @@ def emit_feasible_set_samples(
     out.mkdir(parents=True, exist_ok=True)
     params, bounds = scenario.storage, scenario.bounds
     dyn = build_dynamics(params)
-
-    axes_u = [
-        np.linspace(-bounds.u_min_mag[t], bounds.u_max[t], resolution) for t in range(2)
-    ]
-    grid_u = np.column_stack(
-        [np.repeat(axes_u[0], resolution), np.tile(axes_u[1], resolution)]
-    )
-    feasible = power_feasibility_mask(grid_u, params, bounds, dyn)
-    power_path = out / "power_samples.csv"
-    lines = ["u_1,u_2,feasible"]
-    lines.extend(
-        f"{_fmt_float(row[0])},{_fmt_float(row[1])},{int(flag)}"
-        for row, flag in zip(grid_u, feasible)
-    )
-    _write_text(power_path, "\n".join(lines) + "\n")
-
     polytope = build_energy_polytope(params, bounds, dyn)
-    axes_x = [np.linspace(bounds.x_min[t], bounds.x_max[t], resolution) for t in range(2)]
-    grid_x = np.column_stack(
-        [np.repeat(axes_x[0], resolution), np.tile(axes_x[1], resolution)]
+    rasters = (
+        ("power_samples.csv", "u_1,u_2,feasible", -bounds.u_min_mag, bounds.u_max,
+         lambda grid: power_feasibility_mask(grid, params, bounds, dyn)),
+        ("energy_samples.csv", "x_1,x_2,member", bounds.x_min, bounds.x_max,
+         lambda grid: energy_membership_mask(grid, polytope)),
     )
-    member = energy_membership_mask(grid_x, polytope)
-    energy_path = out / "energy_samples.csv"
-    lines = ["x_1,x_2,member"]
-    lines.extend(
-        f"{_fmt_float(row[0])},{_fmt_float(row[1])},{int(flag)}"
-        for row, flag in zip(grid_x, member)
-    )
-    _write_text(energy_path, "\n".join(lines) + "\n")
-    return power_path, energy_path
+    for name, header, lower, upper, mask in rasters:
+        axes = [np.linspace(lower[t], upper[t], resolution) for t in range(2)]
+        grid = np.column_stack([np.repeat(axes[0], resolution), np.tile(axes[1], resolution)])
+        lines = [header]
+        lines.extend(
+            f"{_fmt_float(row[0])},{_fmt_float(row[1])},{int(flag)}"
+            for row, flag in zip(grid, mask(grid))
+        )
+        _write_text(out / name, "\n".join(lines) + "\n")
+    return out / "power_samples.csv", out / "energy_samples.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +465,10 @@ def emit_feasible_set_samples(
 
 class _UsageError(Exception):
     pass
+
+
+#: A path that names no file, or a file of the wrong kind.
+_PATH_ERRORS = (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -548,7 +544,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-    except FileNotFoundError as exc:
+    except _PATH_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, SchemaError, ValidationError) as exc:
@@ -566,7 +562,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    except ValueError as exc:  # HorizonNot2, bad resolutions, oracle grid guards
+    except (ValueError, *_PATH_ERRORS) as exc:  # HorizonNot2, resolutions, grid guards
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

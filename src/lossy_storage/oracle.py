@@ -46,7 +46,7 @@ from .errors import (
     NoFeasiblePoint,
 )
 from .model import Bounds, Dynamics, StorageParams, build_dynamics
-from .transform import loss_map, power_feasibility_mask
+from .transform import MEMBERSHIP_TOL, _inside, loss_map, power_feasibility_mask
 
 __all__ = [
     "GridSpec",
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 GRID_SIZE_GUARD = 10**8
-FEASIBILITY_TOL = 1e-9
 #: Most candidate points (prefix x level) one broadcast step of the walk holds.
 _BLOCK = 1 << 12
 
@@ -161,11 +160,11 @@ def _walk(
     when `cost` is separable (None otherwise).  No broadcast step holds
     more than _BLOCK candidates, or one axis where an axis alone is longer.
     """
-    tol = FEASIBILITY_TOL
+    tol = MEMBERSHIP_TOL
     horizon = params.horizon
     # the power box test of power_feasibility_mask, level by level
     axes = [
-        axis[(axis >= -bounds.u_min_mag[t] - tol) & (axis <= bounds.u_max[t] + tol)]
+        axis[_inside(axis, -bounds.u_min_mag[t], bounds.u_max[t], tol)]
         for t, axis in enumerate(axes)
     ]
     levels = np.zeros((max(len(axis) for axis in axes), horizon))
@@ -174,8 +173,7 @@ def _walk(
     # power_to_energy's order: f, then delta *, then the recurrence, then + b
     rates = params.delta * loss_map(levels, params)
     separable = None if cost is None else separable_cost_terms(cost, levels)
-    x_lo = bounds.x_min - tol
-    x_hi = bounds.x_max + tol
+    x_min, x_max = bounds.x_min.tolist(), bounds.x_max.tolist()
 
     def extend(t, prefix, y, folded):
         axis = axes[t]
@@ -185,7 +183,7 @@ def _walk(
             block = slice(s, s + step)
             y_t = dyn.lam * y[block, None] + rates[:n, t]
             x_t = y_t + dyn.b_offset[t]
-            ok = (x_t >= x_lo[t]) & (x_t <= x_hi[t])
+            ok = _inside(x_t, x_min[t], x_max[t], tol)
             folded_t = None
             if separable is not None:
                 reducer, terms = separable
@@ -251,7 +249,7 @@ def brute_force_solve(
         raise NoFeasiblePoint(
             "no grid point was feasible; the set may be empty or the grid too coarse"
         )
-    if not power_feasibility_mask(best_u, params, bounds, dyn, tol=FEASIBILITY_TOL)[0]:
+    if not power_feasibility_mask(best_u, params, bounds, dyn)[0]:
         raise RuntimeError(
             f"the grid walk kept {best_u.tolist()}, which power_feasibility_mask rejects"
         )

@@ -40,10 +40,11 @@ from .model import ValidatedProblem, build_dynamics
 from .transform import (
     MEMBERSHIP_TOL,
     EnergyPolytope,
+    _energy_boxes,
+    _largest_violation,
+    _power_boxes,
     build_energy_polytope,
     energy_to_power,
-    power_to_energy,
-    velocity,
 )
 
 __all__ = [
@@ -108,15 +109,8 @@ class Solution:
 
 
 def _residual(x: np.ndarray, polytope: EnergyPolytope) -> float:
-    """Largest constraint violation of x against both boxes."""
-    v = velocity(x, None, polytope.dynamics)
-    gaps = (
-        polytope.x_lower - x,
-        x - polytope.x_upper,
-        polytope.v_lower - v,
-        v - polytope.v_upper,
-    )
-    return max(0.0, *(float(np.max(g)) for g in gaps))
+    """Largest violation of x against both boxes; NaN for a NaN entry."""
+    return _largest_violation(_energy_boxes(x, polytope))
 
 
 def _clip_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, list]:
@@ -146,12 +140,15 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     Raises InfeasibleProblem naming the first period that no energy
     reachable from the earlier periods can meet, when it misses the energy
     box by more than MEMBERSHIP_TOL.  Closer misses are bridged at the
-    midpoint of the gap.
+    midpoint of the gap.  Raises ValueError when x has a NaN entry.
     """
     x = np.asarray(x, dtype=float)
     clipped = np.clip(x, polytope.x_lower, polytope.x_upper)
-    if _residual(clipped, polytope) <= 0.0:
+    residual = _residual(clipped, polytope)
+    if residual <= 0.0:
         return clipped
+    if math.isnan(residual):
+        raise ValueError("cannot project a profile with a NaN entry")
 
     dyn = polytope.dynamics
     lam = dyn.lam
@@ -259,8 +256,7 @@ def solve(
 
     best_x = x.copy()
     best_f = evaluate_energy_cost(cost, x, params, dyn)
-    trace = np.empty(opts.max_iterations + 1)
-    trace[0] = best_f
+    trace = [best_f]
 
     avg_sum = x.copy()
     avg_count = 1
@@ -277,7 +273,7 @@ def solve(
         g_norm = float(np.linalg.norm(g))
         if g_norm == 0.0:
             # zero subgradient at a feasible point: unconstrained minimum
-            trace[k:] = best_f
+            trace.append(best_f)
             status = STATUS_CONVERGED
             break
         step = step_base / math.sqrt(k)
@@ -286,7 +282,7 @@ def solve(
         if f < best_f:
             best_f = f
             best_x = x.copy()
-        trace[k] = best_f
+        trace.append(best_f)
 
         avg_sum += x
         avg_count += 1
@@ -307,22 +303,16 @@ def solve(
         best_f, best_x = f_avg, x_avg
 
     u_star = energy_to_power(best_x, params, dyn)
-    x_of_u = power_to_energy(u_star, params, dyn)
-    power_gaps = (
-        -bounds.u_min_mag - u_star,
-        u_star - bounds.u_max,
-        bounds.x_min - x_of_u,
-        x_of_u - bounds.x_max,
+    residual = _largest_violation(
+        _energy_boxes(best_x, polytope) + _power_boxes(u_star, params, bounds, dyn)
     )
-    power_residual = max(0.0, *(float(np.max(gap)) for gap in power_gaps))
-    residual = max(_residual(best_x, polytope), power_residual)
 
     return Solution(
         x_star=best_x,
         u_star=u_star,
         objective=best_f,
         iterations_used=iterations,
-        best_objective_trace=trace[: iterations + 1].copy(),
+        best_objective_trace=np.array(trace),
         feasibility_residual=residual,
         certificate=certificate,
         guarantee_flag=GUARANTEE_GLOBAL if certificate.certified else GUARANTEE_BEST_EFFORT,

@@ -24,12 +24,18 @@ the convex polytope
 `find_nonconvexity_witness` searches for a certificate of the former fact:
 two members of U whose mixture leaves U.
 
+Each set is two boxes, listed once (`_power_boxes`, `_energy_boxes`), and
+its verdict and mask share one membership rule: every value lies within
+MEMBERSHIP_TOL of each face, lower - tol <= value <= upper + tol, and NaN
+is never inside.
+
 All maps accept a single profile (shape (T,)) or a batch of profiles stacked
 as rows (shape (n, T)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -162,20 +168,54 @@ def energy_to_power(x, params: StorageParams, dyn: Dynamics) -> np.ndarray:
     return inverse_loss_map(velocity(x, params, dyn), params)
 
 
-def _box_violations(
-    values: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    tol: float,
-    lower_name: str,
-    upper_name: str,
-) -> list[Violation]:
-    out = []
-    for i in np.nonzero(values < lower - tol)[0]:
-        out.append(Violation(lower_name, int(i), float(lower[i] - values[i])))
-    for i in np.nonzero(values > upper + tol)[0]:
-        out.append(Violation(upper_name, int(i), float(values[i] - upper[i])))
-    return out
+def _power_boxes(u, params: StorageParams, bounds: Bounds, dyn: Dynamics) -> tuple:
+    """The power set's boxes, as (name, values, lower, upper): u and its energies."""
+    return (
+        ("power", u, -bounds.u_min_mag, bounds.u_max),
+        ("energy", power_to_energy(u, params, dyn), bounds.x_min, bounds.x_max),
+    )
+
+
+def _energy_boxes(x, polytope: EnergyPolytope) -> tuple:
+    """The polytope's boxes, as (name, values, lower, upper): x and its velocity."""
+    return (
+        ("x", x, polytope.x_lower, polytope.x_upper),
+        ("v", velocity(x, None, polytope.dynamics), polytope.v_lower, polytope.v_upper),
+    )
+
+
+def _inside(values, lower, upper, tol: float) -> np.ndarray:
+    """The membership rule, elementwise: within tol of the box; NaN is never inside."""
+    return (values >= lower - tol) & (values <= upper + tol)
+
+
+def _verdict(boxes, tol: float) -> MembershipVerdict:
+    violations = []
+    for name, values, lower, upper in boxes:
+        for i in (~_inside(values, lower, upper, tol)).nonzero()[0]:
+            above = values[i] > upper[i] + tol  # False below the box, and for NaN
+            amount = values[i] - upper[i] if above else lower[i] - values[i]
+            face = "upper" if above else "lower"
+            violations.append(Violation(f"{name}_{face}", int(i), float(amount)))
+    return MembershipVerdict(is_member=not violations, violations=tuple(violations))
+
+
+def _mask(boxes, tol: float) -> np.ndarray:
+    """`_verdict` row by row over (n, T) values, as bools."""
+    return np.logical_and.reduce(
+        [_inside(values, lower, upper, tol).all(axis=1) for _, values, lower, upper in boxes]
+    )
+
+
+def _largest_violation(boxes) -> float:
+    """The largest gap of a value past its box, with no tolerance: 0.0 when
+    there is none, NaN when a value is NaN."""
+    worst = 0.0
+    for _, values, lower, upper in boxes:
+        gap = float(np.maximum(lower - values, values - upper).max())
+        if gap > worst or math.isnan(gap):
+            worst = gap
+    return worst
 
 
 def in_power_set(
@@ -189,14 +229,7 @@ def in_power_set(
     u = _check_length(u, params.horizon, "u")
     if dyn is None:
         dyn = build_dynamics(params)
-    violations = _box_violations(
-        u, -bounds.u_min_mag, bounds.u_max, tol, "power_lower", "power_upper"
-    )
-    x = power_to_energy(u, params, dyn)
-    violations += _box_violations(
-        x, bounds.x_min, bounds.x_max, tol, "energy_lower", "energy_upper"
-    )
-    return MembershipVerdict(is_member=not violations, violations=tuple(violations))
+    return _verdict(_power_boxes(u, params, bounds, dyn), tol)
 
 
 def power_feasibility_mask(
@@ -208,12 +241,7 @@ def power_feasibility_mask(
 ) -> np.ndarray:
     """Vectorized `in_power_set` over rows of an (n, T) array; returns bools."""
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
-    ok = np.all(profiles >= -bounds.u_min_mag - tol, axis=1)
-    ok &= np.all(profiles <= bounds.u_max + tol, axis=1)
-    x = power_to_energy(profiles, params, dyn)
-    ok &= np.all(x >= bounds.x_min - tol, axis=1)
-    ok &= np.all(x <= bounds.x_max + tol, axis=1)
-    return ok
+    return _mask(_power_boxes(profiles, params, bounds, dyn), tol)
 
 
 def build_energy_polytope(
@@ -237,14 +265,7 @@ def in_energy_polytope(
 ) -> MembershipVerdict:
     """Membership of x in the energy polytope (both boxes, within tol)."""
     x = np.asarray(x, dtype=float)
-    violations = _box_violations(
-        x, polytope.x_lower, polytope.x_upper, tol, "x_lower", "x_upper"
-    )
-    v = velocity(x, None, polytope.dynamics)
-    violations += _box_violations(
-        v, polytope.v_lower, polytope.v_upper, tol, "v_lower", "v_upper"
-    )
-    return MembershipVerdict(is_member=not violations, violations=tuple(violations))
+    return _verdict(_energy_boxes(x, polytope), tol)
 
 
 def energy_membership_mask(
@@ -252,21 +273,14 @@ def energy_membership_mask(
 ) -> np.ndarray:
     """Vectorized `in_energy_polytope` over rows of an (n, T) array."""
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
-    ok = np.all(profiles >= polytope.x_lower - tol, axis=1)
-    ok &= np.all(profiles <= polytope.x_upper + tol, axis=1)
-    v = velocity(profiles, None, polytope.dynamics)
-    ok &= np.all(v >= polytope.v_lower - tol, axis=1)
-    ok &= np.all(v <= polytope.v_upper + tol, axis=1)
-    return ok
+    return _mask(_energy_boxes(profiles, polytope), tol)
 
 
 def _worst_violation(verdict: MembershipVerdict) -> Violation:
     return max(verdict.violations, key=lambda viol: viol.amount)
 
 
-def _scaled_pattern_candidates(
-    params: StorageParams, bounds: Bounds, dyn: Dynamics
-):
+def _scaled_pattern_candidates(params: StorageParams, polytope: EnergyPolytope):
     """Charge-early vs discharge-then-charge pairs, scaled to the instance.
 
     Constructed in velocity coordinates on the first two periods: u_a
@@ -277,18 +291,17 @@ def _scaled_pattern_candidates(
     t = params.horizon
     if t < 2:
         return
-    delta, lam, b = params.delta, params.lam, dyn.b_offset
-    v_up = params.eta_c * bounds.u_max
-    v_lo = -(1.0 / params.eta_d) * bounds.u_min_mag
+    delta, lam, b = params.delta, params.lam, polytope.dynamics.b_offset
+    v_up, v_lo, x_up = polytope.v_upper, polytope.v_lower, polytope.x_upper
 
-    v0a = min(v_up[0], (bounds.x_max[0] - b[0]) / delta)
+    v0a = min(v_up[0], (x_up[0] - b[0]) / delta)
     if v0a <= 0.0:
         return
     for frac in (1.0, 0.5, 0.25):
         for d in (-frac * v0a, frac * v_lo[0]):
             if not (v_lo[0] <= d < 0.0):
                 continue
-            v1b = min(v_up[1], (bounds.x_max[1] - b[1] - delta * lam * d) / delta)
+            v1b = min(v_up[1], (x_up[1] - b[1] - delta * lam * d) / delta)
             if v1b <= 0.0:
                 continue
             va = np.zeros(t)
@@ -347,7 +360,8 @@ def find_nonconvexity_witness(
             if found is not None:
                 return found
 
-    for u_a, u_b in _scaled_pattern_candidates(params, bounds, dyn):
+    polytope = build_energy_polytope(params, bounds, dyn)
+    for u_a, u_b in _scaled_pattern_candidates(params, polytope):
         if not in_power_set(u_a, params, bounds, dyn=dyn):
             continue
         if not in_power_set(u_b, params, bounds, dyn=dyn):

@@ -39,6 +39,19 @@ def dense_dynamics(params: ls.StorageParams):
     return a, a_inv
 
 
+def tolerance_edge(value, tol):
+    """The bound b nearest value - tol with b + tol <= value (tol > 0, an
+    upper bound) or b + tol >= value (tol < 0, a lower bound), in floats."""
+    bound = value - tol
+    while (bound + tol > value) if tol > 0 else (bound + tol < value):
+        bound = np.nextafter(bound, -tol * np.inf)
+    while True:
+        step = np.nextafter(bound, tol * np.inf)
+        if (step + tol > value) if tol > 0 else (step + tol < value):
+            return float(bound)
+        bound = step
+
+
 def random_params(rng: np.random.Generator, horizon: int) -> ls.StorageParams:
     """Valid storage parameters drawn uniformly from the documented domains."""
     return ls.StorageParams(

@@ -317,11 +317,73 @@ def test_main_schema_exit_code(tmp_path):
 
 
 def assert_scenario_error(argv, capsys):
-    """The command exits 65 with one `scenario error:` line and no traceback."""
+    """The command exits 65 with one `scenario error:` line and no
+    traceback; returns the line."""
     assert cli.main(argv) == cli.EXIT_SCHEMA
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ")
     assert err.count("\n") == 1
+    return err
+
+
+def assert_usage_error(argv, capsys):
+    """The command exits 64 with one `usage error:` line and no traceback."""
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "section, key, literal, named",
+    [
+        ("storage", "x0", "1" + "0" * 400, "storage.x0"),
+        ("bounds", "x_max", "[1" + "0" * 400 + ", 1]", "bounds.x_max"),
+        ("storage", "x0", "1" + "0" * 5000, "digits"),
+    ],
+    ids=["scalar", "vector", "too-long-for-an-int"],
+)
+def test_overflowing_number_literals_are_scenario_errors(tmp_path, capsys, section, key, literal, named):
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc[section][key] = "LITERAL"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace('"LITERAL"', literal), encoding="utf-8")
+    err = assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert named in err
+
+
+def test_scenario_that_is_not_utf8_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(json.dumps(TWO_PERIOD_SCENARIO).encode("utf-8").replace(b"0.75", b"0.75\xff"))
+    assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys)
+
+
+@pytest.mark.parametrize(
+    "verb, scenario, out",
+    [
+        ("solve", "", "out"),
+        ("solve", "scenario.json", "a-file"),
+        ("certify", "scenario.json", "a-file/x"),
+    ],
+    ids=["scenario-is-a-directory", "out-is-a-file", "out-under-a-file"],
+)
+def test_paths_of_the_wrong_kind_are_usage_errors(tmp_path, capsys, verb, scenario, out):
+    write_json(tmp_path, TWO_PERIOD_SCENARIO)
+    (tmp_path / "a-file").write_text("", encoding="utf-8")
+    argv = [verb, "--scenario", str(tmp_path / scenario), "--out", str(tmp_path / out)]
+    assert_usage_error(argv, capsys)
+
+
+def test_trace_grows_with_the_solve(tmp_path):
+    # the zero-power start is the minimum, so the solve stops at once
+    # however large the iteration budget
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["cost"] = {"family": "load_balancing", "load": [0, 0]}
+    doc["solve"]["max_iterations"] = 10**13
+    path = write_json(tmp_path, doc)
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    trace = (tmp_path / "out" / "trace.csv").read_text(encoding="utf-8").splitlines()
+    assert trace == ["iteration,best_objective", "0,0", "1,0"]
 
 
 @pytest.mark.parametrize("solve", [5, None, [], "fast"], ids=["int", "null", "list", "string"])

@@ -13,7 +13,9 @@ from lossy_storage.errors import (
     InstanceMismatch,
     NoFeasiblePoint,
 )
-from lossy_storage.transform import power_feasibility_mask
+from lossy_storage.transform import MEMBERSHIP_TOL, power_feasibility_mask
+
+from conftest import tolerance_edge
 
 
 def lossless_roomy_instance():
@@ -255,27 +257,14 @@ def reference_instance(index):
         x_edge = ls.power_to_energy(u_edge, params, ls.build_dynamics(params))
         for t in range(horizon):
             if rng.integers(0, 2):
-                x_max[t] = tolerance_edge(x_edge[t], +oracle.FEASIBILITY_TOL)
+                x_max[t] = tolerance_edge(x_edge[t], +MEMBERSHIP_TOL)
                 x_min[t] = max(x_edge[t] - 1.0, 0.0)
             else:
-                x_min[t] = tolerance_edge(x_edge[t], -oracle.FEASIBILITY_TOL)
+                x_min[t] = tolerance_edge(x_edge[t], -MEMBERSHIP_TOL)
                 x_max[t] = x_edge[t] + 1.0
     bounds = ls.Bounds(u_max=u_max, u_min_mag=u_min, x_max=x_max, x_min=x_min)
     cost = reference_cost(family, rng, horizon)
     return params, bounds, cost, ls.GridSpec(points, horizon_cap=horizon)
-
-
-def tolerance_edge(value, tol):
-    """The bound b nearest value - tol with b + tol <= value (tol > 0, an
-    upper bound) or b + tol >= value (tol < 0, a lower bound), in floats."""
-    bound = value - tol
-    while (bound + tol > value) if tol > 0 else (bound + tol < value):
-        bound = np.nextafter(bound, -tol * np.inf)
-    while True:
-        step = np.nextafter(bound, tol * np.inf)
-        if (step + tol > value) if tol > 0 else (step + tol < value):
-            return float(bound)
-        bound = step
 
 
 def row_by_row_reference(params, bounds, cost, grid):
@@ -286,9 +275,9 @@ def row_by_row_reference(params, bounds, cost, grid):
     axes = oracle._grid_axes(params, bounds, grid)
     rows = np.array(list(itertools.product(*axes)), dtype=float)
     dyn = ls.build_dynamics(params)
-    mask = power_feasibility_mask(rows, params, bounds, dyn, tol=oracle.FEASIBILITY_TOL)
+    mask = power_feasibility_mask(rows, params, bounds, dyn, tol=MEMBERSHIP_TOL)
     x = ls.power_to_energy(rows, params, dyn)[:, :-1]
-    tol = oracle.FEASIBILITY_TOL
+    tol = MEMBERSHIP_TOL
     pruned = bool(np.any((x < bounds.x_min[:-1] - tol) | (x > bounds.x_max[:-1] + tol)))
     feasible = rows[mask]
     if feasible.shape[0] == 0:

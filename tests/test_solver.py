@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -102,6 +103,13 @@ def test_projection_bridges_a_gap_within_tolerance():
     )
     assert solution.status == "converged"
     assert solution.feasibility_residual == pytest.approx(2.5e-10, rel=1e-6)
+
+
+def test_nan_entry_is_never_a_member(two_period_polytope):
+    x = np.array([np.nan, 0.5])
+    assert math.isnan(_residual(x, two_period_polytope))
+    with pytest.raises(ValueError, match="NaN"):
+        project_onto_polytope(x, two_period_polytope)
 
 
 def test_gap_beyond_tolerance_is_infeasible():
@@ -227,6 +235,17 @@ def test_solve_reports_max_iterations_status(two_period_problem):
     solution = ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=50))
     assert solution.status == "max-iterations"
     assert solution.iterations_used == 50
+
+
+def test_trace_grows_with_the_solve(two_period_problem):
+    # the zero-power start is the minimum: the subgradient is zero there
+    solution = ls.solve(
+        two_period_problem,
+        ls.LoadBalancing(load=[0.0, 0.0]),
+        ls.SolveOptions(max_iterations=10**13),
+    )
+    assert solution.iterations_used == 1
+    assert solution.best_objective_trace.tolist() == [0.0, 0.0]
 
 
 def test_solve_best_effort_flag_for_uncertified_cost(two_period_problem):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 import lossy_storage as ls
 from lossy_storage.transform import (
+    MEMBERSHIP_TOL,
     energy_membership_mask,
     power_feasibility_mask,
     velocity_adjoint,
 )
 
-from conftest import random_instance
+from conftest import random_instance, tolerance_edge
 
 
 def test_loss_map_examples(two_period_params):
@@ -177,12 +178,76 @@ def test_energy_polytope_convex_under_mixtures(two_period_params, two_period_bou
     assert np.all(energy_membership_mask(mix, poly, tol=1e-9))
 
 
+NON_FINITE_ROWS = [
+    [np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [0.5, np.inf], [-np.inf, 0.5], [0.5, -np.inf],
+]
+
+
+def edge_bounds(value, upper):
+    """The bound that puts value exactly on its tolerance edge, and the
+    next float outward, one ulp past which value is outside."""
+    bound = tolerance_edge(value, MEMBERSHIP_TOL if upper else -MEMBERSHIP_TOL)
+    return bound, float(np.nextafter(bound, -np.inf if upper else np.inf))
+
+
+def replaced(obj, field, t, value):
+    """obj with entry t of its vector field set to value."""
+    vector = getattr(obj, field).copy()
+    vector[t] = value
+    return dataclasses.replace(obj, **{field: vector})
+
+
 def test_masks_agree_with_scalar_verdicts(two_period_params, two_period_bounds, two_period_dyn):
+    params, dyn = two_period_params, two_period_dyn
+
+    def power_flags(bounds, rows):
+        mask = power_feasibility_mask(rows, params, bounds, dyn)
+        flags = [bool(ls.in_power_set(row, params, bounds, dyn=dyn)) for row in rows]
+        assert flags == mask.tolist()
+        return flags
+
+    def energy_flags(poly, rows):
+        mask = energy_membership_mask(rows, poly)
+        flags = [bool(ls.in_energy_polytope(row, poly)) for row in rows]
+        assert flags == mask.tolist()
+        return flags
+
     rng = np.random.default_rng(19)
-    u = rng.uniform(-1.5, 1.5, size=(200, 2))
-    mask = power_feasibility_mask(u, two_period_params, two_period_bounds, two_period_dyn)
-    for row, flag in zip(u, mask):
-        assert bool(ls.in_power_set(row, two_period_params, two_period_bounds, dyn=two_period_dyn)) == flag
+    rows = np.vstack([rng.uniform(-1.5, 1.5, size=(200, 2)), NON_FINITE_ROWS])
+    poly = ls.build_energy_polytope(params, two_period_bounds, dyn)
+    assert not any(power_flags(two_period_bounds, rows)[-len(NON_FINITE_ROWS):])
+    assert not any(energy_flags(poly, rows)[-len(NON_FINITE_ROWS):])
+
+    # Every face of both sets in turn sits at the row's value there: the
+    # row is inside at the tolerance edge and outside one ulp past it.
+    roomy = dataclasses.replace(two_period_bounds, x_max=[3.0, 3.0], x_min=[-3.0, -3.0])
+    u = np.array([0.3, -0.3])
+    x = ls.power_to_energy(u, params, dyn)  # about [0.9, 0.3]
+    v = ls.velocity(x, params, dyn)  # about [0.15, -0.6]
+    for field, t, value, upper in [
+        ("u_max", 0, u[0], True),
+        ("u_min_mag", 1, u[1], False),
+        ("x_max", 0, x[0], True),
+        ("x_min", 1, x[1], False),
+    ]:
+        sign = -1.0 if field == "u_min_mag" else 1.0  # a magnitude
+        flags = [
+            power_flags(replaced(roomy, field, t, sign * bound), [u])[0]
+            for bound in edge_bounds(value, upper)
+        ]
+        assert flags == [True, False], field
+    poly = ls.build_energy_polytope(params, roomy, dyn)
+    for field, t, value, upper in [
+        ("x_upper", 0, x[0], True),
+        ("x_lower", 1, x[1], False),
+        ("v_upper", 0, v[0], True),
+        ("v_lower", 1, v[1], False),
+    ]:
+        flags = [
+            energy_flags(replaced(poly, field, t, bound), [x])[0]
+            for bound in edge_bounds(value, upper)
+        ]
+        assert flags == [True, False], field
 
 
 def test_witness_found_on_lossy_instance(two_period_params, two_period_bounds):
