@@ -29,16 +29,19 @@ and the projection is exact, so it has no "projection_tolerance"; a
 scenario that still sets any of them gets the unknown-field schema error.
 "seed" does not affect the solve; it is only recorded in solution.json.
 
-Verbs: solve, certify, sample-sets, oracle-check.  Command-line flags
-override scenario-file solve options, which override defaults.
+Verbs: solve, certify, sample-sets, oracle-check.  oracle-check is solve
+with the "oracle-comparison" output added.  --resolution sets the points
+per axis of the feasible-set samples and of the oracle grid, on every verb
+that takes it.  The solve checks its stop rule every 1000 iterations;
+"max_iterations" only caps the run.
 
 Exit codes: 0 ok, 2 infeasible, 3 not converged, 4 best-effort only
 (no convexity guarantee), 64 usage, 65 schema/validation.  Exit 2 is an
 exact verdict; diagnostic.json names the first unreachable period.  An
 oracle grid with no feasible point exits 64 after solution.json is
 written: raise --resolution.  A directory as --scenario, or an --out that
-is or lies under a file, exits 64; a scenario that is not UTF-8 or holds
-an integer beyond the float range exits 65.
+is or lies under a file, exits 64; a scenario that is not UTF-8, holds an
+integer beyond the float range or nests too deeply exits 65.
 
 Floating-point values in emitted JSON/CSV use fixed 17-significant-digit
 formatting, so identical runs produce byte-identical artifacts.
@@ -231,9 +234,10 @@ def _parse_cost(raw: dict, horizon: int) -> costs_mod.CostSpec:
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file.
 
-    Raises ParseError (malformed JSON, with line info, or not UTF-8),
-    SchemaError (missing/extra/ill-typed fields, length mismatches, unknown
-    tags, numbers beyond the float range) or a forwarded ValidationError.
+    Raises ParseError (malformed JSON, with line info, JSON nested too
+    deeply to decode, or not UTF-8), SchemaError (missing/extra/ill-typed
+    fields, length mismatches, unknown tags, numbers beyond the float range)
+    or a forwarded ValidationError.
     """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -241,7 +245,7 @@ def load_scenario(path) -> Scenario:
         raise ParseError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # not UTF-8, or an integer literal too long to convert
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a huge integer, deep nesting
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be an object")
@@ -342,8 +346,10 @@ def _solution_exit_code(solution: solver_mod.Solution) -> int:
     return EXIT_OK
 
 
-def _default_oracle_points(horizon: int) -> int:
-    return 401 if horizon <= 2 else 101
+def _oracle_points(scenario: Scenario, resolution: Optional[int]) -> int:
+    if resolution is not None:
+        return resolution
+    return 401 if scenario.storage.horizon <= 2 else 101
 
 
 def run_solve(
@@ -379,12 +385,10 @@ def run_solve(
             dumps_json(_certificate_dict(solution.certificate)),
         )
     if "feasible-set-samples" in scenario.outputs:
-        emit_feasible_set_samples(
-            scenario, resolution or DEFAULT_SAMPLE_RESOLUTION, out
-        )
+        samples = DEFAULT_SAMPLE_RESOLUTION if resolution is None else resolution
+        emit_feasible_set_samples(scenario, samples, out)
     if "oracle-comparison" in scenario.outputs:
-        points = resolution or _default_oracle_points(scenario.storage.horizon)
-        _write_oracle_report(scenario, solution, points, out)
+        _write_oracle_report(scenario, solution, _oracle_points(scenario, resolution), out)
     return _solution_exit_code(solution), solution
 
 
@@ -393,12 +397,11 @@ def _write_oracle_report(
     solution: solver_mod.Solution,
     points: int,
     out: Path,
-    tolerance: float = 1e-3,
 ) -> oracle_mod.GapReport:
     result = oracle_mod.brute_force_solve(
         scenario.storage, scenario.bounds, scenario.cost, oracle_mod.GridSpec(points)
     )
-    report = oracle_mod.compare(solution, result, tolerance=tolerance)
+    report = oracle_mod.compare(solution, result)
     _write_text(
         out / "oracle.json",
         dumps_json(
@@ -480,36 +483,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="lossy-storage", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, resolution_help=None):
+    def common(p, resolution=True):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override solver seed")
-        if resolution_help:
-            p.add_argument("--resolution", type=int, default=None, help=resolution_help)
+        if resolution:
+            p.add_argument("--resolution", type=int, default=None, help=(
+                "points per axis of the feasible-set samples (default "
+                f"{DEFAULT_SAMPLE_RESOLUTION}, min {MIN_SAMPLE_RESOLUTION}) and of "
+                "the oracle grid (odd; default 401 for T<=2, else 101)"))
 
-    common(sub.add_parser("solve", help="solve the scenario, write solution artifacts"),
-           "grid resolution for any sampled/oracle outputs")
-    common(sub.add_parser("certify", help="write the convexity certificate only"))
-    common(sub.add_parser("sample-sets", help="rasterize the two feasible sets (T=2)"),
-           f"points per axis (default {DEFAULT_SAMPLE_RESOLUTION}, min {MIN_SAMPLE_RESOLUTION})")
-    common(sub.add_parser("oracle-check", help="solve and compare against the grid oracle"),
-           "oracle points per axis (default 401 for T<=2, else 101)")
+    common(sub.add_parser("solve", help="solve the scenario, write solution artifacts"))
+    common(sub.add_parser("certify", help="write the convexity certificate only"), resolution=False)
+    common(sub.add_parser("sample-sets", help="rasterize the two feasible sets (T=2)"))
+    common(sub.add_parser("oracle-check", help="solve with the oracle-comparison output"))
     return parser
-
-
-def _apply_overrides(scenario: Scenario, seed: Optional[int]) -> Scenario:
-    if seed is None:
-        return scenario
-    options = dataclasses.replace(scenario.solve_options, seed=seed)
-    return dataclasses.replace(scenario, solve_options=options)
 
 
 def _run_verb(args: argparse.Namespace, scenario: Scenario) -> int:
     out = Path(args.out)
-    if args.verb == "solve":
-        code, _ = run_solve(scenario, out, resolution=args.resolution)
-        return code
-
     if args.verb == "certify":
         certificate = costs_mod.certify_convexity(scenario.cost, scenario.storage)
         out.mkdir(parents=True, exist_ok=True)
@@ -519,19 +510,15 @@ def _run_verb(args: argparse.Namespace, scenario: Scenario) -> int:
         return EXIT_OK if certificate.certified else EXIT_BEST_EFFORT
 
     if args.verb == "sample-sets":
-        resolution = args.resolution or DEFAULT_SAMPLE_RESOLUTION
+        resolution = DEFAULT_SAMPLE_RESOLUTION if args.resolution is None else args.resolution
         emit_feasible_set_samples(scenario, resolution, out)
         return EXIT_OK
 
-    # oracle-check: the report is written here, once, at the flag resolution
-    plain = dataclasses.replace(
-        scenario, outputs=tuple(o for o in scenario.outputs if o != "oracle-comparison")
-    )
-    code, solution = run_solve(plain, out)
-    if solution is None:
-        return code
-    points = args.resolution or _default_oracle_points(scenario.storage.horizon)
-    _write_oracle_report(scenario, solution, points, out)
+    if args.verb == "oracle-check":
+        scenario = dataclasses.replace(
+            scenario, outputs=scenario.outputs + ("oracle-comparison",)
+        )
+    code, _ = run_solve(scenario, out, resolution=args.resolution)
     return code
 
 
@@ -552,9 +539,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_SCHEMA
 
     try:
-        return _run_verb(args, _apply_overrides(scenario, args.seed))
+        return _run_verb(args, scenario)
     except NoFeasiblePoint:
-        points = args.resolution or _default_oracle_points(scenario.storage.horizon)
+        points = _oracle_points(scenario, args.resolution)
         print(
             f"usage error: no point of the oracle grid ({points} points per axis) "
             "is feasible, but the solve found the feasible set nonempty; "

@@ -61,6 +61,9 @@ GUARANTEE_BEST_EFFORT = "best-effort"
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 
+#: Iterations between two checks of the objective-tolerance stop.
+STOP_WINDOW = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class SolveOptions:
@@ -69,10 +72,10 @@ class SolveOptions:
     The solve starts from the projection of the zero-power profile b and
     takes steps a/sqrt(k) along normalized subgradients; step_parameter is
     that `a`, finite and positive, and None picks a tenth of the energy-box
-    diameter.  It stops after max_iterations, or when a window of iterations
-    improves the best objective by less than objective_tolerance (finite and
-    positive).  seed does not affect the solve; it is only recorded in
-    solution.json.
+    diameter.  Every STOP_WINDOW (1000) iterations the solve stops when that
+    window improved the best objective by less than objective_tolerance
+    (finite and positive); max_iterations only caps the run.  seed does not
+    affect the solve; it is only recorded in solution.json.
     """
 
     max_iterations: int = 20000
@@ -235,11 +238,14 @@ def solve(
     """Minimize the cost over the feasible energy polytope.
 
     Projected subgradient descent on normalized directions with steps
-    a/sqrt(k), starting from the projection of b and tracking the best iterate and a tail average (restarted each
-    time the iteration count doubles); the better of the two is returned.
-    Deterministic for fixed options.  Raises InfeasibleProblem, naming the
-    first period no reachable energy meets, when the polytope is empty; the
-    first projection decides this exactly, so no later step can raise.
+    a/sqrt(k), starting from the projection of b and tracking the best
+    iterate and a tail average (restarted each time the iteration count
+    doubles); the better of the two is returned.  Every STOP_WINDOW
+    iterations it stops if that window gained less than objective_tolerance;
+    max_iterations only caps the run.  Deterministic for fixed options.
+    Raises InfeasibleProblem, naming the first period no reachable energy
+    meets, when the polytope is empty; the first projection decides this
+    exactly, so no later step can raise.
     """
     opts = options if options is not None else SolveOptions()
     params, bounds = problem.params, problem.bounds
@@ -262,7 +268,6 @@ def solve(
     avg_count = 1
     avg_restart = 2
 
-    window = max(1000, opts.max_iterations // 10)
     window_best = best_f
 
     status = STATUS_MAX_ITERATIONS
@@ -291,7 +296,7 @@ def solve(
             avg_count = 1
             avg_restart *= 2
 
-        if k % window == 0:
+        if k % STOP_WINDOW == 0:
             if window_best - best_f < opts.objective_tolerance:
                 status = STATUS_CONVERGED
                 break

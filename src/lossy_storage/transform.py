@@ -168,6 +168,7 @@ def energy_to_power(x, params: StorageParams, dyn: Dynamics) -> np.ndarray:
     return inverse_loss_map(velocity(x, params, dyn), params)
 
 
+@np.errstate(invalid="ignore")  # infinities that cancel give NaN, which is outside
 def _power_boxes(u, params: StorageParams, bounds: Bounds, dyn: Dynamics) -> tuple:
     """The power set's boxes, as (name, values, lower, upper): u and its energies."""
     return (
@@ -176,6 +177,7 @@ def _power_boxes(u, params: StorageParams, bounds: Bounds, dyn: Dynamics) -> tup
     )
 
 
+@np.errstate(invalid="ignore")  # infinities that cancel give NaN, which is outside
 def _energy_boxes(x, polytope: EnergyPolytope) -> tuple:
     """The polytope's boxes, as (name, values, lower, upper): x and its velocity."""
     return (

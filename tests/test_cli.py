@@ -199,15 +199,6 @@ def test_solution_json_is_byte_identical_across_runs(tmp_path, two_period_scenar
     assert a == b
 
 
-def test_seed_flag_overrides_scenario(tmp_path, two_period_scenario_path):
-    code = cli.main(
-        ["solve", "--scenario", str(two_period_scenario_path), "--out", str(tmp_path / "o"), "--seed", "17"]
-    )
-    assert code == 0
-    doc = json.loads((tmp_path / "o" / "solution.json").read_text())
-    assert doc["seed"] == 17
-
-
 def test_emit_feasible_set_samples(tmp_path, two_period_scenario_path):
     scenario = cli.load_scenario(two_period_scenario_path)
     power_path, energy_path = cli.emit_feasible_set_samples(scenario, 201, tmp_path)
@@ -253,6 +244,21 @@ def test_main_usage_errors(tmp_path, two_period_scenario_path):
         )
         == cli.EXIT_USAGE
     )
+    # seed only labels solution.json, so no flag sets it
+    assert cli.main(["solve", "--scenario", str(two_period_scenario_path), "--seed", "17"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("verb", ["solve", "sample-sets", "oracle-check"])
+@pytest.mark.parametrize("resolution", ["0", "1", "2"])
+def test_too_small_resolution_is_a_usage_error(tmp_path, capsys, verb, resolution):
+    # 0 is a resolution like any other, not a request for the default
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["outputs"] = ["solution", "feasible-set-samples", "oracle-comparison"]
+    path = write_json(tmp_path, doc)
+    out = tmp_path / "o"
+    assert_usage_error([verb, "--scenario", str(path), "--out", str(out), "--resolution", resolution], capsys)
+    assert not (out / "power_samples.csv").exists()
+    assert not (out / "oracle.json").exists()
 
 
 def test_solve_verb_rejects_sampling_outputs_for_long_horizons(tmp_path):
@@ -350,6 +356,14 @@ def test_overflowing_number_literals_are_scenario_errors(tmp_path, capsys, secti
     path.write_text(json.dumps(doc).replace('"LITERAL"', literal), encoding="utf-8")
     err = assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys)
     assert named in err
+
+
+def test_deeply_nested_scenario_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    with pytest.raises(ParseError):
+        cli.load_scenario(path)
+    assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys)
 
 
 def test_scenario_that_is_not_utf8_is_a_scenario_error(tmp_path, capsys):

@@ -237,6 +237,22 @@ def test_solve_reports_max_iterations_status(two_period_problem):
     assert solution.iterations_used == 50
 
 
+def test_stop_does_not_depend_on_the_budget(two_period_problem):
+    # the stop rule is checked every STOP_WINDOW iterations whatever the
+    # budget, so a larger budget only raises the cap
+    cost = ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1])
+    small, *larger = (
+        ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=budget))
+        for budget in (4000, 200000, 10**13)
+    )
+    assert small.status == "converged"
+    assert small.iterations_used < 4000
+    for solution in larger:
+        assert solution.iterations_used == small.iterations_used
+        assert np.array_equal(solution.x_star, small.x_star)
+        assert np.array_equal(solution.best_objective_trace, small.best_objective_trace)
+
+
 def test_trace_grows_with_the_solve(two_period_problem):
     # the zero-power start is the minimum: the subgradient is zero there
     solution = ls.solve(
