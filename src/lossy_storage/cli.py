@@ -29,19 +29,20 @@ and the projection is exact, so it has no "projection_tolerance"; a
 scenario that still sets any of them gets the unknown-field schema error.
 "seed" does not affect the solve; it is only recorded in solution.json.
 
-Verbs: solve, certify, sample-sets, oracle-check.  oracle-check is solve
-with the "oracle-comparison" output added.  --resolution sets the points
-per axis of the feasible-set samples and of the oracle grid, on every verb
-that takes it.  The solve checks its stop rule every 1000 iterations;
-"max_iterations" only caps the run.
+Verbs: solve, certify, sample-sets, oracle-check.  sample-sets alone
+writes the feasible-set rasters, and oracle-check is solve followed by the
+oracle report; --resolution is their points per axis.  The solve checks
+its stop rule every 1000 iterations; "max_iterations" only caps the run.
 
 Exit codes: 0 ok, 2 infeasible, 3 not converged, 4 best-effort only
 (no convexity guarantee), 64 usage, 65 schema/validation.  Exit 2 is an
 exact verdict; diagnostic.json names the first unreachable period.  An
-oracle grid with no feasible point exits 64 after solution.json is
-written: raise --resolution.  A directory as --scenario, or an --out that
-is or lies under a file, exits 64; a scenario that is not UTF-8, holds an
-integer beyond the float range or nests too deeply exits 65.
+oracle grid with under 3 points per axis, more periods than its cap or
+too many points exits 64 before the solve; one with no feasible point
+exits 64 after solution.json is written: raise --resolution.  A directory
+as --scenario, or an --out that is or lies under a file, exits 64; a
+scenario that is not UTF-8, holds an integer beyond the float range or
+nests too deeply exits 65.
 
 Floating-point values in emitted JSON/CSV use fixed 17-significant-digit
 formatting, so identical runs produce byte-identical artifacts.
@@ -96,7 +97,7 @@ EXIT_BEST_EFFORT = 4
 EXIT_USAGE = 64
 EXIT_SCHEMA = 65
 
-OUTPUT_KINDS = ("solution", "feasible-set-samples", "certificate", "oracle-comparison")
+OUTPUT_KINDS = ("solution", "certificate")
 
 #: Scenario keys that differ from the name of the dataclass field they fill.
 _RENAMED_KEYS = {"lam": "lambda", "u_min_mag": "u_min"}
@@ -352,10 +353,9 @@ def _oracle_points(scenario: Scenario, resolution: Optional[int]) -> int:
     return 401 if scenario.storage.horizon <= 2 else 101
 
 
-def run_solve(
-    scenario: Scenario, out_dir, resolution: Optional[int] = None
-) -> tuple[int, Optional[solver_mod.Solution]]:
-    """Solve a scenario and write its requested artifacts.
+def run_solve(scenario: Scenario, out_dir) -> tuple[int, Optional[solver_mod.Solution]]:
+    """Solve a scenario and write solution.json, trace.csv and, when the
+    scenario lists it, certificate.json.
 
     Returns (exit code, solution or None).  On an empty feasible set,
     writes diagnostic.json naming the first unreachable period and returns
@@ -384,11 +384,6 @@ def run_solve(
             out / "certificate.json",
             dumps_json(_certificate_dict(solution.certificate)),
         )
-    if "feasible-set-samples" in scenario.outputs:
-        samples = DEFAULT_SAMPLE_RESOLUTION if resolution is None else resolution
-        emit_feasible_set_samples(scenario, samples, out)
-    if "oracle-comparison" in scenario.outputs:
-        _write_oracle_report(scenario, solution, _oracle_points(scenario, resolution), out)
     return _solution_exit_code(solution), solution
 
 
@@ -483,19 +478,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="lossy-storage", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, resolution=True):
+    def common(p):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory")
-        if resolution:
-            p.add_argument("--resolution", type=int, default=None, help=(
-                "points per axis of the feasible-set samples (default "
-                f"{DEFAULT_SAMPLE_RESOLUTION}, min {MIN_SAMPLE_RESOLUTION}) and of "
-                "the oracle grid (odd; default 401 for T<=2, else 101)"))
+        return p
 
     common(sub.add_parser("solve", help="solve the scenario, write solution artifacts"))
-    common(sub.add_parser("certify", help="write the convexity certificate only"), resolution=False)
-    common(sub.add_parser("sample-sets", help="rasterize the two feasible sets (T=2)"))
-    common(sub.add_parser("oracle-check", help="solve with the oracle-comparison output"))
+    common(sub.add_parser("certify", help="write the convexity certificate only"))
+    common(sub.add_parser("sample-sets", help="rasterize the two feasible sets (T=2)")).add_argument(
+        "--resolution", type=int, default=DEFAULT_SAMPLE_RESOLUTION, help=(
+            f"raster points per axis (default {DEFAULT_SAMPLE_RESOLUTION}, "
+            f"min {MIN_SAMPLE_RESOLUTION})"))
+    common(sub.add_parser("oracle-check", help="solve, then write the oracle report")).add_argument(
+        "--resolution", type=int, default=None, help=(
+            "oracle grid points per axis (min 3; default 401 for T<=2, else 101)"))
     return parser
 
 
@@ -510,15 +506,20 @@ def _run_verb(args: argparse.Namespace, scenario: Scenario) -> int:
         return EXIT_OK if certificate.certified else EXIT_BEST_EFFORT
 
     if args.verb == "sample-sets":
-        resolution = DEFAULT_SAMPLE_RESOLUTION if args.resolution is None else args.resolution
-        emit_feasible_set_samples(scenario, resolution, out)
+        emit_feasible_set_samples(scenario, args.resolution, out)
         return EXIT_OK
 
-    if args.verb == "oracle-check":
-        scenario = dataclasses.replace(
-            scenario, outputs=scenario.outputs + ("oracle-comparison",)
-        )
-    code, _ = run_solve(scenario, out, resolution=args.resolution)
+    if args.verb == "solve":
+        code, _ = run_solve(scenario, out)
+        return code
+
+    # oracle-check: a grid the oracle refuses is a usage error before the
+    # solve writes anything
+    points = _oracle_points(scenario, args.resolution)
+    oracle_mod._grid_axes(scenario.storage, scenario.bounds, oracle_mod.GridSpec(points))
+    code, solution = run_solve(scenario, out)
+    if solution is not None:
+        _write_oracle_report(scenario, solution, points, out)
     return code
 
 

@@ -369,11 +369,10 @@ def midpoint_convexity_probe(
     params: StorageParams,
     samples: int,
     seed: int,
-    radius: Optional[float] = None,
 ) -> ProbeReport:
     """Randomized search for midpoint-convexity violations of the composition.
 
-    Draws pairs x_a, x_b uniformly from a box of the given half-width around
+    Draws pairs x_a, x_b uniformly from a box of half-width 1 + |x0| around
     the zero-power offset b, mixes them with a uniform theta and flags any
     triple where the convexity inequality fails by more than PROBE_MARGIN.
     """
@@ -381,8 +380,7 @@ def midpoint_convexity_probe(
         raise ValueError(f"samples must be >= 1, got {samples}")
     _check_cost_length(cost, params.horizon)
     dyn = build_dynamics(params)
-    if radius is None:
-        radius = 1.0 + abs(params.x0)
+    radius = 1.0 + abs(params.x0)
     rng = np.random.default_rng(seed)
     lo = dyn.b_offset - radius
     hi = dyn.b_offset + radius

@@ -64,8 +64,8 @@ _BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class GridSpec:
-    """points_per_axis must be odd (so symmetric boxes hit zero exactly) and
-    at least 3; horizon_cap limits the enumeration to desk scale."""
+    """points_per_axis must be at least 3 (every axis also gets the exact
+    zero level); horizon_cap limits the enumeration to desk scale."""
 
     points_per_axis: int
     horizon_cap: int = 3
@@ -73,8 +73,6 @@ class GridSpec:
     def __post_init__(self):
         if self.points_per_axis < 3:
             raise ValueError("points_per_axis must be >= 3")
-        if self.points_per_axis % 2 == 0:
-            raise ValueError("points_per_axis must be odd")
         if self.horizon_cap < 1:
             raise ValueError("horizon_cap must be >= 1")
 
@@ -281,7 +279,7 @@ def compare(solution, oracle_result: OracleResult, tolerance: float = 1e-3) -> G
     gap = float(solution.objective - oracle_result.cost_best)
     lipschitz = lipschitz_estimate(oracle_result.cost, oracle_result.bounds)
     bound = None if lipschitz is None else lipschitz * oracle_result.max_spacing
-    if solution.guarantee_flag != "global-optimum-claimed":
+    if not solution.certificate.certified:
         verdict = "no-guarantee"
     else:
         verdict = "pass" if abs(gap) <= tolerance else "fail"

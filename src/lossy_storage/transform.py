@@ -67,7 +67,7 @@ __all__ = [
 #: Absolute per-constraint tolerance for membership tests.
 MEMBERSHIP_TOL = 1e-9
 
-#: Default seed for the randomized witness search.
+#: Seed of the randomized witness search.
 WITNESS_SEED = 1234
 
 
@@ -317,7 +317,6 @@ def find_nonconvexity_witness(
     params: StorageParams,
     bounds: Bounds,
     attempts: int = 2000,
-    seed: int = WITNESS_SEED,
 ) -> Optional[Witness]:
     """Search for two feasible power profiles whose midpoint is infeasible.
 
@@ -330,7 +329,7 @@ def find_nonconvexity_witness(
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     dyn = build_dynamics(params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(WITNESS_SEED)
     lo, hi = -bounds.u_min_mag, bounds.u_max
     theta = 0.5
 

@@ -224,12 +224,7 @@ def test_emit_samples_guards(tmp_path, two_period_scenario_path):
     scenario = cli.load_scenario(two_period_scenario_path)
     with pytest.raises(ValueError):
         cli.emit_feasible_set_samples(scenario, 2, tmp_path)
-    three = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
-    three["storage"]["horizon"] = 3
-    for key in ("u_max", "u_min", "x_max", "x_min"):
-        three["bounds"][key] = three["bounds"][key] + [three["bounds"][key][0]]
-    three["cost"] = {"family": "energy_arbitrage", "p_buy": [1, 1, 1], "p_sell": [1, 1, 1]}
-    scenario3 = cli.load_scenario(write_json(tmp_path, three, "three.json"))
+    scenario3 = cli.load_scenario(write_json(tmp_path, scenario_with_horizon(3), "three.json"))
     with pytest.raises(HorizonNot2):
         cli.emit_feasible_set_samples(scenario3, 51, tmp_path)
 
@@ -248,48 +243,67 @@ def test_main_usage_errors(tmp_path, two_period_scenario_path):
     assert cli.main(["solve", "--scenario", str(two_period_scenario_path), "--seed", "17"]) == cli.EXIT_USAGE
 
 
+def scenario_with_horizon(horizon):
+    """TWO_PERIOD_SCENARIO with its first period's values repeated up to horizon."""
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["storage"]["horizon"] = horizon
+    for section in ("bounds", "cost"):
+        for key, value in doc[section].items():
+            if isinstance(value, list):
+                doc[section][key] = value + value[:1] * (horizon - len(value))
+    return doc
+
+
 @pytest.mark.parametrize("verb", ["solve", "sample-sets", "oracle-check"])
 @pytest.mark.parametrize("resolution", ["0", "1", "2"])
 def test_too_small_resolution_is_a_usage_error(tmp_path, capsys, verb, resolution):
-    # 0 is a resolution like any other, not a request for the default
-    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
-    doc["outputs"] = ["solution", "feasible-set-samples", "oracle-comparison"]
-    path = write_json(tmp_path, doc)
+    # 0 is a resolution like any other, not a request for the default; solve
+    # takes no --resolution at all; no verb writes anything
+    path = write_json(tmp_path, TWO_PERIOD_SCENARIO)
     out = tmp_path / "o"
     assert_usage_error([verb, "--scenario", str(path), "--out", str(out), "--resolution", resolution], capsys)
-    assert not (out / "power_samples.csv").exists()
-    assert not (out / "oracle.json").exists()
+    assert not out.exists()
 
 
-def test_solve_verb_rejects_sampling_outputs_for_long_horizons(tmp_path):
-    three = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
-    three["storage"]["horizon"] = 3
-    for key in ("u_max", "u_min", "x_max", "x_min"):
-        three["bounds"][key] = three["bounds"][key] + [three["bounds"][key][0]]
-    three["cost"] = {"family": "energy_arbitrage", "p_buy": [1, 1, 1], "p_sell": [1, 1, 1]}
-    three["outputs"] = ["solution", "feasible-set-samples"]
-    path = write_json(tmp_path, three, "three.json")
-    code = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_USAGE
+@pytest.mark.parametrize(
+    "horizon, resolution",
+    [(4, []), (3, ["--resolution", "1001"])],
+    ids=["horizon-cap", "size-guard"],
+)
+def test_oracle_check_refuses_its_grid_before_solving(tmp_path, capsys, horizon, resolution):
+    # four periods exceed the grid cap 3; 1001**3 points exceed the size guard
+    path = write_json(tmp_path, scenario_with_horizon(horizon))
+    out = tmp_path / "o"
+    assert_usage_error(["oracle-check", "--scenario", str(path), "--out", str(out), *resolution], capsys)
+    assert not (out / "solution.json").exists()
 
 
-def test_oracle_check_rejects_even_resolution(tmp_path, two_period_scenario_path):
-    code = cli.main(
-        [
-            "oracle-check",
-            "--scenario",
-            str(two_period_scenario_path),
-            "--out",
-            str(tmp_path / "o"),
-            "--resolution",
-            "100",
-        ]
-    )
-    assert code == cli.EXIT_USAGE
+@pytest.mark.parametrize("kind", ["feasible-set-samples", "oracle-comparison"])
+def test_removed_output_kinds_are_schema_errors(tmp_path, capsys, kind):
+    # the rasters come from sample-sets and the oracle report from oracle-check
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["outputs"] = ["solution", kind]
+    path = write_json(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_SCHEMA
+    assert "outputs: expected a list drawn from" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("verb", ["oracle-check", "solve"])
-def test_oracle_grid_without_a_feasible_point_is_a_usage_error(tmp_path, capsys, verb):
+def test_oracle_check_on_an_even_grid(tmp_path, two_period_scenario_path):
+    # linspace(-1, 1, 400) misses zero; the oracle adds the zero level to
+    # every axis, so the grid still holds the optimum's zero second period
+    out = tmp_path / "o"
+    argv = ["oracle-check", "--scenario", str(two_period_scenario_path), "--out", str(out), "--resolution", "400"]
+    assert cli.main(argv) == 0
+    doc = json.loads((out / "oracle.json").read_text())
+    assert doc["points_per_axis"] == 400
+    assert doc["oracle_u_best"][1] == 0.0
+    assert doc["solver_objective"] == pytest.approx(-0.375, abs=1e-6)
+    assert 0.0 < -doc["gap"] <= doc["discretization_bound"]
+
+
+def test_oracle_grid_without_a_feasible_point_is_a_usage_error(tmp_path, capsys):
     # the feasible set is nonempty but misses every point of the three-level
     # grid {-1, 0, 1}^2: zero power leaves x0 = 0.75 below the floor 0.8, a
     # unit charge overshoots the cap 0.9, and after a unit discharge nothing
@@ -298,11 +312,9 @@ def test_oracle_grid_without_a_feasible_point_is_a_usage_error(tmp_path, capsys,
     doc["bounds"]["x_min"] = [0.8, 0.8]
     doc["bounds"]["x_max"] = [0.9, 0.9]
     doc["solve"]["max_iterations"] = 200
-    if verb == "solve":
-        doc["outputs"] = ["solution", "oracle-comparison"]
     path = write_json(tmp_path, doc)
     out = tmp_path / "o"
-    argv = [verb, "--scenario", str(path), "--out", str(out), "--resolution", "3"]
+    argv = ["oracle-check", "--scenario", str(path), "--out", str(out), "--resolution", "3"]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert (out / "solution.json").exists()
     assert not (out / "oracle.json").exists()
@@ -534,6 +546,26 @@ def test_oracle_check_on_an_infeasible_scenario(tmp_path):
     assert json.loads((out / "diagnostic.json").read_text())["error"] == "infeasible"
     assert not (out / "solution.json").exists()
     assert not (out / "oracle.json").exists()
+
+
+SHIPPED_SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda path: path.name)
+def test_oracle_check_is_the_solve_then_the_oracle_report(tmp_path, path):
+    verb = tmp_path / "verb"
+    code = cli.main(["oracle-check", "--scenario", str(path), "--out", str(verb), "--resolution", "51"])
+    scenario = cli.load_scenario(path)
+    calls = tmp_path / "calls"
+    solve_code, solution = cli.run_solve(scenario, calls)
+    cli._write_oracle_report(scenario, solution, 51, calls)
+    assert code == solve_code
+
+    def files(root):
+        return {p.name: p.read_bytes() for p in root.iterdir()}
+
+    assert files(verb) == files(calls)
+    assert {"solution.json", "trace.csv", "certificate.json", "oracle.json"} == set(files(verb))
 
 
 def documented_scenarios():
