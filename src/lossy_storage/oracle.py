@@ -97,8 +97,11 @@ class GapReport:
     gap is solver objective minus oracle objective.  The discretization
     bound is a Lipschitz-style estimate (grid spacing times a per-family
     Lipschitz constant over the power box), None for custom costs.  verdict
-    is "pass"/"fail" against the caller tolerance, or "no-guarantee" when
-    the solution was best-effort only.
+    is "no-guarantee" when the solution was best-effort only.  Otherwise it
+    is "fail" when gap > tolerance (the solver is worse than a feasible grid
+    point) or, with a known bound, when gap < -(tolerance + bound) (the
+    solver beats the grid by more than its spacing explains), and "pass"
+    in between.
     """
 
     gap: float
@@ -281,8 +284,10 @@ def compare(solution, oracle_result: OracleResult, tolerance: float = 1e-3) -> G
     bound = None if lipschitz is None else lipschitz * oracle_result.max_spacing
     if not solution.certificate.certified:
         verdict = "no-guarantee"
+    elif gap > tolerance or (bound is not None and gap < -(tolerance + bound)):
+        verdict = "fail"
     else:
-        verdict = "pass" if abs(gap) <= tolerance else "fail"
+        verdict = "pass"
     return GapReport(
         gap=gap, discretization_bound=bound, tolerance=tolerance, verdict=verdict
     )

@@ -70,6 +70,9 @@ MEMBERSHIP_TOL = 1e-9
 #: Seed of the randomized witness search.
 WITNESS_SEED = 1234
 
+#: Least amount by which a witness's midpoint leaves the power set.
+WITNESS_MARGIN = 1e-7
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -278,39 +281,58 @@ def energy_membership_mask(
     return _mask(_energy_boxes(profiles, polytope), tol)
 
 
-def _worst_violation(verdict: MembershipVerdict) -> Violation:
-    return max(verdict.violations, key=lambda viol: viol.amount)
-
-
-def _scaled_pattern_candidates(params: StorageParams, polytope: EnergyPolytope):
+def _scaled_pattern_candidates(params: StorageParams, polytope: EnergyPolytope) -> np.ndarray:
     """Charge-early vs discharge-then-charge pairs, scaled to the instance.
 
     Constructed in velocity coordinates on the first two periods: u_a
     saturates the period-1 energy cap, u_b discharges first and then charges
     up to the period-2 cap.  Mirrors the canonical two-period picture of a
-    lossy feasible set.
+    lossy feasible set.  Returns the pairs as one (2, k, T) array of their
+    u_a rows and their u_b rows; k is 0 when the instance admits none.
     """
     t = params.horizon
-    if t < 2:
-        return
     delta, lam, b = params.delta, params.lam, polytope.dynamics.b_offset
     v_up, v_lo, x_up = polytope.v_upper, polytope.v_lower, polytope.x_upper
 
+    v = np.zeros((2, 6, t))  # (end, pair, period): at most six pairs
+    k = 0
     v0a = min(v_up[0], (x_up[0] - b[0]) / delta)
-    if v0a <= 0.0:
-        return
-    for frac in (1.0, 0.5, 0.25):
+    for frac in (1.0, 0.5, 0.25) if t >= 2 and v0a > 0.0 else ():
         for d in (-frac * v0a, frac * v_lo[0]):
             if not (v_lo[0] <= d < 0.0):
                 continue
             v1b = min(v_up[1], (x_up[1] - b[1] - delta * lam * d) / delta)
             if v1b <= 0.0:
                 continue
-            va = np.zeros(t)
-            va[0] = v0a
-            vb = np.zeros(t)
-            vb[0], vb[1] = d, v1b
-            yield inverse_loss_map(va, params), inverse_loss_map(vb, params)
+            v[0, k, 0] = v0a
+            v[1, k, :2] = d, v1b
+            k += 1
+    return inverse_loss_map(v[:, :k], params)
+
+
+def _first_witness(
+    u_a: np.ndarray, u_b: np.ndarray, params: StorageParams, bounds: Bounds, dyn: Dynamics
+) -> Optional[Witness]:
+    """The first row pair of two (n, T) candidate arrays whose ends are
+    members of the power set and whose midpoint leaves it by more than
+    WITNESS_MARGIN, as a Witness; None when no row qualifies."""
+    mid = 0.5 * u_a + 0.5 * u_b
+    hits = (
+        power_feasibility_mask(u_a, params, bounds, dyn)
+        & power_feasibility_mask(u_b, params, bounds, dyn)
+        & ~power_feasibility_mask(mid, params, bounds, dyn, tol=WITNESS_MARGIN)
+    ).nonzero()[0]
+    if len(hits) == 0:
+        return None
+    i = hits[0]
+    verdict = in_power_set(mid[i], params, bounds, dyn=dyn)
+    return Witness(
+        u_a=u_a[i],
+        u_b=u_b[i],
+        theta=0.5,
+        midpoint=mid[i],
+        violation=max(verdict.violations, key=lambda viol: viol.amount),
+    )
 
 
 def find_nonconvexity_witness(
@@ -320,54 +342,27 @@ def find_nonconvexity_witness(
 ) -> Optional[Witness]:
     """Search for two feasible power profiles whose midpoint is infeasible.
 
-    Random feasible pairs with at least one opposite-sign coordinate are
-    tried first; if the budget runs out, a deterministic list of scaled
-    charge/discharge patterns is tried.  Returns None when nothing is found,
-    which is the correct outcome for lossless or sign-restricted instances
-    (there the feasible power set is a polytope).
+    Random pairs from the power box are decided first, 256 at a time, by
+    the batched membership test; if the budget runs out, a deterministic
+    list of scaled charge/discharge patterns is decided the same way.  A
+    pair whose powers share their sign in every period is never a witness:
+    the loss map is linear between them, so their midpoint maps to the
+    average of two members.  Returns None when nothing is found, which is
+    the correct outcome for lossless or sign-restricted instances (there
+    the feasible power set is a polytope).
     """
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     dyn = build_dynamics(params)
     rng = np.random.default_rng(WITNESS_SEED)
     lo, hi = -bounds.u_min_mag, bounds.u_max
-    theta = 0.5
-
-    def as_witness(u_a: np.ndarray, u_b: np.ndarray) -> Optional[Witness]:
-        mid = theta * u_a + (1.0 - theta) * u_b
-        verdict = in_power_set(mid, params, bounds, dyn=dyn)
-        if verdict or _worst_violation(verdict).amount <= 1e-7:
-            return None
-        return Witness(
-            u_a=u_a,
-            u_b=u_b,
-            theta=theta,
-            midpoint=mid,
-            violation=_worst_violation(verdict),
-        )
-
-    chunk = 256
-    remaining = attempts
-    while remaining > 0:
-        n = min(chunk, remaining)
-        remaining -= n
-        pair_a = rng.uniform(lo, hi, size=(n, params.horizon))
-        pair_b = rng.uniform(lo, hi, size=(n, params.horizon))
-        feasible = power_feasibility_mask(pair_a, params, bounds, dyn)
-        feasible &= power_feasibility_mask(pair_b, params, bounds, dyn)
-        feasible &= np.any(pair_a * pair_b < 0.0, axis=1)
-        for i in np.nonzero(feasible)[0]:
-            found = as_witness(pair_a[i], pair_b[i])
-            if found is not None:
-                return found
-
-    polytope = build_energy_polytope(params, bounds, dyn)
-    for u_a, u_b in _scaled_pattern_candidates(params, polytope):
-        if not in_power_set(u_a, params, bounds, dyn=dyn):
-            continue
-        if not in_power_set(u_b, params, bounds, dyn=dyn):
-            continue
-        found = as_witness(u_a, u_b)
+    for start in range(0, attempts, 256):
+        size = (min(256, attempts - start), params.horizon)
+        pair_a = rng.uniform(lo, hi, size=size)
+        pair_b = rng.uniform(lo, hi, size=size)
+        found = _first_witness(pair_a, pair_b, params, bounds, dyn)
         if found is not None:
             return found
-    return None
+    polytope = build_energy_polytope(params, bounds, dyn)
+    u_a, u_b = _scaled_pattern_candidates(params, polytope)
+    return _first_witness(u_a, u_b, params, bounds, dyn)

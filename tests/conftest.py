@@ -1,9 +1,16 @@
-"""Shared fixtures: the canonical two-period instance and random generators."""
+"""Shared fixtures: the canonical two-period instance and random generators,
+and the one Hypothesis profile of every property test."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import lossy_storage as ls
+
+# every property test draws the same 100 examples on every run, with no
+# per-example deadline (some examples run year-long horizons)
+settings.register_profile("tier-1", max_examples=100, deadline=None, derandomize=True)
+settings.load_profile("tier-1")
 
 
 @pytest.fixture

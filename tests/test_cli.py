@@ -535,6 +535,20 @@ def test_oracle_check_verb(tmp_path, two_period_scenario_path):
     assert doc["points_per_axis"] == 401
 
 
+def test_oracle_check_passes_a_solver_that_beats_a_coarse_grid(tmp_path, two_period_scenario_path):
+    # at 101 points the grid's best is 0.015 above the solver's objective,
+    # within the 0.04 its spacing explains
+    out = tmp_path / "oc"
+    code = cli.main(
+        ["oracle-check", "--scenario", str(two_period_scenario_path), "--out", str(out), "--resolution", "101"]
+    )
+    assert code == 0
+    doc = json.loads((out / "oracle.json").read_text())
+    assert doc["gap"] < -doc["tolerance"]
+    assert doc["gap"] >= -(doc["tolerance"] + doc["discretization_bound"])
+    assert doc["verdict"] == "pass"
+
+
 def test_oracle_check_on_an_infeasible_scenario(tmp_path):
     doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
     doc["storage"]["x0"] = 10.0

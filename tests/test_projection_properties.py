@@ -6,7 +6,7 @@ energy that full charging could reach there, by a margin from 1e-8 to 1.
 """
 
 import numpy as np
-from hypothesis import event, given, settings
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 import lossy_storage as ls
@@ -34,7 +34,6 @@ def first_empty_period(params, bounds):
     return None
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     horizon=st.integers(1, 2000),
     eta_c=efficiencies,
