@@ -21,8 +21,8 @@ the convex polytope
     X = { x : x_min <= x <= x_max,
               -(1/eta_d) u_min_mag <= A^{-1}(x - b) <= eta_c u_max }.
 
-`find_nonconvexity_witness` searches for a certificate of the former fact:
-two members of U whose mixture leaves U.
+`find_nonconvexity_witness` builds a certificate of the former fact: two
+members of U, both on one energy cap, whose mixture rises above that cap.
 
 Each set is two boxes, listed once (`_power_boxes`, `_energy_boxes`), and
 its verdict and mask share one membership rule: every value lies within
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Optional
+from itertools import accumulate, islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -66,9 +66,6 @@ __all__ = [
 
 #: Absolute per-constraint tolerance for membership tests.
 MEMBERSHIP_TOL = 1e-9
-
-#: Seed of the randomized witness search.
-WITNESS_SEED = 1234
 
 #: Least amount by which a witness's midpoint leaves the power set.
 WITNESS_MARGIN = 1e-7
@@ -281,58 +278,58 @@ def energy_membership_mask(
     return _mask(_energy_boxes(profiles, polytope), tol)
 
 
-def _scaled_pattern_candidates(params: StorageParams, polytope: EnergyPolytope) -> np.ndarray:
-    """Charge-early vs discharge-then-charge pairs, scaled to the instance.
+def _cap_faces(x_min, x_max, step, lam: float, faces: np.ndarray) -> Iterator[tuple]:
+    """For s from T down to 1 (index 0 is x0), yield (s, lo, hi): per face t
+    in `faces`, the lowest and highest x_s from which x_t = x_max_t and every
+    later box can be met (no face yet while t < s); lo is NaN when none can."""
+    lo, hi = np.full(len(faces), -np.inf), np.full(len(faces), np.inf)
+    for s in range(len(x_max) - 1, 0, -1):
+        lo = np.maximum(lo, np.where(faces == s, x_max[s], x_min[s]))
+        hi = np.minimum(hi, x_max[s])
+        lo[lo > hi] = np.nan  # NaN stays NaN and fails every comparison
+        yield s, lo, hi
+        lo, hi = (lo - step[0, s]) / lam, (hi - step[1, s]) / lam
 
-    Constructed in velocity coordinates on the first two periods: u_a
-    saturates the period-1 energy cap, u_b discharges first and then charges
-    up to the period-2 cap.  Mirrors the canonical two-period picture of a
-    lossy feasible set.  Returns the pairs as one (2, k, T) array of their
-    u_a rows and their u_b rows; k is 0 when the instance admits none.
+
+def _cap_face_pairs(params: StorageParams, poly: EnergyPolytope) -> Iterator[np.ndarray]:
+    """Candidate witnesses as pairs of energy profiles in the polytope, each
+    a (2, T) array; O(T^2) time and O(T) memory in all.
+
+    Both ends sit on one cap x_t = x_max_t.  At a period s <= t end a takes
+    the largest step x_s - lam * x_{s-1} on that face (the lowest energies
+    it can before s, the highest from s on) and end b the smallest (the
+    reverse).  f is concave, so at t the midpoint's energy exceeds the cap
+    by one nonnegative term per period; the term of s is at least
+    lam^(t-s) (1 - eta_c eta_d) / 2 min(-smallest, largest / (eta_c eta_d)),
+    and a pair is built only when that exceeds WITNESS_MARGIN.
     """
-    t = params.horizon
-    delta, lam, b = params.delta, params.lam, polytope.dynamics.b_offset
-    v_up, v_lo, x_up = polytope.v_upper, polytope.v_lower, polytope.x_upper
-
-    v = np.zeros((2, 6, t))  # (end, pair, period): at most six pairs
-    k = 0
-    v0a = min(v_up[0], (x_up[0] - b[0]) / delta)
-    for frac in (1.0, 0.5, 0.25) if t >= 2 and v0a > 0.0 else ():
-        for d in (-frac * v0a, frac * v_lo[0]):
-            if not (v_lo[0] <= d < 0.0):
-                continue
-            v1b = min(v_up[1], (x_up[1] - b[1] - delta * lam * d) / delta)
-            if v1b <= 0.0:
-                continue
-            v[0, k, 0] = v0a
-            v[1, k, :2] = d, v1b
-            k += 1
-    return inverse_loss_map(v[:, :k], params)
-
-
-def _first_witness(
-    u_a: np.ndarray, u_b: np.ndarray, params: StorageParams, bounds: Bounds, dyn: Dynamics
-) -> Optional[Witness]:
-    """The first row pair of two (n, T) candidate arrays whose ends are
-    members of the power set and whose midpoint leaves it by more than
-    WITNESS_MARGIN, as a Witness; None when no row qualifies."""
-    mid = 0.5 * u_a + 0.5 * u_b
-    hits = (
-        power_feasibility_mask(u_a, params, bounds, dyn)
-        & power_feasibility_mask(u_b, params, bounds, dyn)
-        & ~power_feasibility_mask(mid, params, bounds, dyn, tol=WITNESS_MARGIN)
-    ).nonzero()[0]
-    if len(hits) == 0:
-        return None
-    i = hits[0]
-    verdict = in_power_set(mid[i], params, bounds, dyn=dyn)
-    return Witness(
-        u_a=u_a[i],
-        u_b=u_b[i],
-        theta=0.5,
-        midpoint=mid[i],
-        violation=max(verdict.violations, key=lambda viol: viol.amount),
-    )
+    lam, horizon, x0 = params.lam, params.horizon, params.x0
+    x_min, x_max = np.append(x0, poly.x_lower), np.append(x0, poly.x_upper)
+    # the largest and the smallest step x_s - lam * x_{s-1}, which is delta * v_s
+    step = np.pad(params.delta * np.array([poly.v_upper, poly.v_lower]), ((0, 0), (1, 0)))
+    reach = np.full((2, horizon + 1), x0)  # the highest and lowest x_s reachable
+    for s in range(1, horizon + 1):
+        reach[0, s] = min(x_max[s], lam * reach[0, s - 1] + step[0, s])
+        reach[1, s] = max(x_min[s], lam * reach[1, s - 1] + step[1, s])
+        if reach[0, s] < reach[1, s]:
+            return  # the power set is empty
+    gain = (1.0 - params.eta_c * params.eta_d) / 2.0 * lam ** np.arange(horizon)
+    for s, lo, hi in _cap_faces(x_min, x_max, step, lam, np.arange(horizon + 1)):
+        largest = np.minimum(step[0, s], hi[s:] - lam * reach[1, s - 1])
+        smallest = np.maximum(step[1, s], lo[s:] - lam * reach[0, s - 1])
+        overshoot = gain[: horizon + 1 - s] * np.minimum(
+            -smallest, largest / (params.eta_c * params.eta_d)
+        )
+        for t in s + np.flatnonzero(overshoot > WITNESS_MARGIN):
+            face = np.empty((2, horizon + 1))
+            for k, face_lo, face_hi in _cap_faces(x_min, x_max, step, lam, np.array([t])):
+                face[:, k] = face_lo[0], face_hi[0]
+            x = reach.copy()  # end a steps to s from the highest x_{s-1}, b from the lowest
+            for k in range(s, horizon + 1):
+                x[:, k] = np.clip(lam * x[:, k - 1] + step[:, k], face[0, k], face[1, k])
+            for k in range(s - 1, 0, -1):
+                x[:, k] = np.clip((x[:, k + 1] - step[:, k + 1]) / lam, reach[1, k], reach[0, k])
+            yield x[:, 1:]
 
 
 def find_nonconvexity_witness(
@@ -340,29 +337,26 @@ def find_nonconvexity_witness(
     bounds: Bounds,
     attempts: int = 2000,
 ) -> Optional[Witness]:
-    """Search for two feasible power profiles whose midpoint is infeasible.
+    """Two feasible power profiles whose midpoint is infeasible, or None.
 
-    Random pairs from the power box are decided first, 256 at a time, by
-    the batched membership test; if the budget runs out, a deterministic
-    list of scaled charge/discharge patterns is decided the same way.  A
-    pair whose powers share their sign in every period is never a witness:
-    the loss map is linear between them, so their midpoint maps to the
-    average of two members.  Returns None when nothing is found, which is
-    the correct outcome for lossless or sign-restricted instances (there
-    the feasible power set is a polytope).
+    Decides the pairs of `_cap_face_pairs`, at most `attempts` of them, by
+    the membership test: a pair is a witness when both ends are members and
+    the midpoint is not, by more than WITNESS_MARGIN.  Lossless storage and
+    storage whose power has one sign give no pair (there the power set is a
+    polytope), so None without a membership test.  Elsewhere None is not a
+    proof of convexity: on grids at T = 2 and 3, every pair of feasible
+    points with an infeasible midpoint came with a witness from this
+    search, but that agreement is measured, not proven.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     dyn = build_dynamics(params)
-    rng = np.random.default_rng(WITNESS_SEED)
-    lo, hi = -bounds.u_min_mag, bounds.u_max
-    for start in range(0, attempts, 256):
-        size = (min(256, attempts - start), params.horizon)
-        pair_a = rng.uniform(lo, hi, size=size)
-        pair_b = rng.uniform(lo, hi, size=size)
-        found = _first_witness(pair_a, pair_b, params, bounds, dyn)
-        if found is not None:
-            return found
-    polytope = build_energy_polytope(params, bounds, dyn)
-    u_a, u_b = _scaled_pattern_candidates(params, polytope)
-    return _first_witness(u_a, u_b, params, bounds, dyn)
+    pairs = _cap_face_pairs(params, build_energy_polytope(params, bounds, dyn))
+    for x in islice(pairs, attempts):
+        u_a, u_b = energy_to_power(x, params, dyn)
+        mid = 0.5 * u_a + 0.5 * u_b
+        verdict = in_power_set(mid, params, bounds, tol=WITNESS_MARGIN, dyn=dyn)
+        if not verdict and all(in_power_set(u, params, bounds, dyn=dyn) for u in (u_a, u_b)):
+            worst = max(verdict.violations, key=lambda viol: viol.amount)
+            return Witness(u_a=u_a, u_b=u_b, theta=0.5, midpoint=mid, violation=worst)
+    return None

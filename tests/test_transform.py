@@ -270,19 +270,97 @@ def test_witness_documented_pattern_is_valid(two_period_params, two_period_bound
     assert not ls.in_power_set([0.1875, 0.5], two_period_params, two_period_bounds)
 
 
-def test_witness_deterministic_fallback_without_random_budget(two_period_params, two_period_bounds):
-    # one random attempt is nearly certain to miss; the scaled pattern still fires
+def test_witness_from_one_cap_face_pair(two_period_params, two_period_bounds):
+    # the first pair built on a cap face is already a witness: the documented
+    # triple, charge to the cap vs discharge then charge to it
     witness = ls.find_nonconvexity_witness(two_period_params, two_period_bounds, attempts=1)
     assert witness is not None
+    assert np.allclose(witness.u_a, [0.5, 0.0], atol=1e-15)
+    assert np.allclose(witness.u_b, [-0.125, 1.0], atol=1e-15)
 
 
-def test_no_witness_for_lossless_instance():
+def test_witness_of_leaky_storage():
+    # lam = 0.5 with a flat cap just above the energy at rest, lam * x0:
+    # grid pairs show the set is nonconvex here
+    params = ls.StorageParams(
+        eta_c=0.5637, eta_d=0.5809, lam=0.5, delta=1.0, x0=0.6739, horizon=2
+    )
+    bounds = ls.Bounds(
+        u_max=[0.4503, 0.9641], u_min_mag=[0.4849, 0.6779], x_max=[0.3615, 0.3615], x_min=[0, 0]
+    )
+    witness = ls.find_nonconvexity_witness(params, bounds, attempts=2000)
+    assert witness is not None
+    assert ls.in_power_set(witness.u_a, params, bounds)
+    assert ls.in_power_set(witness.u_b, params, bounds)
+    assert not ls.in_power_set(witness.midpoint, params, bounds, tol=1e-7)
+    assert witness.violation.constraint == "energy_upper"
+    assert witness.violation.amount > 1e-7
+
+
+def _grid_pair_breaks_convexity(params, bounds, points):
+    """Whether two feasible grid points have a midpoint outside the power
+    set by more than 1e-7."""
+    grid = np.array(list(ls.enumerate_feasible(params, bounds, ls.GridSpec(points))))
+    dyn = ls.build_dynamics(params)
+    for start in range(0, len(grid), 256):
+        mid = (0.5 * grid[start : start + 256, None] + 0.5 * grid[None]).reshape(-1, params.horizon)
+        if not power_feasibility_mask(mid, params, bounds, dyn, tol=1e-7).all():
+            return True
+    return False
+
+
+def test_witness_whenever_grid_pairs_break_convexity():
+    # measured agreement, not a proof that None means convex: whenever two
+    # feasible grid points have an infeasible midpoint, the search finds a
+    # witness; half the draws are leaky (lam = 0.5, a flat cap just above
+    # lam * x0), half have a roomier cap decaying with lam
+    rng = np.random.default_rng(20261018)
+    broken = 0
+    for k in range(40):
+        horizon = 2 + k % 2
+        leaky = k % 4 < 2
+        lam = 0.5 if leaky else float(rng.uniform(0.5, 1.0))
+        x0 = float(rng.uniform(0.0, 1.0))
+        rest = x0 * lam ** np.arange(1, horizon + 1)
+        params = ls.StorageParams(
+            eta_c=float(rng.uniform(0.3, 0.9)),
+            eta_d=float(rng.uniform(0.3, 0.9)),
+            lam=lam,
+            delta=1.0,
+            x0=x0,
+            horizon=horizon,
+        )
+        bounds = ls.Bounds(
+            u_max=rng.uniform(0.1, 1.0, horizon),
+            u_min_mag=rng.uniform(0.1, 1.0, horizon),
+            x_max=(
+                np.full(horizon, rest[0] + rng.uniform(0.01, 0.1))
+                if leaky
+                else rest + rng.uniform(0.01, 0.5, horizon)
+            ),
+            x_min=np.zeros(horizon),
+        )
+        if _grid_pair_breaks_convexity(params, bounds, 41 if horizon == 2 else 15):
+            broken += 1
+            assert ls.find_nonconvexity_witness(params, bounds) is not None, k
+    assert broken >= 10  # the draws do test the agreement
+
+
+def _forbid_membership_tests(monkeypatch):
+    """Make any membership test of the witness search fail the test."""
+    for name in ("in_power_set", "power_feasibility_mask"):
+        monkeypatch.setattr(ls.transform, name, lambda *a, **k: pytest.fail("a pair was decided"))
+
+
+def test_no_witness_for_lossless_instance(monkeypatch):
+    _forbid_membership_tests(monkeypatch)  # no pair is even built
     params = ls.StorageParams(eta_c=1.0, eta_d=1.0, lam=1.0, delta=1.0, x0=0.75, horizon=2)
     bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[1, 1], x_min=[0, 0])
     assert ls.find_nonconvexity_witness(params, bounds, attempts=500) is None
 
 
-def test_no_witness_for_charge_only_instance(two_period_params):
+def test_no_witness_for_charge_only_instance(two_period_params, monkeypatch):
+    _forbid_membership_tests(monkeypatch)  # no pair is even built
     bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[0, 0], x_max=[1, 1], x_min=[0, 0])
     assert ls.find_nonconvexity_witness(two_period_params, bounds, attempts=500) is None
 
@@ -299,7 +377,7 @@ efficiencies = st.sampled_from([1e-3, 0.05, 0.5, 1.0]) | st.floats(1e-3, 1.0)
     horizon=st.integers(1, 8),
     eta_c=efficiencies,
     eta_d=efficiencies,
-    lam=st.sampled_from([1e-3, 0.5, 0.999, 1.0]),
+    lam=st.sampled_from([1e-200, 1e-3, 0.5, 0.999, 1.0]),
     zero_power=st.just("none") | st.sampled_from(["charge", "discharge"]),
     attempts=st.sampled_from([1, 50, 2000]),
     seed=st.integers(0, 2**32 - 1),
@@ -346,7 +424,7 @@ EPS = np.finfo(float).eps
     horizon=st.sampled_from([1, 2, 24, 8760]) | st.integers(1, 8760),
     eta_c=efficiencies,
     eta_d=efficiencies,
-    lam=st.sampled_from([1e-3, 0.5, 0.999, 1.0]),
+    lam=st.sampled_from([1e-200, 1e-3, 0.5, 0.999, 1.0]),
     delta=st.sampled_from([0.25, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
