@@ -10,8 +10,7 @@ schema errors)::
                   "x_max": [1, 1], "x_min": [0, 0]},
       "cost":    {"family": "energy_arbitrage",
                   "p_buy": [1, 1], "p_sell": [1, 1]},
-      "solve":   {"max_iterations": 20000, "step_parameter": null,
-                  "objective_tolerance": 1e-9, "seed": 0},
+      "solve":   {"max_iterations": 20000},
       "outputs": ["solution", "certificate"]
     }
 
@@ -21,13 +20,13 @@ nonnegative); the admissible power interval per period is
 families and their fields: peak_shaving (load), load_balancing (load),
 power_regulation (signal), energy_arbitrage (p_buy, p_sell),
 power_smoothing (renewable).  Cost vectors must be finite.
-"step_parameter" and "objective_tolerance" must be finite and positive; a
-null "step_parameter" picks a tenth of the energy-box diameter.  The solve
-always starts from the zero-power profile and takes steps
-step_parameter/sqrt(k), so "solve" has no "step_rule" or "initial_point",
-and the projection is exact, so it has no "projection_tolerance"; a
-scenario that still sets any of them gets the unknown-field schema error.
-"seed" does not affect the solve; it is only recorded in solution.json.
+"max_iterations", a positive integer, is the one solve setting.  The solve
+always starts from the zero-power profile, takes steps a/sqrt(k) where a is
+a tenth of the energy-box diameter, and stops on a fixed objective
+tolerance, so "solve" has no "step_rule", "initial_point",
+"step_parameter", "objective_tolerance" or "seed", and the projection is
+exact, so it has no "projection_tolerance"; a scenario that still sets any
+of them gets the unknown-field schema error.
 
 Verbs: solve, certify, sample-sets, oracle-check.  sample-sets alone
 writes the feasible-set rasters, and oracle-check is solve followed by the
@@ -190,8 +189,6 @@ def _parse_value(value, kind, where: str, horizon: Optional[int]):
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{where}: expected an integer, got {value!r}")
         return value
-    elif value is None and kind == Optional[float]:
-        return None
     elif not _is_number(value):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
     try:
@@ -318,7 +315,7 @@ def _certificate_dict(certificate: costs_mod.ConvexityCertificate) -> dict:
     }
 
 
-def _solution_dict(solution: solver_mod.Solution, seed: int) -> dict:
+def _solution_dict(solution: solver_mod.Solution) -> dict:
     return {
         "objective": solution.objective,
         "x_star": solution.x_star,
@@ -329,7 +326,6 @@ def _solution_dict(solution: solver_mod.Solution, seed: int) -> dict:
         "iterations_used": solution.iterations_used,
         "feasibility_residual": solution.feasibility_residual,
         "instance_digest": solution.instance_digest,
-        "seed": seed,
     }
 
 
@@ -373,10 +369,7 @@ def run_solve(scenario: Scenario, out_dir) -> tuple[int, Optional[solver_mod.Sol
         )
         return EXIT_INFEASIBLE, None
 
-    _write_text(
-        out / "solution.json",
-        dumps_json(_solution_dict(solution, scenario.solve_options.seed)),
-    )
+    _write_text(out / "solution.json", dumps_json(_solution_dict(solution)))
     _write_trace_csv(out / "trace.csv", solution.best_objective_trace)
 
     if "certificate" in scenario.outputs:

@@ -64,17 +64,18 @@ _BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class GridSpec:
-    """points_per_axis must be at least 3 (every axis also gets the exact
-    zero level); horizon_cap limits the enumeration to desk scale."""
+    """points_per_axis must be an integer of at least 3 (every axis also
+    gets the exact zero level); horizon_cap, an integer of at least 1,
+    limits the enumeration to desk scale."""
 
     points_per_axis: int
     horizon_cap: int = 3
 
     def __post_init__(self):
-        if self.points_per_axis < 3:
-            raise ValueError("points_per_axis must be >= 3")
-        if self.horizon_cap < 1:
-            raise ValueError("horizon_cap must be >= 1")
+        for name, minimum in (("points_per_axis", 3), ("horizon_cap", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,36 +61,30 @@ GUARANTEE_BEST_EFFORT = "best-effort"
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 
-#: Iterations between two checks of the objective-tolerance stop.
+#: Iterations between two checks of the stop rule.
 STOP_WINDOW = 1000
+#: The stop rule: a window that improves the best objective by less than
+#: this ends the solve.
+OBJECTIVE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class SolveOptions:
-    """Solver knobs.
+    """The one solver setting: max_iterations, a positive integer.
 
     The solve starts from the projection of the zero-power profile b and
-    takes steps a/sqrt(k) along normalized subgradients; step_parameter is
-    that `a`, finite and positive, and None picks a tenth of the energy-box
-    diameter.  Every STOP_WINDOW (1000) iterations the solve stops when that
-    window improved the best objective by less than objective_tolerance
-    (finite and positive); max_iterations only caps the run.  seed does not
-    affect the solve; it is only recorded in solution.json.
+    takes steps a/sqrt(k) along normalized subgradients, where a is a tenth
+    of the energy-box diameter.  Every STOP_WINDOW (1000) iterations it
+    stops when that window improved the best objective by less than
+    OBJECTIVE_TOLERANCE (1e-9); max_iterations only caps the run.
     """
 
     max_iterations: int = 20000
-    step_parameter: Optional[float] = None
-    objective_tolerance: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        tol, step = self.objective_tolerance, self.step_parameter
-        if not 0.0 < tol < math.inf:
-            raise ValueError(f"objective_tolerance must be finite and positive, got {tol!r}")
-        if step is not None and not 0.0 < step < math.inf:
-            raise ValueError(f"step_parameter must be finite and positive, got {step!r}")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,11 +232,12 @@ def solve(
     """Minimize the cost over the feasible energy polytope.
 
     Projected subgradient descent on normalized directions with steps
-    a/sqrt(k), starting from the projection of b and tracking the best
-    iterate and a tail average (restarted each time the iteration count
-    doubles); the better of the two is returned.  Every STOP_WINDOW
-    iterations it stops if that window gained less than objective_tolerance;
-    max_iterations only caps the run.  Deterministic for fixed options.
+    a/sqrt(k), where a is a tenth of the energy-box diameter, starting from
+    the projection of b and tracking the best iterate and a tail average
+    (restarted each time the iteration count doubles); the better of the
+    two is returned.  Every STOP_WINDOW iterations it stops if that window
+    gained less than OBJECTIVE_TOLERANCE; max_iterations only caps the run.
+    Deterministic for fixed options.
     Raises InfeasibleProblem, naming the first period no reachable energy
     meets, when the polytope is empty; the first projection decides this
     exactly, so no later step can raise.
@@ -253,10 +248,7 @@ def solve(
     polytope = build_energy_polytope(params, bounds, dyn)
     certificate = certify_convexity(cost, params)
 
-    diameter = float(np.linalg.norm(polytope.x_upper - polytope.x_lower))
-    step_base = opts.step_parameter if opts.step_parameter is not None else diameter / 10.0
-    if step_base <= 0.0:
-        step_base = 1.0  # degenerate zero-volume box; any positive step works
+    step_base = float(np.linalg.norm(polytope.x_upper - polytope.x_lower)) / 10.0
 
     x = project_onto_polytope(dyn.b_offset, polytope)
 
@@ -297,7 +289,7 @@ def solve(
             avg_restart *= 2
 
         if k % STOP_WINDOW == 0:
-            if window_best - best_f < opts.objective_tolerance:
+            if window_best - best_f < OBJECTIVE_TOLERANCE:
                 status = STATUS_CONVERGED
                 break
             window_best = best_f

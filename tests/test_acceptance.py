@@ -30,9 +30,7 @@ TWO_PERIOD_COSTS = {
     "energy_arbitrage": ls.EnergyArbitrage(p_buy=[1.0, 1.0], p_sell=[1.0, 1.0]),
 }
 
-SOLVE_OPTIONS = ls.SolveOptions(
-    max_iterations=30000, step_parameter=0.08, objective_tolerance=1e-7
-)
+SOLVE_OPTIONS = ls.SolveOptions(max_iterations=30000)
 
 
 def report(line: str) -> None:
@@ -275,12 +273,12 @@ def test_criterion_7_recovered_profiles_feasible(end_to_end_solves):
 
 
 def test_criterion_8_deterministic_artifacts(tmp_path):
-    """Identical scenario + seed produce byte-identical solution JSON."""
+    """Identical scenarios produce byte-identical solution JSON."""
     scenario_doc = {
         "storage": {"eta_c": 0.5, "eta_d": 0.5, "lambda": 1.0, "delta": 1.0, "x0": 0.75, "horizon": 2},
         "bounds": {"u_max": [1, 1], "u_min": [1, 1], "x_max": [1, 1], "x_min": [0, 0]},
         "cost": {"family": "energy_arbitrage", "p_buy": [1, 1], "p_sell": [1, 1]},
-        "solve": {"max_iterations": 4000, "seed": 11},
+        "solve": {"max_iterations": 4000},
         "outputs": ["solution", "certificate"],
     }
     path = tmp_path / "scenario.json"

@@ -16,7 +16,7 @@ TWO_PERIOD_SCENARIO = {
     "storage": {"eta_c": 0.5, "eta_d": 0.5, "lambda": 1.0, "delta": 1.0, "x0": 0.75, "horizon": 2},
     "bounds": {"u_max": [1, 1], "u_min": [1, 1], "x_max": [1, 1], "x_min": [0, 0]},
     "cost": {"family": "energy_arbitrage", "p_buy": [1, 1], "p_sell": [1, 1]},
-    "solve": {"max_iterations": 6000, "seed": 3},
+    "solve": {"max_iterations": 6000},
     "outputs": ["solution", "certificate"],
 }
 
@@ -41,7 +41,7 @@ def test_load_scenario_caption_values(two_period_scenario_path):
     assert scenario.storage.x0 == 0.75
     assert scenario.storage.horizon == 2
     assert isinstance(scenario.cost, ls.EnergyArbitrage)
-    assert scenario.solve_options.seed == 3
+    assert scenario.solve_options.max_iterations == 6000
     assert scenario.outputs == ("solution", "certificate")
 
 
@@ -101,8 +101,7 @@ def test_scenario_round_trip(tmp_path, two_period_scenario_path):
         assert np.array_equal(getattr(again.bounds, field), getattr(scenario.bounds, field))
     assert np.array_equal(again.cost.p_buy, scenario.cost.p_buy)
     assert np.array_equal(again.cost.p_sell, scenario.cost.p_sell)
-    for field in ("max_iterations", "step_parameter", "objective_tolerance", "seed"):
-        assert getattr(again.solve_options, field) == getattr(scenario.solve_options, field)
+    assert again.solve_options.max_iterations == scenario.solve_options.max_iterations
     assert again.outputs == scenario.outputs
 
 
@@ -111,6 +110,17 @@ def test_run_solve_writes_artifacts(tmp_path, two_period_scenario_path):
     code, solution = cli.run_solve(scenario, tmp_path / "out")
     assert code == cli.EXIT_OK
     solution_doc = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert list(solution_doc) == [
+        "objective",
+        "x_star",
+        "u_star",
+        "certificate",
+        "guarantee_flag",
+        "status",
+        "iterations_used",
+        "feasibility_residual",
+        "instance_digest",
+    ]
     assert solution_doc["objective"] == pytest.approx(-0.375, abs=1e-6)
     assert solution_doc["guarantee_flag"] == "global-optimum-claimed"
     assert solution_doc["certificate"]["rule"] == "price_ratio"
@@ -239,7 +249,7 @@ def test_main_usage_errors(tmp_path, two_period_scenario_path):
         )
         == cli.EXIT_USAGE
     )
-    # seed only labels solution.json, so no flag sets it
+    # the solve has no seed, so no flag sets one
     assert cli.main(["solve", "--scenario", str(two_period_scenario_path), "--seed", "17"]) == cli.EXIT_USAGE
 
 
@@ -422,34 +432,6 @@ def test_solve_section_must_be_an_object(tmp_path, capsys, solve):
     assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path)], capsys)
 
 
-def test_step_parameter_from_the_scenario_file(tmp_path):
-    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
-    doc["solve"]["step_parameter"] = 0.5
-    path = write_json(tmp_path, doc)
-    assert cli.load_scenario(path).solve_options.step_parameter == 0.5
-    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path)]) == cli.EXIT_OK
-    doc = json.loads((tmp_path / "solution.json").read_text())
-    assert doc["objective"] == pytest.approx(-0.375, abs=1e-6)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("step_parameter", float("nan")),
-        ("step_parameter", -1.0),
-        ("step_parameter", 0.0),
-        ("objective_tolerance", float("nan")),
-    ],
-)
-def test_solve_options_must_be_finite_and_positive(tmp_path, capsys, field, value):
-    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
-    doc["solve"][field] = value
-    path = write_json(tmp_path, doc)
-    with pytest.raises(SchemaError, match=field):
-        cli.load_scenario(path)
-    assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path)], capsys)
-
-
 @pytest.mark.parametrize("verb", ["solve", "certify"])
 @pytest.mark.parametrize(
     "cost",
@@ -488,17 +470,21 @@ RETIRED_SOLVE_FIELDS = {
     "projection_tolerance": 1e-8,
     "step_rule": "diminishing",
     "initial_point": "offset-b",
+    "step_parameter": 0.1,
+    "objective_tolerance": 1e-9,
+    "seed": 0,
 }
 
 
 @pytest.mark.parametrize("field", RETIRED_SOLVE_FIELDS)
-def test_projection_tolerance_is_an_unknown_field(tmp_path, field):
+def test_retired_solve_fields_are_unknown_fields(tmp_path, capsys, field):
     old = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
     old["solve"][field] = RETIRED_SOLVE_FIELDS[field]
     path = write_json(tmp_path, old)
     with pytest.raises(SchemaError, match=field):
         cli.load_scenario(path)
-    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path)]) == cli.EXIT_SCHEMA
+    err = assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path)], capsys)
+    assert f"unknown field(s) ['{field}']" in err
 
 
 def test_certify_verb(tmp_path, two_period_scenario_path):

@@ -31,6 +31,12 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         ls.GridSpec(points_per_axis=3, horizon_cap=0)
     assert ls.GridSpec(points_per_axis=3).horizon_cap == 3
+    for bad in (3.5, 5.0, float("nan"), True, "5", None):
+        with pytest.raises(ValueError, match="points_per_axis"):
+            ls.GridSpec(points_per_axis=bad)
+        with pytest.raises(ValueError, match="horizon_cap"):
+            ls.GridSpec(points_per_axis=3, horizon_cap=bad)
+    assert ls.GridSpec(np.int64(3), horizon_cap=np.int32(2)) == ls.GridSpec(3, horizon_cap=2)
 
 
 def test_three_point_enumeration_of_lossy_instance(two_period_params, two_period_bounds):
