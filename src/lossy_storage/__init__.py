@@ -35,7 +35,7 @@ from .model import (
     validate_params,
 )
 from .oracle import GapReport, GridSpec, OracleResult, brute_force_solve, compare, enumerate_feasible
-from .solver import Solution, SolveOptions, project_onto_polytope, recover_power_profile, solve
+from .solver import Solution, SolveOptions, project_onto_polytope, solve
 from .transform import (
     EnergyPolytope,
     MembershipVerdict,
@@ -93,7 +93,6 @@ __all__ = [
     "power_to_energy",
     "energy_to_power",
     "project_onto_polytope",
-    "recover_power_profile",
     "simulate",
     "solve",
     "step",

@@ -50,7 +50,6 @@ __all__ = [
     "separable_cost_terms",
     "power_cost_batch",
     "evaluate_energy_cost",
-    "energy_cost_batch",
     "subgradient_energy_cost",
     "lipschitz_estimate",
     "certify_convexity",
@@ -236,13 +235,6 @@ def evaluate_energy_cost(
     return evaluate_power_cost(cost, energy_to_power(x, params, dyn))
 
 
-def energy_cost_batch(
-    cost: CostSpec, profiles: np.ndarray, params: StorageParams, dyn: Dynamics
-) -> np.ndarray:
-    """Vectorized `evaluate_energy_cost` over rows of an (n, T) array."""
-    return power_cost_batch(cost, energy_to_power(profiles, params, dyn))
-
-
 def _power_subgradient(cost: CostSpec, u: np.ndarray) -> np.ndarray:
     """A subgradient of the family at u (deterministic kink choices)."""
     t = u.shape[0]
@@ -309,7 +301,7 @@ def subgradient_energy_cost(
     """
     x = np.asarray(x, dtype=float)
     _check_cost_length(cost, params.horizon)
-    v = velocity(x, params, dyn)
+    v = velocity(x, dyn)
     u = inverse_loss_map(v, params)
     scale = np.where(v >= 0.0, 1.0 / params.eta_c, params.eta_d)
     return velocity_adjoint(scale * _power_subgradient(cost, u), dyn)
@@ -375,9 +367,10 @@ def midpoint_convexity_probe(
     Draws pairs x_a, x_b uniformly from a box of half-width 1 + |x0| around
     the zero-power offset b, mixes them with a uniform theta and flags any
     triple where the convexity inequality fails by more than PROBE_MARGIN.
+    samples must be an integer of at least 1.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     _check_cost_length(cost, params.horizon)
     dyn = build_dynamics(params)
     radius = 1.0 + abs(params.x0)
@@ -390,9 +383,9 @@ def midpoint_convexity_probe(
     theta = rng.uniform(size=(samples, 1))
     mid = theta * x_a + (1.0 - theta) * x_b
 
-    f_a = energy_cost_batch(cost, x_a, params, dyn)
-    f_b = energy_cost_batch(cost, x_b, params, dyn)
-    f_mid = energy_cost_batch(cost, mid, params, dyn)
+    f_a, f_b, f_mid = (
+        power_cost_batch(cost, energy_to_power(x, params, dyn)) for x in (x_a, x_b, mid)
+    )
 
     margin = f_mid - (theta[:, 0] * f_a + (1.0 - theta[:, 0]) * f_b)
     violating = margin > PROBE_MARGIN

@@ -127,10 +127,11 @@ def validate_params(raw: StorageParams, bounds: Bounds) -> ValidatedProblem:
         raise ValidationError(f"delta must be a positive duration, got {raw.delta!r}")
     if not np.isfinite(raw.x0):
         raise ValidationError(f"x0 must be finite, got {raw.x0!r}")
-    if not (isinstance(raw.horizon, (int, np.integer)) and raw.horizon >= 1):
-        raise InvalidHorizon(f"horizon must be an integer >= 1, got {raw.horizon!r}")
+    horizon = raw.horizon
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise InvalidHorizon(f"horizon must be an integer >= 1, got {horizon!r}")
 
-    t = int(raw.horizon)
+    t = int(horizon)
     checked = {}
     for name in ("u_max", "u_min_mag", "x_max", "x_min"):
         vec = _vector(getattr(bounds, name), t, name)
@@ -165,8 +166,10 @@ def build_dynamics(params: StorageParams) -> Dynamics:
 def step(x_t: float, u_t: float, params: StorageParams) -> float:
     """One period of the state-of-charge recursion.
 
-    Defined for all real inputs, feasible or not; the oracle relies on being
-    able to evaluate trajectories that leave the feasible set.
+    Defined for all real inputs, feasible or not.  Its caller is `simulate`,
+    the reference recursion that perfbench/casecheck.py re-runs on every
+    solved power profile, so trajectories that leave the feasible set must
+    still evaluate.
     """
     gain = params.eta_c * max(u_t, 0.0) + (1.0 / params.eta_d) * min(u_t, 0.0)
     return params.lam * x_t + params.delta * gain

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 GRID_SIZE_GUARD = 10**8
+#: Largest gap between solver and grid objectives that `compare` passes.
+GAP_TOLERANCE = 1e-3
 #: Most candidate points (prefix x level) one broadcast step of the walk holds.
 _BLOCK = 1 << 12
 
@@ -80,15 +82,15 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
+    """The best grid point and its cost.  discretization_bound is the
+    family's Lipschitz constant over the power box times the widest grid
+    spacing, None for custom costs."""
+
     u_best: np.ndarray
     cost_best: float
     feasible_count: int
     instance_digest: str
-    grid: GridSpec
-    max_spacing: float
-    params: StorageParams
-    bounds: Bounds
-    cost: CostSpec
+    discretization_bound: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -96,13 +98,12 @@ class GapReport:
     """Solver-vs-oracle comparison.
 
     gap is solver objective minus oracle objective.  The discretization
-    bound is a Lipschitz-style estimate (grid spacing times a per-family
-    Lipschitz constant over the power box), None for custom costs.  verdict
-    is "no-guarantee" when the solution was best-effort only.  Otherwise it
-    is "fail" when gap > tolerance (the solver is worse than a feasible grid
-    point) or, with a known bound, when gap < -(tolerance + bound) (the
-    solver beats the grid by more than its spacing explains), and "pass"
-    in between.
+    bound is the oracle's (`OracleResult.discretization_bound`), and
+    tolerance is GAP_TOLERANCE.  verdict is "no-guarantee" when the solution
+    was best-effort only.  Otherwise it is "fail" when gap > tolerance (the
+    solver is worse than a feasible grid point) or, with a known bound, when
+    gap < -(tolerance + bound) (the solver beats the grid by more than its
+    spacing explains), and "pass" in between.
     """
 
     gap: float
@@ -259,30 +260,27 @@ def brute_force_solve(
         (bounds.u_max[t] + bounds.u_min_mag[t]) / (grid.points_per_axis - 1)
         for t in range(params.horizon)
     )
+    lipschitz = lipschitz_estimate(cost, bounds)
     return OracleResult(
         u_best=best_u,
         cost_best=float(power_cost_batch(cost, best_u)[0]),
         feasible_count=count,
         instance_digest=instance_digest(params, bounds, cost),
-        grid=grid,
-        max_spacing=float(spacing),
-        params=params,
-        bounds=bounds,
-        cost=cost,
+        discretization_bound=None if lipschitz is None else lipschitz * float(spacing),
     )
 
 
-def compare(solution, oracle_result: OracleResult, tolerance: float = 1e-3) -> GapReport:
+def compare(solution, oracle_result: OracleResult) -> GapReport:
     """Gap report between a solver Solution and an oracle run on the same
-    instance; refuses mismatched instances via the digest guard."""
+    instance, at GAP_TOLERANCE; refuses mismatched instances via the digest
+    guard."""
     if solution.instance_digest != oracle_result.instance_digest:
         raise InstanceMismatch(
             "solution and oracle result come from different instances: "
             f"{solution.instance_digest} vs {oracle_result.instance_digest}"
         )
     gap = float(solution.objective - oracle_result.cost_best)
-    lipschitz = lipschitz_estimate(oracle_result.cost, oracle_result.bounds)
-    bound = None if lipschitz is None else lipschitz * oracle_result.max_spacing
+    bound, tolerance = oracle_result.discretization_bound, GAP_TOLERANCE
     if not solution.certificate.certified:
         verdict = "no-guarantee"
     elif gap > tolerance or (bound is not None and gap < -(tolerance + bound)):

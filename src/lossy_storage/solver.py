@@ -52,7 +52,6 @@ __all__ = [
     "Solution",
     "project_onto_polytope",
     "solve",
-    "recover_power_profile",
 ]
 
 GUARANTEE_GLOBAL = "global-optimum-claimed"
@@ -316,14 +315,3 @@ def solve(
         status=status,
         instance_digest=instance_digest(params, bounds, cost),
     )
-
-
-def recover_power_profile(x_star, params, dyn=None) -> np.ndarray:
-    """Power profile realizing an energy profile.
-
-    For members of the feasible energy polytope the result lies inside the
-    power box (that is the half-space equivalence), so no clipping is done.
-    """
-    if dyn is None:
-        dyn = build_dynamics(params)
-    return energy_to_power(x_star, params, dyn)

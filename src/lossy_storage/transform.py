@@ -70,6 +70,9 @@ MEMBERSHIP_TOL = 1e-9
 #: Least amount by which a witness's midpoint leaves the power set.
 WITNESS_MARGIN = 1e-7
 
+#: Most candidate pairs the witness search decides.
+WITNESS_ATTEMPTS = 2000
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -144,11 +147,10 @@ def power_to_energy(u, params: StorageParams, dyn: Dynamics) -> np.ndarray:
     return np.array(list(y)).T + dyn.b_offset
 
 
-def velocity(x, params: Optional[StorageParams], dyn: Dynamics) -> np.ndarray:
+def velocity(x, dyn: Dynamics) -> np.ndarray:
     """The intermediate v = A^{-1}(x - b), the natural coordinate of the
     polytope's second box: the first difference (d_t - lam * d_{t-1}) / delta
-    of d = x - b, so x = b gives v = 0 exactly.  params is unused (callers
-    holding only a polytope pass None)."""
+    of d = x - b, so x = b gives v = 0 exactly.  The dynamics alone fix it."""
     x = _check_length(x, dyn.b_offset.shape[0], "x")
     d = x - dyn.b_offset
     d[..., 1:] -= dyn.lam * d[..., :-1]
@@ -165,7 +167,7 @@ def velocity_adjoint(w, dyn: Dynamics) -> np.ndarray:
 
 def energy_to_power(x, params: StorageParams, dyn: Dynamics) -> np.ndarray:
     """Power profile recovering a given energy profile: f_inv(A^{-1}(x - b))."""
-    return inverse_loss_map(velocity(x, params, dyn), params)
+    return inverse_loss_map(velocity(x, dyn), params)
 
 
 @np.errstate(invalid="ignore")  # infinities that cancel give NaN, which is outside
@@ -182,7 +184,7 @@ def _energy_boxes(x, polytope: EnergyPolytope) -> tuple:
     """The polytope's boxes, as (name, values, lower, upper): x and its velocity."""
     return (
         ("x", x, polytope.x_lower, polytope.x_upper),
-        ("v", velocity(x, None, polytope.dynamics), polytope.v_lower, polytope.v_upper),
+        ("v", velocity(x, polytope.dynamics), polytope.v_lower, polytope.v_upper),
     )
 
 
@@ -221,17 +223,11 @@ def _largest_violation(boxes) -> float:
 
 
 def in_power_set(
-    u,
-    params: StorageParams,
-    bounds: Bounds,
-    tol: float = MEMBERSHIP_TOL,
-    dyn: Optional[Dynamics] = None,
+    u, params: StorageParams, bounds: Bounds, tol: float = MEMBERSHIP_TOL
 ) -> MembershipVerdict:
     """Membership of u in the (generally nonconvex) feasible power set."""
     u = _check_length(u, params.horizon, "u")
-    if dyn is None:
-        dyn = build_dynamics(params)
-    return _verdict(_power_boxes(u, params, bounds, dyn), tol)
+    return _verdict(_power_boxes(u, params, bounds, build_dynamics(params)), tol)
 
 
 def power_feasibility_mask(
@@ -262,20 +258,16 @@ def build_energy_polytope(
     )
 
 
-def in_energy_polytope(
-    x, polytope: EnergyPolytope, tol: float = MEMBERSHIP_TOL
-) -> MembershipVerdict:
-    """Membership of x in the energy polytope (both boxes, within tol)."""
+def in_energy_polytope(x, polytope: EnergyPolytope) -> MembershipVerdict:
+    """Membership of x in the energy polytope (both boxes, within MEMBERSHIP_TOL)."""
     x = np.asarray(x, dtype=float)
-    return _verdict(_energy_boxes(x, polytope), tol)
+    return _verdict(_energy_boxes(x, polytope), MEMBERSHIP_TOL)
 
 
-def energy_membership_mask(
-    profiles: np.ndarray, polytope: EnergyPolytope, tol: float = MEMBERSHIP_TOL
-) -> np.ndarray:
+def energy_membership_mask(profiles: np.ndarray, polytope: EnergyPolytope) -> np.ndarray:
     """Vectorized `in_energy_polytope` over rows of an (n, T) array."""
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
-    return _mask(_energy_boxes(profiles, polytope), tol)
+    return _mask(_energy_boxes(profiles, polytope), MEMBERSHIP_TOL)
 
 
 def _cap_faces(x_min, x_max, step, lam: float, faces: np.ndarray) -> Iterator[tuple]:
@@ -332,31 +324,25 @@ def _cap_face_pairs(params: StorageParams, poly: EnergyPolytope) -> Iterator[np.
             yield x[:, 1:]
 
 
-def find_nonconvexity_witness(
-    params: StorageParams,
-    bounds: Bounds,
-    attempts: int = 2000,
-) -> Optional[Witness]:
+def find_nonconvexity_witness(params: StorageParams, bounds: Bounds) -> Optional[Witness]:
     """Two feasible power profiles whose midpoint is infeasible, or None.
 
-    Decides the pairs of `_cap_face_pairs`, at most `attempts` of them, by
-    the membership test: a pair is a witness when both ends are members and
-    the midpoint is not, by more than WITNESS_MARGIN.  Lossless storage and
-    storage whose power has one sign give no pair (there the power set is a
-    polytope), so None without a membership test.  Elsewhere None is not a
+    Decides the pairs of `_cap_face_pairs`, at most WITNESS_ATTEMPTS (2000)
+    of them, by the membership test: a pair is a witness when both ends are
+    members and the midpoint is not, by more than WITNESS_MARGIN.  Lossless
+    storage and storage whose power has one sign give no pair (there the
+    power set is a polytope), so None without a membership test.  Elsewhere None is not a
     proof of convexity: on grids at T = 2 and 3, every pair of feasible
     points with an infeasible midpoint came with a witness from this
     search, but that agreement is measured, not proven.
     """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
     dyn = build_dynamics(params)
     pairs = _cap_face_pairs(params, build_energy_polytope(params, bounds, dyn))
-    for x in islice(pairs, attempts):
+    for x in islice(pairs, WITNESS_ATTEMPTS):
         u_a, u_b = energy_to_power(x, params, dyn)
         mid = 0.5 * u_a + 0.5 * u_b
-        verdict = in_power_set(mid, params, bounds, tol=WITNESS_MARGIN, dyn=dyn)
-        if not verdict and all(in_power_set(u, params, bounds, dyn=dyn) for u in (u_a, u_b)):
+        verdict = in_power_set(mid, params, bounds, tol=WITNESS_MARGIN)
+        if not verdict and all(in_power_set(u, params, bounds) for u in (u_a, u_b)):
             worst = max(verdict.violations, key=lambda viol: viol.amount)
             return Witness(u_a=u_a, u_b=u_b, theta=0.5, midpoint=mid, violation=worst)
     return None

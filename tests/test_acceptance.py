@@ -71,7 +71,7 @@ def test_criterion_2_halfspace_equivalence():
         span = poly.x_upper - poly.x_lower
         x = rng.uniform(-0.5, 1.5, size=(10_000, horizon)) * span + poly.x_lower
         u = ls.energy_to_power(x, params, dyn)
-        v = ls.velocity(x, params, dyn)
+        v = ls.velocity(x, dyn)
 
         margin = np.minimum.reduce(
             [
@@ -89,7 +89,7 @@ def test_criterion_2_halfspace_equivalence():
         definitional &= np.all(x <= poly.x_upper + 1e-9, axis=1)
         definitional &= np.all(u >= -bounds.u_min_mag - 1e-9, axis=1)
         definitional &= np.all(u <= bounds.u_max + 1e-9, axis=1)
-        halfspace = energy_membership_mask(x, poly, tol=1e-9)
+        halfspace = energy_membership_mask(x, poly)
 
         assert np.array_equal(definitional[keep], halfspace[keep])
         checked += int(np.count_nonzero(keep))
@@ -113,7 +113,7 @@ def test_criterion_3a_witness_triple():
     assert abs(x[1] - 1.09375) <= 1e-12
     assert x[1] > 1.0
 
-    found = ls.find_nonconvexity_witness(TWO_PERIOD_PARAMS, TWO_PERIOD_BOUNDS, attempts=2000)
+    found = ls.find_nonconvexity_witness(TWO_PERIOD_PARAMS, TWO_PERIOD_BOUNDS)
     assert found is not None
     report(
         "C3a PASS: witness triple classifies feasible/feasible/infeasible, "
@@ -129,13 +129,13 @@ def test_criterion_3b_energy_set_midpoint_convexity():
     poly = ls.build_energy_polytope(TWO_PERIOD_PARAMS, TWO_PERIOD_BOUNDS, dyn)
     axis = np.linspace(0.0, 1.0, resolution)
     grid = np.column_stack([np.repeat(axis, resolution), np.tile(axis, resolution)])
-    members = grid[energy_membership_mask(grid, poly, tol=1e-9)]
+    members = grid[energy_membership_mask(grid, poly)]
     assert len(members) > 0
 
     rng = np.random.default_rng(303)
     idx = rng.integers(0, len(members), size=(10_000, 2))
     mid = 0.5 * members[idx[:, 0]] + 0.5 * members[idx[:, 1]]
-    violations = int(np.count_nonzero(~energy_membership_mask(mid, poly, tol=1e-9)))
+    violations = int(np.count_nonzero(~energy_membership_mask(mid, poly)))
     assert violations == 0
     report(
         f"C3b PASS: energy-set raster ({len(members)} members at 201x201), "
@@ -243,7 +243,7 @@ def test_criterion_6_solver_matches_oracle(end_to_end_solves):
     """|solver objective - grid-oracle objective| <= 1e-3 on all nine runs."""
     worst = 0.0
     for name, _, _, solution, oracle_result in end_to_end_solves:
-        gap_report = ls.compare(solution, oracle_result, tolerance=1e-3)
+        gap_report = ls.compare(solution, oracle_result)
         assert gap_report.verdict == "pass", (name, gap_report.gap)
         worst = max(worst, abs(gap_report.gap))
     assert worst <= 1e-3
@@ -261,7 +261,7 @@ def test_criterion_7_recovered_profiles_feasible(end_to_end_solves):
         assert solution.u_star.shape == (params.horizon,)
         assert ls.in_power_set(solution.u_star, params, bounds, tol=1e-6), name
         assert solution.feasibility_residual <= 1e-6, name
-        recovered = ls.recover_power_profile(solution.x_star, params)
+        recovered = ls.energy_to_power(solution.x_star, params, ls.build_dynamics(params))
         assert np.array_equal(recovered, solution.u_star)
     report(
         f"C7 PASS: all {len(end_to_end_solves)} recovered profiles are single signed "

@@ -180,7 +180,7 @@ def test_subgradient_matches_finite_differences(two_period_params, two_period_dy
     cost = ls.LoadBalancing(load=[0.0, 0.0])
     for _ in range(20):
         x = rng.uniform(0.8, 1.2, 2)  # v strictly positive here
-        v = ls.velocity(x, two_period_params, two_period_dyn)
+        v = ls.velocity(x, two_period_dyn)
         if np.any(np.abs(v) < 1e-3):
             continue
         g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
@@ -198,7 +198,7 @@ def test_subgradient_matches_finite_differences(two_period_params, two_period_dy
 def test_subgradient_arbitrage_discharge_region(two_period_params, two_period_dyn):
     cost = ls.EnergyArbitrage(p_buy=[1.0, 1.0], p_sell=[2.0, 3.0])
     x = np.array([0.25, 0.1])  # v = (-0.5, -0.15), strictly negative
-    v = ls.velocity(x, two_period_params, two_period_dyn)
+    v = ls.velocity(x, two_period_dyn)
     assert np.all(v < 0)
     g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
     a_inv = dense_dynamics(two_period_params)[1]
@@ -231,7 +231,7 @@ def test_subgradient_validity_inequality():
         done = 0
         while done < 25:
             x = rng.uniform(0.2, 2.0, 3)
-            if np.min(np.abs(ls.velocity(x, params, dyn))) < 1e-6:
+            if np.min(np.abs(ls.velocity(x, dyn))) < 1e-6:
                 continue
             done += 1
             g = ls.subgradient_energy_cost(cost, x, params, dyn)
@@ -256,7 +256,7 @@ def test_custom_cost_subgradient_oracle_used(two_period_params, two_period_dyn):
         nondecreasing_on_nonneg=True,
     )
     g = ls.subgradient_energy_cost(cost, [0.9, 0.9], two_period_params, two_period_dyn)
-    v = ls.velocity(np.array([0.9, 0.9]), two_period_params, two_period_dyn)
+    v = ls.velocity(np.array([0.9, 0.9]), two_period_dyn)
     scale = np.where(v >= 0, 1 / two_period_params.eta_c, two_period_params.eta_d)
     assert np.allclose(g, dense_dynamics(two_period_params)[1].T @ scale, atol=1e-12)
 
@@ -311,8 +311,19 @@ def test_probe_power_smoothing_outcome_recorded(two_period_params):
 
 
 def test_probe_rejects_bad_sample_count(two_period_params):
-    with pytest.raises(ValueError):
-        ls.midpoint_convexity_probe(ls.PeakShaving(load=[0.5, 0.5]), two_period_params, samples=0, seed=1)
+    for samples in (0, 2.5, True, "10", np.float64(10.0)):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            ls.midpoint_convexity_probe(
+                ls.PeakShaving(load=[0.5, 0.5]), two_period_params, samples, seed=1
+            )
+
+
+def test_probe_accepts_numpy_integer_sample_count(two_period_params):
+    cost = ls.PeakShaving(load=[0.5, 0.5])
+    report = ls.midpoint_convexity_probe(cost, two_period_params, samples=np.int64(50), seed=1)
+    plain = ls.midpoint_convexity_probe(cost, two_period_params, samples=50, seed=1)
+    assert report.samples == 50
+    assert (report.violations, report.worst_margin) == (plain.violations, plain.worst_margin)
 
 
 def test_instance_digest_distinguishes(two_period_params, two_period_bounds):

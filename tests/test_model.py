@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,10 @@ def test_validate_rejects_bad_horizon(two_period_bounds):
     bad = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=0.75, horizon=0)
     with pytest.raises(InvalidHorizon):
         ls.validate_params(bad, two_period_bounds)
+    # a bool is an int, but True as a horizon would hash apart from 1
+    one_period = ls.Bounds(u_max=[1.0], u_min_mag=[1.0], x_max=[1.0], x_min=[0.0])
+    with pytest.raises(InvalidHorizon):
+        ls.validate_params(dataclasses.replace(bad, horizon=True), one_period)
 
 
 def test_validate_rejects_nonpositive_delta(two_period_bounds):
@@ -77,7 +83,7 @@ def test_dynamics_cumulative_sum_case(two_period_params, two_period_dyn):
     assert np.array_equal(
         ls.power_to_energy([1.0, 1.0], two_period_params, two_period_dyn), [1.25, 1.75]
     )
-    assert np.array_equal(ls.velocity([1.0, 1.5], two_period_params, two_period_dyn), [0.25, 0.5])
+    assert np.array_equal(ls.velocity([1.0, 1.5], two_period_dyn), [0.25, 0.5])
     assert np.array_equal(velocity_adjoint([1.0, 1.0], two_period_dyn), [0.0, 1.0])
 
 
@@ -103,7 +109,7 @@ def test_dynamics_matrix_identity_random():
         w = rng.standard_normal(horizon)
         f = ls.loss_map(u, params)
         assert np.max(np.abs(ls.power_to_energy(u, params, dyn) - (a @ f + dyn.b_offset))) <= 1e-12
-        assert np.max(np.abs(ls.velocity(x, params, dyn) - a_inv @ (x - dyn.b_offset))) <= 1e-12
+        assert np.max(np.abs(ls.velocity(x, dyn) - a_inv @ (x - dyn.b_offset))) <= 1e-12
         assert np.max(np.abs(velocity_adjoint(w, dyn) - a_inv.T @ w)) <= 1e-12
         batch = rng.uniform(-bounds.u_min_mag, bounds.u_max, (3, horizon))
         expected = ls.loss_map(batch, params) @ a.T + dyn.b_offset

@@ -128,7 +128,7 @@ def test_compare_pass_and_digest_guard(two_period_problem, two_period_params, tw
     cost = ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1])
     oracle = ls.brute_force_solve(two_period_params, two_period_bounds, cost, ls.GridSpec(401))
     solution = ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=6000))
-    report = ls.compare(solution, oracle, tolerance=1e-3)
+    report = ls.compare(solution, oracle)
     assert report.verdict == "pass"
     assert abs(report.gap) <= 1e-3
     assert report.discretization_bound == pytest.approx(2.0 * 2 / 400, abs=1e-12)
@@ -151,14 +151,14 @@ def two_period_arbitrage_compare(two_period_problem, two_period_params, two_peri
 def test_compare_fails_a_solver_worse_than_the_grid(two_period_arbitrage_compare):
     solution, oracle = two_period_arbitrage_compare
     worse = dataclasses.replace(solution, objective=oracle.cost_best + 2 * 1e-3)
-    assert ls.compare(worse, oracle, tolerance=1e-3).verdict == "fail"
+    assert ls.compare(worse, oracle).verdict == "fail"
 
 
 def test_compare_fails_a_solver_beating_the_grid_beyond_its_spacing(two_period_arbitrage_compare):
     solution, oracle = two_period_arbitrage_compare
-    bound = ls.compare(solution, oracle, tolerance=1e-3).discretization_bound
+    bound = ls.compare(solution, oracle).discretization_bound
     better = dataclasses.replace(solution, objective=oracle.cost_best - (1e-3 + bound) - 0.01)
-    report = ls.compare(better, oracle, tolerance=1e-3)
+    report = ls.compare(better, oracle)
     assert report.discretization_bound == bound
     assert report.verdict == "fail"
 
@@ -167,7 +167,7 @@ def test_compare_best_effort_has_no_pass_fail(two_period_problem, two_period_par
     cost = ls.PowerSmoothing(renewable=[1.0, 0.5])
     oracle = ls.brute_force_solve(two_period_params, two_period_bounds, cost, ls.GridSpec(101))
     solution = ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=2000))
-    report = ls.compare(solution, oracle, tolerance=1e-3)
+    report = ls.compare(solution, oracle)
     assert report.verdict == "no-guarantee"
 
 

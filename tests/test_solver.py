@@ -226,7 +226,7 @@ def test_solution_invariants_on_arbitrage(two_period_problem, two_period_params,
     assert solution.feasibility_residual <= 1e-6
     assert ls.in_power_set(solution.u_star, two_period_params, two_period_bounds, tol=1e-6)
     poly = ls.build_energy_polytope(two_period_params, two_period_bounds, ls.build_dynamics(two_period_params))
-    assert ls.in_energy_polytope(solution.x_star, poly, tol=1e-6)
+    assert ls.in_energy_polytope(solution.x_star, poly)
     assert solution.guarantee_flag == "global-optimum-claimed"
     assert solution.u_star.shape == (2,)
 
@@ -313,15 +313,3 @@ def test_certified_convergence_against_oracle_random_instances():
         gap = abs(solution.objective - oracle.cost_best)
         assert gap <= 1e-3, (trial, type(cost).__name__, gap)
         assert solution.feasibility_residual <= 1e-6
-
-
-def test_recover_power_profile_examples(two_period_params, two_period_dyn):
-    assert np.allclose(
-        ls.recover_power_profile([0.75, 0.75], two_period_params, two_period_dyn), [0.0, 0.0], atol=1e-15
-    )
-    assert np.allclose(
-        ls.recover_power_profile([1.0, 1.0], two_period_params, two_period_dyn), [0.5, 0.0], atol=1e-15
-    )
-    assert np.allclose(
-        ls.recover_power_profile([0.5, 1.0], two_period_params, two_period_dyn), [-0.125, 1.0], atol=1e-15
-    )

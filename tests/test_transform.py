@@ -175,7 +175,7 @@ def test_energy_polytope_convex_under_mixtures(two_period_params, two_period_bou
     idx = rng.integers(0, len(members), size=(2000, 2))
     theta = rng.uniform(size=(2000, 1))
     mix = theta * members[idx[:, 0]] + (1 - theta) * members[idx[:, 1]]
-    assert np.all(energy_membership_mask(mix, poly, tol=1e-9))
+    assert np.all(energy_membership_mask(mix, poly))
 
 
 NON_FINITE_ROWS = [
@@ -204,7 +204,7 @@ def test_masks_agree_with_scalar_verdicts(two_period_params, two_period_bounds, 
 
     def power_flags(bounds, rows):
         mask = power_feasibility_mask(rows, params, bounds, dyn)
-        flags = [bool(ls.in_power_set(row, params, bounds, dyn=dyn)) for row in rows]
+        flags = [bool(ls.in_power_set(row, params, bounds)) for row in rows]
         assert flags == mask.tolist()
         return flags
 
@@ -225,7 +225,7 @@ def test_masks_agree_with_scalar_verdicts(two_period_params, two_period_bounds, 
     roomy = dataclasses.replace(two_period_bounds, x_max=[3.0, 3.0], x_min=[-3.0, -3.0])
     u = np.array([0.3, -0.3])
     x = ls.power_to_energy(u, params, dyn)  # about [0.9, 0.3]
-    v = ls.velocity(x, params, dyn)  # about [0.15, -0.6]
+    v = ls.velocity(x, dyn)  # about [0.15, -0.6]
     for field, t, value, upper in [
         ("u_max", 0, u[0], True),
         ("u_min_mag", 1, u[1], False),
@@ -253,7 +253,7 @@ def test_masks_agree_with_scalar_verdicts(two_period_params, two_period_bounds, 
 
 
 def test_witness_found_on_lossy_instance(two_period_params, two_period_bounds):
-    witness = ls.find_nonconvexity_witness(two_period_params, two_period_bounds, attempts=2000)
+    witness = ls.find_nonconvexity_witness(two_period_params, two_period_bounds)
     assert witness is not None
     assert ls.in_power_set(witness.u_a, two_period_params, two_period_bounds)
     assert ls.in_power_set(witness.u_b, two_period_params, two_period_bounds)
@@ -270,10 +270,11 @@ def test_witness_documented_pattern_is_valid(two_period_params, two_period_bound
     assert not ls.in_power_set([0.1875, 0.5], two_period_params, two_period_bounds)
 
 
-def test_witness_from_one_cap_face_pair(two_period_params, two_period_bounds):
+def test_witness_from_one_cap_face_pair(two_period_params, two_period_bounds, monkeypatch):
     # the first pair built on a cap face is already a witness: the documented
     # triple, charge to the cap vs discharge then charge to it
-    witness = ls.find_nonconvexity_witness(two_period_params, two_period_bounds, attempts=1)
+    monkeypatch.setattr(ls.transform, "WITNESS_ATTEMPTS", 1)
+    witness = ls.find_nonconvexity_witness(two_period_params, two_period_bounds)
     assert witness is not None
     assert np.allclose(witness.u_a, [0.5, 0.0], atol=1e-15)
     assert np.allclose(witness.u_b, [-0.125, 1.0], atol=1e-15)
@@ -288,7 +289,7 @@ def test_witness_of_leaky_storage():
     bounds = ls.Bounds(
         u_max=[0.4503, 0.9641], u_min_mag=[0.4849, 0.6779], x_max=[0.3615, 0.3615], x_min=[0, 0]
     )
-    witness = ls.find_nonconvexity_witness(params, bounds, attempts=2000)
+    witness = ls.find_nonconvexity_witness(params, bounds)
     assert witness is not None
     assert ls.in_power_set(witness.u_a, params, bounds)
     assert ls.in_power_set(witness.u_b, params, bounds)
@@ -356,18 +357,13 @@ def test_no_witness_for_lossless_instance(monkeypatch):
     _forbid_membership_tests(monkeypatch)  # no pair is even built
     params = ls.StorageParams(eta_c=1.0, eta_d=1.0, lam=1.0, delta=1.0, x0=0.75, horizon=2)
     bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[1, 1], x_min=[0, 0])
-    assert ls.find_nonconvexity_witness(params, bounds, attempts=500) is None
+    assert ls.find_nonconvexity_witness(params, bounds) is None
 
 
 def test_no_witness_for_charge_only_instance(two_period_params, monkeypatch):
     _forbid_membership_tests(monkeypatch)  # no pair is even built
     bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[0, 0], x_max=[1, 1], x_min=[0, 0])
-    assert ls.find_nonconvexity_witness(two_period_params, bounds, attempts=500) is None
-
-
-def test_witness_rejects_nonpositive_attempts(two_period_params, two_period_bounds):
-    with pytest.raises(ValueError):
-        ls.find_nonconvexity_witness(two_period_params, two_period_bounds, attempts=0)
+    assert ls.find_nonconvexity_witness(two_period_params, bounds) is None
 
 
 efficiencies = st.sampled_from([1e-3, 0.05, 0.5, 1.0]) | st.floats(1e-3, 1.0)
@@ -379,11 +375,10 @@ efficiencies = st.sampled_from([1e-3, 0.05, 0.5, 1.0]) | st.floats(1e-3, 1.0)
     eta_d=efficiencies,
     lam=st.sampled_from([1e-200, 1e-3, 0.5, 0.999, 1.0]),
     zero_power=st.just("none") | st.sampled_from(["charge", "discharge"]),
-    attempts=st.sampled_from([1, 50, 2000]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_witness_search_at_extreme_parameters(
-    horizon, eta_c, eta_d, lam, zero_power, attempts, seed
+    horizon, eta_c, eta_d, lam, zero_power, seed
 ):
     rng = np.random.default_rng(seed)
     x0 = float(rng.uniform(0.0, 1.0))
@@ -397,7 +392,7 @@ def test_witness_search_at_extreme_parameters(
         x_max=x0 * lam ** np.arange(1, horizon + 1) + float(rng.uniform(0.01, 0.1)),
         x_min=np.zeros(horizon),
     )
-    witness = ls.find_nonconvexity_witness(params, bounds, attempts=attempts)
+    witness = ls.find_nonconvexity_witness(params, bounds)
     event(f"witness found: {witness is not None}")
     # the loss map is linear on a one-sided box and everywhere when lossless,
     # so there the power set is a polytope
@@ -456,7 +451,7 @@ def test_chain_operators_at_extreme_parameters(horizon, eta_c, eta_d, lam, delta
     # that velocity applies A^{-1} itself
     linear = dataclasses.replace(dyn, b_offset=np.zeros(horizon))
     d, w = rng.standard_normal((2, horizon))
-    lhs = float(ls.velocity(d, params, linear) @ w)
+    lhs = float(ls.velocity(d, linear) @ w)
     rhs = float(d @ velocity_adjoint(w, linear))
     bound = horizon * EPS * (1.0 + lam) / delta * float(np.linalg.norm(d) * np.linalg.norm(w))
     assert abs(lhs - rhs) <= 4 * bound
@@ -480,7 +475,7 @@ def test_chain_operators_memory_at_a_year_of_hours():
     try:
         dyn = ls.build_dynamics(params)
         x = ls.power_to_energy(u, params, dyn)
-        ls.velocity(x, params, dyn)
+        ls.velocity(x, dyn)
         ls.subgradient_energy_cost(cost, x, params, dyn)
         poly = ls.build_energy_polytope(params, bounds, dyn)
         energy_membership_mask(np.stack([x, dyn.b_offset]), poly)
