@@ -43,8 +43,9 @@ as --scenario, or an --out that is or lies under a file, exits 64; a
 scenario that is not UTF-8, holds an integer beyond the float range or
 nests too deeply exits 65.
 
-Floating-point values in emitted JSON/CSV use fixed 17-significant-digit
-formatting, so identical runs produce byte-identical artifacts.
+Floats in emitted JSON/CSV are written as Python's repr, the shortest text
+that parses back to the same double, so identical runs produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -115,39 +116,19 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization
+# serialization
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _json_value(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, np.ndarray):
-        return _json_value(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _numpy_to_python(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps_json(obj) -> str:
-    """JSON text with 17-significant-digit floats and LF ending."""
-    return _json_value(obj) + "\n"
+    """JSON text, with numpy arrays and scalars as lists and numbers, and
+    an LF ending."""
+    return json.dumps(obj, default=_numpy_to_python) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -307,31 +288,9 @@ def write_scenario(scenario: Scenario, path) -> None:
 # artifacts
 
 
-def _certificate_dict(certificate: costs_mod.ConvexityCertificate) -> dict:
-    return {
-        "certified": certificate.certified,
-        "rule": certificate.rule,
-        "failing_indices": list(certificate.failing_indices),
-    }
-
-
-def _solution_dict(solution: solver_mod.Solution) -> dict:
-    return {
-        "objective": solution.objective,
-        "x_star": solution.x_star,
-        "u_star": solution.u_star,
-        "certificate": _certificate_dict(solution.certificate),
-        "guarantee_flag": solution.guarantee_flag,
-        "status": solution.status,
-        "iterations_used": solution.iterations_used,
-        "feasibility_residual": solution.feasibility_residual,
-        "instance_digest": solution.instance_digest,
-    }
-
-
 def _write_trace_csv(path: Path, trace: np.ndarray) -> None:
     lines = ["iteration,best_objective"]
-    lines.extend(f"{i},{_fmt_float(v)}" for i, v in enumerate(trace))
+    lines.extend(f"{i},{v!r}" for i, v in enumerate(trace.tolist()))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -369,14 +328,13 @@ def run_solve(scenario: Scenario, out_dir) -> tuple[int, Optional[solver_mod.Sol
         )
         return EXIT_INFEASIBLE, None
 
-    _write_text(out / "solution.json", dumps_json(_solution_dict(solution)))
+    doc = dataclasses.asdict(solution)
+    del doc["best_objective_trace"]  # trace.csv holds it
+    _write_text(out / "solution.json", dumps_json(doc))
     _write_trace_csv(out / "trace.csv", solution.best_objective_trace)
 
     if "certificate" in scenario.outputs:
-        _write_text(
-            out / "certificate.json",
-            dumps_json(_certificate_dict(solution.certificate)),
-        )
+        _write_text(out / "certificate.json", dumps_json(doc["certificate"]))
     return _solution_exit_code(solution), solution
 
 
@@ -443,8 +401,7 @@ def emit_feasible_set_samples(
         grid = np.column_stack([np.repeat(axes[0], resolution), np.tile(axes[1], resolution)])
         lines = [header]
         lines.extend(
-            f"{_fmt_float(row[0])},{_fmt_float(row[1])},{int(flag)}"
-            for row, flag in zip(grid, mask(grid))
+            f"{row[0]!r},{row[1]!r},{int(flag)}" for row, flag in zip(grid.tolist(), mask(grid))
         )
         _write_text(out / name, "\n".join(lines) + "\n")
     return out / "power_samples.csv", out / "energy_samples.csv"
@@ -493,9 +450,7 @@ def _run_verb(args: argparse.Namespace, scenario: Scenario) -> int:
     if args.verb == "certify":
         certificate = costs_mod.certify_convexity(scenario.cost, scenario.storage)
         out.mkdir(parents=True, exist_ok=True)
-        _write_text(
-            out / "certificate.json", dumps_json(_certificate_dict(certificate))
-        )
+        _write_text(out / "certificate.json", dumps_json(dataclasses.asdict(certificate)))
         return EXIT_OK if certificate.certified else EXIT_BEST_EFFORT
 
     if args.verb == "sample-sets":

@@ -163,10 +163,6 @@ class ConvexityCertificate:
     rule: Optional[str] = None  # lossless | nondecreasing | price_ratio
     failing_indices: tuple[int, ...] = ()
 
-    @property
-    def verdict(self) -> str:
-        return "certified" if self.certified else "not-certified"
-
 
 @dataclass(frozen=True, eq=False)
 class ProbeReport:

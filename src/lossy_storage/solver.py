@@ -90,23 +90,38 @@ class SolveOptions:
 class Solution:
     """Solver output; u_star is energy_to_power(x_star) by construction, so a
     single signed power variable carries both charge and discharge and no
-    simultaneous charge/discharge artifact can occur."""
+    simultaneous charge/discharge artifact can occur.  The fields are in
+    the key order of solution.json, which holds all but the trace."""
 
+    objective: float
     x_star: np.ndarray
     u_star: np.ndarray
-    objective: float
-    iterations_used: int
-    best_objective_trace: np.ndarray
-    feasibility_residual: float
     certificate: ConvexityCertificate
     guarantee_flag: str
     status: str
+    iterations_used: int
+    feasibility_residual: float
     instance_digest: str
+    best_objective_trace: np.ndarray
 
 
 def _residual(x: np.ndarray, polytope: EnergyPolytope) -> float:
     """Largest violation of x against both boxes; NaN for a NaN entry."""
     return _largest_violation(_energy_boxes(x, polytope))
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v, bit for bit np.linalg.norm's wherever that is
+    finite.  When the sum of squares overflows, v is first divided by its
+    largest magnitude.  np.vdot, unlike np.linalg.norm, raises no
+    RuntimeWarning on the overflow."""
+    norm = math.sqrt(np.vdot(v, v))
+    if math.isinf(norm):
+        scale = float(np.max(np.abs(v)))
+        if math.isfinite(scale):
+            scaled = v / scale
+            norm = scale * math.sqrt(np.vdot(scaled, scaled))
+    return norm
 
 
 def _clip_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, list]:
@@ -247,7 +262,7 @@ def solve(
     polytope = build_energy_polytope(params, bounds, dyn)
     certificate = certify_convexity(cost, params)
 
-    step_base = float(np.linalg.norm(polytope.x_upper - polytope.x_lower)) / 10.0
+    step_base = _norm(polytope.x_upper - polytope.x_lower) / 10.0
 
     x = project_onto_polytope(dyn.b_offset, polytope)
 
@@ -266,7 +281,7 @@ def solve(
     for k in range(1, opts.max_iterations + 1):
         iterations = k
         g = subgradient_energy_cost(cost, x, params, dyn)
-        g_norm = float(np.linalg.norm(g))
+        g_norm = _norm(g)
         if g_norm == 0.0:
             # zero subgradient at a feasible point: unconstrained minimum
             trace.append(best_f)

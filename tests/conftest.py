@@ -34,6 +34,14 @@ def two_period_dyn(two_period_params):
     return ls.build_dynamics(two_period_params)
 
 
+def empty_intersection_instance():
+    """Two periods whose initial energy lies beyond every reachable energy
+    box: the power and energy sets are empty."""
+    params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=10.0, horizon=2)
+    bounds = ls.Bounds(u_max=[0.1, 0.1], u_min_mag=[0.1, 0.1], x_max=[1, 1], x_min=[0, 0])
+    return params, bounds
+
+
 def dense_dynamics(params: ls.StorageParams):
     """Dense A and A^{-1} of the storage recursion, built from their
     definition: A[i, j] = delta * lam**(i-j) for j <= i, else 0, and

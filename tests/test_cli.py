@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +383,43 @@ def test_overflowing_number_literals_are_scenario_errors(tmp_path, capsys, secti
     assert named in err
 
 
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("bounds", "u_max", [1, "a"], "bounds.u_max"),
+        ("storage", "horizon", 2.5, "storage.horizon"),
+        ("storage", "eta_c", "0.5", "storage.eta_c"),
+        ("storage", "x0", _DELETE, "'x0'"),
+        ("cost", "family", _DELETE, "'family'"),
+        (None, "bounds", _DELETE, "'bounds'"),
+        ("solve", "max_iterations", 0, "max_iterations"),
+        ("storage", "x0", float("nan"), "x0 must be finite"),
+        ("bounds", "x_max", [float("inf"), 1], "x_max must be finite"),
+    ],
+    ids=["list-entry-not-a-number", "fractional-horizon", "number-as-string", "no-x0",
+         "no-family", "no-bounds", "zero-iterations", "nan-x0", "infinite-cap"],
+)
+def test_ill_typed_or_missing_values_are_scenario_errors(tmp_path, capsys, section, key, value, named):
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    target = doc if section is None else doc[section]
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    path = write_json(tmp_path, doc)  # json writes NaN and Infinity, and json reads them
+    err = assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert named in err
+
+
+def test_top_level_list_is_a_scenario_error(tmp_path, capsys):
+    path = write_json(tmp_path, [TWO_PERIOD_SCENARIO])
+    err = assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert "top level must be an object" in err
+
+
 def test_deeply_nested_scenario_is_a_scenario_error(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
@@ -419,7 +459,30 @@ def test_trace_grows_with_the_solve(tmp_path):
     path = write_json(tmp_path, doc)
     assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
     trace = (tmp_path / "out" / "trace.csv").read_text(encoding="utf-8").splitlines()
-    assert trace == ["iteration,best_objective", "0,0", "1,0"]
+    assert trace == ["iteration,best_objective", "0,0.0", "1,0.0"]
+
+
+@pytest.mark.parametrize(
+    "section, fields, objective_scale",
+    [("cost", ("p_buy", "p_sell"), 1e200), ("bounds", ("x_max",), 1.0)],
+    ids=["prices", "energy-caps"],
+)
+def test_huge_finite_inputs_solve_like_their_unscaled_twin(tmp_path, section, fields, objective_scale):
+    # the sum of squares behind the subgradient norm (prices) or the step
+    # length (caps) overflows, although every input and result is finite
+    def solve(doc, name):
+        path = write_json(tmp_path, doc, f"{name}.json")
+        code = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / name)])
+        return code, json.loads((tmp_path / name / "solution.json").read_text(encoding="utf-8"))
+
+    code, plain = solve(TWO_PERIOD_SCENARIO, "plain")
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    for field in fields:
+        doc[section][field] = [1e200 * v for v in doc[section][field]]
+    scaled_code, scaled = solve(doc, "scaled")
+    assert (scaled_code, scaled["status"]) == (code, plain["status"])
+    assert scaled["guarantee_flag"] == plain["guarantee_flag"]
+    assert scaled["objective"] == pytest.approx(objective_scale * plain["objective"], rel=1e-9)
 
 
 @pytest.mark.parametrize("solve", [5, None, [], "fast"], ids=["int", "null", "list", "string"])
@@ -611,6 +674,39 @@ def test_documented_cost_families_match_the_classes():
         assert listed == expected, where
 
 
-def test_json_floats_use_17_significant_digits():
-    text = cli.dumps_json({"v": 0.1, "w": [1.0, 0.75]})
-    assert text == '{"v": 0.10000000000000001, "w": [1, 0.75]}\n'
+def test_json_floats_round_trip_and_stay_floats():
+    values = [0.1, 1.0, 0.0, -2.0, 1 / 3, 5e-324, 1.7976931348623157e308]
+    text = cli.dumps_json({"v": values, "w": np.array(values), "n": np.int64(3)})
+    assert text.endswith("}\n")
+    doc = json.loads(text)
+    for parsed in (doc["v"], doc["w"]):
+        assert all(type(v) is float for v in parsed)
+        assert parsed == values
+    assert doc["n"] == 3 and type(doc["n"]) is int
+
+
+def test_module_entry_point_writes_plain_json(tmp_path):
+    # `python -m lossy_storage.cli` is the console script; every float it
+    # writes parses back as a float, and no artifact holds NaN or Infinity
+    def no_constants(name):
+        raise AssertionError(f"{name} in an artifact")
+
+    src = str(Path(ls.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "two_period_arbitrage.json"
+    argv = [sys.executable, "-m", "lossy_storage.cli", "solve", "--scenario", str(scenario), "--out", str(tmp_path)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == cli.EXIT_OK, result.stderr
+
+    def load(name):
+        return json.loads((tmp_path / name).read_text(encoding="utf-8"), parse_constant=no_constants)
+
+    solution, certificate = load("solution.json"), load("certificate.json")
+    assert certificate == solution["certificate"]
+    floats = [solution["objective"], solution["feasibility_residual"],
+              *solution["x_star"], *solution["u_star"]]
+    rows = (tmp_path / "trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+    floats += [json.loads(row.split(",")[1], parse_constant=no_constants) for row in rows]
+    assert len(rows) == solution["iterations_used"] + 1
+    assert all(type(v) is float for v in floats)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["certificate.json", "solution.json", "trace.csv"]

@@ -5,7 +5,7 @@ import pytest
 
 import lossy_storage as ls
 from lossy_storage.costs import FAMILIES, power_cost_batch
-from lossy_storage.errors import NoSubgradientOracle, ValidationError
+from lossy_storage.errors import LengthMismatch, NoSubgradientOracle, ValidationError
 
 from conftest import dense_dynamics, random_instance
 
@@ -151,6 +151,14 @@ def test_certify_custom_declaration(two_period_params):
         evaluator=lambda u: float(np.sum(u)), nondecreasing_on_nonneg=[True, False]
     )
     assert ls.certify_convexity(partial, two_period_params).failing_indices == (1,)
+
+
+def test_certify_rejects_wrong_lengths(two_period_params):
+    with pytest.raises(LengthMismatch, match="load"):
+        ls.certify_convexity(ls.PeakShaving(load=[0.5, 0.5, 0.5]), two_period_params)
+    flags = ls.CustomCost(evaluator=lambda u: float(np.sum(u)), nondecreasing_on_nonneg=[True])
+    with pytest.raises(LengthMismatch, match="monotonicity declaration"):
+        ls.certify_convexity(flags, two_period_params)
 
 
 def test_certified_families_are_monotone_on_nonnegatives(two_period_params):

@@ -75,6 +75,16 @@ def test_validate_rejects_length_mismatch(two_period_params):
     bounds = ls.Bounds(u_max=[1, 1, 1], u_min_mag=[1, 1], x_max=[1, 1], x_min=[0, 0])
     with pytest.raises(LengthMismatch):
         ls.validate_params(two_period_params, bounds)
+    matrix = dataclasses.replace(bounds, u_max=[[1, 1]])
+    with pytest.raises(LengthMismatch, match="u_max must be a 1-d vector"):
+        ls.validate_params(two_period_params, matrix)
+
+
+def test_validate_broadcasts_a_scalar_bound(two_period_params):
+    bounds = ls.Bounds(u_max=1.0, u_min_mag=[1, 1], x_max=[1, 1], x_min=0)
+    problem = ls.validate_params(two_period_params, bounds)
+    assert np.array_equal(problem.bounds.u_max, [1.0, 1.0])
+    assert np.array_equal(problem.bounds.x_min, [0.0, 0.0])
 
 
 def test_dynamics_cumulative_sum_case(two_period_params, two_period_dyn):

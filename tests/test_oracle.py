@@ -115,6 +115,17 @@ def test_enumeration_guards(two_period_bounds):
         )
 
 
+def test_grid_guard_refuses_points_per_axis_before_building_an_axis(
+    two_period_params, two_period_bounds, monkeypatch
+):
+    monkeypatch.setattr(oracle, "_axis_levels", lambda *a: pytest.fail("an axis was built"))
+    with pytest.raises(GridTooLarge, match="points per axis"):
+        ls.brute_force_solve(
+            two_period_params, two_period_bounds, ls.PeakShaving(load=[1.0, 1.0]),
+            ls.GridSpec(oracle.GRID_SIZE_GUARD + 1),
+        )
+
+
 def test_no_feasible_point_detected():
     params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=10.0, horizon=2)
     bounds = ls.Bounds(u_max=[0.1, 0.1], u_min_mag=[0.1, 0.1], x_max=[1, 1], x_min=[0, 0])

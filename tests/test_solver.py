@@ -10,18 +10,12 @@ from lossy_storage.errors import InfeasibleProblem
 from lossy_storage.solver import _residual, project_onto_polytope
 from lossy_storage.transform import energy_membership_mask
 
-from conftest import make_certified_instance, random_instance
+from conftest import empty_intersection_instance, make_certified_instance, random_instance
 
 
 @pytest.fixture
 def two_period_polytope(two_period_params, two_period_bounds, two_period_dyn):
     return ls.build_energy_polytope(two_period_params, two_period_bounds, two_period_dyn)
-
-
-def empty_intersection_instance():
-    params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=10.0, horizon=2)
-    bounds = ls.Bounds(u_max=[0.1, 0.1], u_min_mag=[0.1, 0.1], x_max=[1, 1], x_min=[0, 0])
-    return params, bounds
 
 
 def test_options_validation():

@@ -7,6 +7,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 import lossy_storage as ls
+from lossy_storage.errors import LengthMismatch
 from lossy_storage.transform import (
     MEMBERSHIP_TOL,
     energy_membership_mask,
@@ -14,7 +15,7 @@ from lossy_storage.transform import (
     velocity_adjoint,
 )
 
-from conftest import random_instance, tolerance_edge
+from conftest import empty_intersection_instance, random_instance, tolerance_edge
 
 
 def test_loss_map_examples(two_period_params):
@@ -23,6 +24,11 @@ def test_loss_map_examples(two_period_params):
     assert np.allclose(
         ls.loss_map([0.1875, 0.5], two_period_params), [0.09375, 0.25], atol=1e-15
     )
+
+
+def test_loss_map_rejects_wrong_length(two_period_params):
+    with pytest.raises(LengthMismatch, match="expected horizon 2"):
+        ls.loss_map([1.0, 0.0, -1.0], two_period_params)
 
 
 def test_inverse_loss_map_examples(two_period_params):
@@ -351,6 +357,11 @@ def _forbid_membership_tests(monkeypatch):
     """Make any membership test of the witness search fail the test."""
     for name in ("in_power_set", "power_feasibility_mask"):
         monkeypatch.setattr(ls.transform, name, lambda *a, **k: pytest.fail("a pair was decided"))
+
+
+def test_no_witness_for_an_empty_power_set(monkeypatch):
+    _forbid_membership_tests(monkeypatch)  # the reach sweep ends the search
+    assert ls.find_nonconvexity_witness(*empty_intersection_instance()) is None
 
 
 def test_no_witness_for_lossless_instance(monkeypatch):
