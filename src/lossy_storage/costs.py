@@ -145,7 +145,7 @@ FAMILIES = {
     "power_smoothing": PowerSmoothing,
 }
 FAMILY_TAGS = {cls: tag for tag, cls in FAMILIES.items()}
-# looked up once here: _check_cost_length runs twice per solver iteration
+# looked up once here: _check_cost_length runs once per solver iteration
 _FAMILY_FIELDS = {
     cls: tuple(field.name for field in dataclasses.fields(cls)) for cls in FAMILIES.values()
 }
@@ -284,23 +284,31 @@ def lipschitz_estimate(cost: CostSpec, bounds: Bounds) -> Optional[float]:
 
 
 def subgradient_energy_cost(
-    cost: CostSpec, x, params: StorageParams, dyn: Dynamics
-) -> np.ndarray:
-    """Chain-rule subgradient of the energy-coordinate objective at x.
+    cost: CostSpec, x, params: StorageParams, dyn: Dynamics, rescale: bool = False
+) -> tuple[float, np.ndarray]:
+    """The energy-coordinate objective at x and a chain-rule subgradient
+    there, as (value, subgradient), from one recovered power profile.
 
-    With v = A^{-1}(x - b) the velocity and u the recovered power profile,
-    returns A^{-T} D(v) g: g is a subgradient of the family at u, D is
-    diagonal with 1/eta_c on charging coordinates (v_i >= 0, the kink
+    The value is `evaluate_energy_cost`'s, bit for bit.  With v =
+    A^{-1}(x - b) the velocity and u the recovered power profile, the
+    subgradient is A^{-T} D(v) g: g is a subgradient of the family at u, D
+    is diagonal with 1/eta_c on charging coordinates (v_i >= 0, the kink
     included) and eta_d on discharging ones, and A^{-T} is the reversed
     first difference of the recursion (`velocity_adjoint`).  Valid
-    subgradient of the composition whenever the certificate holds.
+    subgradient of the composition whenever the certificate holds.  With
+    rescale, g is first divided by its largest magnitude, which keeps the
+    direction and keeps the product finite for costs near the float limit.
     """
     x = np.asarray(x, dtype=float)
     _check_cost_length(cost, params.horizon)
     v = velocity(x, dyn)
     u = inverse_loss_map(v, params)
+    value = float(power_cost_batch(cost, u)[0])
+    g = _power_subgradient(cost, u)
+    if rescale:
+        g = g / np.max(np.abs(g))
     scale = np.where(v >= 0.0, 1.0 / params.eta_c, params.eta_d)
-    return velocity_adjoint(scale * _power_subgradient(cost, u), dyn)
+    return value, velocity_adjoint(scale * g, dyn)
 
 
 def _normalized_monotone_flags(cost: CustomCost, horizon: int) -> np.ndarray:
@@ -321,7 +329,10 @@ def certify_convexity(cost: CostSpec, params: StorageParams) -> ConvexityCertifi
     lossless = params.eta_c == 1.0 and params.eta_d == 1.0
 
     if isinstance(cost, EnergyArbitrage):
-        gap = (1.0 / params.eta_c) * cost.p_buy - params.eta_d * cost.p_sell
+        # a price near the float limit may overflow the first term to +-inf,
+        # which is then right about the sign: eta_d * p_sell cannot overflow
+        with np.errstate(over="ignore"):
+            gap = (1.0 / params.eta_c) * cost.p_buy - params.eta_d * cost.p_sell
         failing = np.nonzero(gap < 0.0)[0]
         if failing.size == 0:
             return ConvexityCertificate(certified=True, rule="price_ratio")

@@ -2,7 +2,8 @@
 
 Minimizes cost(energy_to_power(x)) over the feasible energy polytope by
 projected subgradient descent with normalized directions, best-iterate
-tracking and tail averaging.
+tracking and tail averaging.  One cost pass per iterate gives both its
+objective and its subgradient.
 
 The polytope is a chain: each x_t lies in the energy box, and each step
 x_t - lam * x_{t-1} in delta times the velocity box (x_{-1} the initial
@@ -11,7 +12,9 @@ programming over the periods, as for the fused lasso (Johnson, JCGS 2013):
 a forward sweep of reachable energy intervals decides feasibility and names
 the first empty period, a backward pass carries the piecewise-linear
 derivative of each period's cost-to-go, and a forward pass clips each
-period's minimizer into what the previous period's choice can reach.
+period's minimizer into what the previous period's choice can reach.  The
+forward sweep, and the boxes as float lists, are set up once per polytope
+(`EnergyPolytope.raise_if_empty`, `EnergyPolytope.chain`).
 
 The solver never claims more than the certificate supports: solutions carry
 "global-optimum-claimed" only when the convexity certificate fired,
@@ -35,16 +38,15 @@ from .costs import (
     instance_digest,
     subgradient_energy_cost,
 )
-from .errors import InfeasibleProblem
 from .model import ValidatedProblem, build_dynamics
 from .transform import (
-    MEMBERSHIP_TOL,
     EnergyPolytope,
     _energy_boxes,
     _largest_violation,
     _power_boxes,
     build_energy_polytope,
     energy_to_power,
+    velocity,
 )
 
 __all__ = [
@@ -105,11 +107,6 @@ class Solution:
     best_objective_trace: np.ndarray
 
 
-def _residual(x: np.ndarray, polytope: EnergyPolytope) -> float:
-    """Largest violation of x against both boxes; NaN for a NaN entry."""
-    return _largest_violation(_energy_boxes(x, polytope))
-
-
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of v, bit for bit np.linalg.norm's wherever that is
     finite.  When the sum of squares overflows, v is first divided by its
@@ -141,50 +138,38 @@ def _clip_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, li
 def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     """Exact Euclidean projection of x onto the feasible energy polytope.
 
-    x clipped onto the energy box comes back when it is a member: it is then
-    the nearest point of a superset.  A member is its own clip, so members
-    come back unchanged.
-    Otherwise a dynamic program over the periods finds the projection in
-    O(T * k) time, k the number of knots alive in the cost-to-go (a few to a
-    few dozen in practice).
+    x clipped onto the energy box comes back when it is a member, that is
+    when its velocity is in the velocity box: it is then the nearest point
+    of a superset.  A member is its own clip, so members come back
+    unchanged.  Otherwise a dynamic program over the periods finds the
+    projection in O(T * k) time, k the number of knots alive in the
+    cost-to-go (a few to a few dozen in practice).
 
     Raises InfeasibleProblem naming the first period that no energy
     reachable from the earlier periods can meet, when it misses the energy
     box by more than MEMBERSHIP_TOL.  Closer misses are bridged at the
-    midpoint of the gap.  Raises ValueError when x has a NaN entry.
+    midpoint of the gap.  The forward sweep that decides this runs once per
+    polytope; every projection onto an empty polytope raises.  Raises
+    ValueError when x has a NaN entry.
     """
     x = np.asarray(x, dtype=float)
+    dyn = polytope.dynamics
     clipped = np.clip(x, polytope.x_lower, polytope.x_upper)
-    residual = _residual(clipped, polytope)
+    # the clip is inside the energy box, so only its velocity can be outside
+    residual = _largest_violation(
+        (("v", velocity(clipped, dyn), polytope.v_lower, polytope.v_upper),)
+    )
     if residual <= 0.0:
         return clipped
     if math.isnan(residual):
         raise ValueError("cannot project a profile with a NaN entry")
+    polytope.raise_if_empty()
 
-    dyn = polytope.dynamics
     lam = dyn.lam
     start = float(dyn.b_offset[0])  # lam * x0, where the first step starts
     y = x.tolist()
-    x_lower, x_upper = polytope.x_lower.tolist(), polytope.x_upper.tolist()
-    step_lower = (dyn.delta * polytope.v_lower).tolist()
-    step_upper = (dyn.delta * polytope.v_upper).tolist()
+    x_lower, x_upper, step_lower, step_upper = polytope.chain
     horizon = len(y)
-
-    # Forward pass: the interval of energies reachable in each period.
-    low = high = start
-    for t in range(horizon):
-        reach_low, reach_high = low + step_lower[t], high + step_upper[t]
-        low, high = max(reach_low, x_lower[t]), min(reach_high, x_upper[t])
-        if low - high > MEMBERSHIP_TOL:
-            raise InfeasibleProblem(
-                f"no feasible energy in period {t}: the reachable energies "
-                f"[{reach_low:.9g}, {reach_high:.9g}] miss the energy box "
-                f"[{x_lower[t]:.9g}, {x_upper[t]:.9g}] by {low - high:.3g}",
-                period=t,
-            )
-        if low > high:
-            low = high = 0.5 * (low + high)
-        low, high = lam * low, lam * high
 
     # Backward pass over the cost-to-go of each period.  (xs, ds) are the
     # knots of its derivative, linear between knots, with a repeated
@@ -264,51 +249,69 @@ def solve(
 
     step_base = _norm(polytope.x_upper - polytope.x_lower) / 10.0
 
+    # The tail sum holds up to max_iterations energies.  When those near the
+    # float limit could overflow it, it sums them scaled by a power of two,
+    # which is exact.
+    shift = max(
+        0,
+        math.frexp(float(np.max(polytope.x_upper)))[1]
+        + int(opts.max_iterations).bit_length()
+        - 1023,
+    )
+    tail_scale = 2.0**-shift
+
     x = project_onto_polytope(dyn.b_offset, polytope)
+    # Costs near the float limit may overflow here without a warning; a
+    # subgradient that overflowed is taken again rescaled, which the
+    # normalized step does not see.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one cost pass per iterate: its value, and the subgradient of the
+        # step that leaves it
+        best_f, g = subgradient_energy_cost(cost, x, params, dyn)
+        best_x = x.copy()
+        trace = [best_f]
 
-    best_x = x.copy()
-    best_f = evaluate_energy_cost(cost, x, params, dyn)
-    trace = [best_f]
+        avg_sum = tail_scale * x
+        avg_count = 1
+        avg_restart = 2
 
-    avg_sum = x.copy()
-    avg_count = 1
-    avg_restart = 2
+        window_best = best_f
 
-    window_best = best_f
-
-    status = STATUS_MAX_ITERATIONS
-    iterations = 0
-    for k in range(1, opts.max_iterations + 1):
-        iterations = k
-        g = subgradient_energy_cost(cost, x, params, dyn)
-        g_norm = _norm(g)
-        if g_norm == 0.0:
-            # zero subgradient at a feasible point: unconstrained minimum
-            trace.append(best_f)
-            status = STATUS_CONVERGED
-            break
-        step = step_base / math.sqrt(k)
-        x = project_onto_polytope(x - (step / g_norm) * g, polytope)
-        f = evaluate_energy_cost(cost, x, params, dyn)
-        if f < best_f:
-            best_f = f
-            best_x = x.copy()
-        trace.append(best_f)
-
-        avg_sum += x
-        avg_count += 1
-        if k >= avg_restart:
-            avg_sum = x.copy()
-            avg_count = 1
-            avg_restart *= 2
-
-        if k % STOP_WINDOW == 0:
-            if window_best - best_f < OBJECTIVE_TOLERANCE:
+        status = STATUS_MAX_ITERATIONS
+        iterations = 0
+        for k in range(1, opts.max_iterations + 1):
+            iterations = k
+            g_norm = _norm(g)
+            if not math.isfinite(g_norm):
+                g = subgradient_energy_cost(cost, x, params, dyn, rescale=True)[1]
+                g_norm = _norm(g)
+            if g_norm == 0.0:
+                # zero subgradient at a feasible point: unconstrained minimum
+                trace.append(best_f)
                 status = STATUS_CONVERGED
                 break
-            window_best = best_f
+            step = step_base / math.sqrt(k)
+            x = project_onto_polytope(x - (step / g_norm) * g, polytope)
+            f, g = subgradient_energy_cost(cost, x, params, dyn)
+            if f < best_f:
+                best_f = f
+                best_x = x.copy()
+            trace.append(best_f)
 
-    x_avg = project_onto_polytope(avg_sum / avg_count, polytope)
+            avg_sum += tail_scale * x if shift else x
+            avg_count += 1
+            if k >= avg_restart:
+                avg_sum = tail_scale * x
+                avg_count = 1
+                avg_restart *= 2
+
+            if k % STOP_WINDOW == 0:
+                if window_best - best_f < OBJECTIVE_TOLERANCE:
+                    status = STATUS_CONVERGED
+                    break
+                window_best = best_f
+
+    x_avg = project_onto_polytope(avg_sum / avg_count / tail_scale, polytope)
     f_avg = evaluate_energy_cost(cost, x_avg, params, dyn)
     if f_avg < best_f:
         best_f, best_x = f_avg, x_avg

@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, islice
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import InfeasibleProblem, LengthMismatch
 from .model import Bounds, Dynamics, StorageParams, build_dynamics
 
 __all__ = [
@@ -95,13 +96,62 @@ class MembershipVerdict:
 @dataclass(frozen=True, eq=False)
 class EnergyPolytope:
     """Half-space form of the feasible energy set: two boxes, one of them in
-    the velocity coordinate v = A^{-1}(x - b)."""
+    the velocity coordinate v = A^{-1}(x - b).
+
+    What a projection needs beyond the arrays, the boxes as float lists and
+    the verdict of the feasibility sweep, is computed the first time it is
+    read and kept for the life of the polytope."""
 
     v_lower: np.ndarray
     v_upper: np.ndarray
     x_lower: np.ndarray
     x_upper: np.ndarray
     dynamics: Dynamics
+
+    @cached_property
+    def chain(self) -> tuple[list, list, list, list]:
+        """(x_lower, x_upper, step_lower, step_upper) as float lists: the
+        energy box, and the box of each step x_t - lam * x_{t-1}, which is
+        delta times the velocity box."""
+        delta = self.dynamics.delta
+        return (
+            self.x_lower.tolist(),
+            self.x_upper.tolist(),
+            (delta * self.v_lower).tolist(),
+            (delta * self.v_upper).tolist(),
+        )
+
+    @cached_property
+    def _emptiness(self) -> Optional[tuple[str, int]]:
+        """The forward sweep of reachable energy intervals: (message,
+        period) for the first period that misses its energy box by more
+        than MEMBERSHIP_TOL, None when every period can be met.  Closer
+        misses are bridged at the midpoint of the gap."""
+        x_lower, x_upper, step_lower, step_upper = self.chain
+        lam = self.dynamics.lam
+        low = high = float(self.dynamics.b_offset[0])  # lam * x0
+        for t in range(len(x_lower)):
+            reach_low, reach_high = low + step_lower[t], high + step_upper[t]
+            low, high = max(reach_low, x_lower[t]), min(reach_high, x_upper[t])
+            if low - high > MEMBERSHIP_TOL:
+                return (
+                    f"no feasible energy in period {t}: the reachable energies "
+                    f"[{reach_low:.9g}, {reach_high:.9g}] miss the energy box "
+                    f"[{x_lower[t]:.9g}, {x_upper[t]:.9g}] by {low - high:.3g}",
+                    t,
+                )
+            if low > high:
+                low = high = 0.5 * (low + high)
+            low, high = lam * low, lam * high
+        return None
+
+    def raise_if_empty(self) -> None:
+        """Raise InfeasibleProblem naming the first period that no energy
+        reachable from the earlier periods can meet.  The sweep runs once
+        per polytope; every call on an empty one raises afresh."""
+        if self._emptiness is not None:
+            message, period = self._emptiness
+            raise InfeasibleProblem(message, period=period)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +297,7 @@ def build_energy_polytope(
 ) -> EnergyPolytope:
     """Assemble the half-space form of the feasible energy set.
 
-    Emptiness is not checked here; the solver detects it when projecting.
+    Emptiness is not checked here; the first projection decides it.
     """
     return EnergyPolytope(
         v_lower=-(1.0 / params.eta_d) * bounds.u_min_mag,

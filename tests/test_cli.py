@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -463,13 +464,21 @@ def test_trace_grows_with_the_solve(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "section, fields, objective_scale",
-    [("cost", ("p_buy", "p_sell"), 1e200), ("bounds", ("x_max",), 1.0)],
-    ids=["prices", "energy-caps"],
+    "section, fields, factor, objective_scale",
+    [
+        ("cost", ("p_buy", "p_sell"), 1e200, 1e200),
+        ("cost", ("p_buy", "p_sell"), 1e308, 1e308),
+        ("bounds", ("x_max",), 1e200, 1.0),
+    ],
+    ids=["prices", "prices-at-the-float-limit", "energy-caps"],
 )
-def test_huge_finite_inputs_solve_like_their_unscaled_twin(tmp_path, section, fields, objective_scale):
+def test_huge_finite_inputs_solve_like_their_unscaled_twin(
+    tmp_path, section, fields, factor, objective_scale
+):
     # the sum of squares behind the subgradient norm (prices) or the step
-    # length (caps) overflows, although every input and result is finite
+    # length (caps) overflows, although every input and result is finite;
+    # at the float limit the price-ratio test and the chain-rule product of
+    # the subgradient overflow as well (warnings are errors in this suite)
     def solve(doc, name):
         path = write_json(tmp_path, doc, f"{name}.json")
         code = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / name)])
@@ -478,11 +487,29 @@ def test_huge_finite_inputs_solve_like_their_unscaled_twin(tmp_path, section, fi
     code, plain = solve(TWO_PERIOD_SCENARIO, "plain")
     doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
     for field in fields:
-        doc[section][field] = [1e200 * v for v in doc[section][field]]
+        doc[section][field] = [factor * v for v in doc[section][field]]
     scaled_code, scaled = solve(doc, "scaled")
     assert (scaled_code, scaled["status"]) == (code, plain["status"])
     assert scaled["guarantee_flag"] == plain["guarantee_flag"]
     assert scaled["objective"] == pytest.approx(objective_scale * plain["objective"], rel=1e-9)
+
+
+def test_energies_at_the_float_limit_solve_without_warning(tmp_path):
+    # the tail average sums up to max_iterations energies of 1e308
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["storage"]["x0"] = 1e308
+    doc["bounds"]["x_max"] = [1e308, 1e308]
+    path = write_json(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    solution = json.loads((tmp_path / "out" / "solution.json").read_text(encoding="utf-8"))
+    assert solution["objective"] == 0.0
+    assert solution["x_star"] == [1e308, 1e308]
+    assert solution["u_star"] == [0.0, 0.0]
+    assert (solution["status"], solution["iterations_used"]) == ("converged", 1000)
+    assert solution["feasibility_residual"] == 0.0
 
 
 @pytest.mark.parametrize("solve", [5, None, [], "fast"], ids=["int", "null", "list", "string"])

@@ -191,7 +191,7 @@ def test_subgradient_matches_finite_differences(two_period_params, two_period_dy
         v = ls.velocity(x, two_period_dyn)
         if np.any(np.abs(v) < 1e-3):
             continue
-        g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
+        _, g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
         fd = np.empty(2)
         h = 1e-6
         for i in range(2):
@@ -208,7 +208,7 @@ def test_subgradient_arbitrage_discharge_region(two_period_params, two_period_dy
     x = np.array([0.25, 0.1])  # v = (-0.5, -0.15), strictly negative
     v = ls.velocity(x, two_period_dyn)
     assert np.all(v < 0)
-    g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
+    _, g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
     a_inv = dense_dynamics(two_period_params)[1]
     expected = a_inv.T @ (two_period_params.eta_d * np.array([2.0, 3.0]))
     assert np.allclose(g, expected, atol=1e-12)
@@ -217,7 +217,7 @@ def test_subgradient_arbitrage_discharge_region(two_period_params, two_period_dy
 def test_subgradient_kink_uses_charging_branch(two_period_params, two_period_dyn):
     cost = ls.EnergyArbitrage(p_buy=[1.0, 1.0], p_sell=[5.0, 5.0])
     x = two_period_dyn.b_offset.copy()  # v = 0 exactly
-    g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
+    _, g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
     a_inv = dense_dynamics(two_period_params)[1]
     expected = a_inv.T @ ((1.0 / two_period_params.eta_c) * np.array([1.0, 1.0]))
     assert np.allclose(g, expected, atol=1e-12)
@@ -242,13 +242,26 @@ def test_subgradient_validity_inequality():
             if np.min(np.abs(ls.velocity(x, dyn))) < 1e-6:
                 continue
             done += 1
-            g = ls.subgradient_energy_cost(cost, x, params, dyn)
-            fx = ls.evaluate_energy_cost(cost, x, params, dyn)
+            fx, g = ls.subgradient_energy_cost(cost, x, params, dyn)
+            assert fx == ls.evaluate_energy_cost(cost, x, params, dyn)
             for _ in range(20):
                 d = rng.standard_normal(3)
                 step = 1e-6
                 f_step = ls.evaluate_energy_cost(cost, x + step * d, params, dyn)
                 assert (f_step - fx) / step >= float(g @ d) - 1e-5
+
+
+def test_rescaled_subgradient_keeps_the_direction(two_period_params, two_period_dyn):
+    # rescale divides the family subgradient (here the prices) by its
+    # largest magnitude, 4, before the chain rule
+    cost = ls.EnergyArbitrage(p_buy=[4.0, 2.0], p_sell=[1.0, 1.0])
+    x = np.array([0.9, 0.95])
+    value, g = ls.subgradient_energy_cost(cost, x, two_period_params, two_period_dyn)
+    same, unit = ls.subgradient_energy_cost(
+        cost, x, two_period_params, two_period_dyn, rescale=True
+    )
+    assert same == value
+    assert np.allclose(4.0 * unit, g, rtol=1e-15, atol=0.0)
 
 
 def test_custom_cost_without_subgradient_oracle_raises(two_period_params, two_period_dyn):
@@ -263,7 +276,7 @@ def test_custom_cost_subgradient_oracle_used(two_period_params, two_period_dyn):
         subgradient=lambda u: np.ones_like(u),
         nondecreasing_on_nonneg=True,
     )
-    g = ls.subgradient_energy_cost(cost, [0.9, 0.9], two_period_params, two_period_dyn)
+    _, g = ls.subgradient_energy_cost(cost, [0.9, 0.9], two_period_params, two_period_dyn)
     v = ls.velocity(np.array([0.9, 0.9]), two_period_dyn)
     scale = np.where(v >= 0, 1 / two_period_params.eta_c, two_period_params.eta_d)
     assert np.allclose(g, dense_dynamics(two_period_params)[1].T @ scale, atol=1e-12)

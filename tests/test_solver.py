@@ -7,8 +7,8 @@ import pytest
 
 import lossy_storage as ls
 from lossy_storage.errors import InfeasibleProblem
-from lossy_storage.solver import _residual, project_onto_polytope
-from lossy_storage.transform import energy_membership_mask
+from lossy_storage.solver import project_onto_polytope
+from lossy_storage.transform import _energy_boxes, _largest_violation, energy_membership_mask
 
 from conftest import empty_intersection_instance, make_certified_instance, random_instance
 
@@ -88,7 +88,7 @@ def test_projection_bridges_a_gap_within_tolerance():
     poly = ls.build_energy_polytope(params, bounds, ls.build_dynamics(params))
     x = project_onto_polytope([0.2, 3.0], poly)
     assert x == pytest.approx([0.5 + 2.5e-10, 1.4 + 2.5e-10], abs=1e-15)
-    assert _residual(x, poly) == pytest.approx(2.5e-10, rel=1e-6)
+    assert _largest_violation(_energy_boxes(x, poly)) == pytest.approx(2.5e-10, rel=1e-6)
     solution = ls.solve(
         ls.validate_params(params, bounds), ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[0.5, 0.5])
     )
@@ -98,7 +98,7 @@ def test_projection_bridges_a_gap_within_tolerance():
 
 def test_nan_entry_is_never_a_member(two_period_polytope):
     x = np.array([np.nan, 0.5])
-    assert math.isnan(_residual(x, two_period_polytope))
+    assert math.isnan(_largest_violation(_energy_boxes(x, two_period_polytope)))
     with pytest.raises(ValueError, match="NaN"):
         project_onto_polytope(x, two_period_polytope)
 
@@ -111,6 +111,21 @@ def test_gap_beyond_tolerance_is_infeasible():
             ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[0.5, 0.5]),
         )
     assert excinfo.value.period == 1
+
+
+def test_every_projection_onto_an_empty_polytope_raises():
+    # the feasibility sweep runs once per polytope, and its verdict holds
+    # for every later projection
+    params, bounds = tolerance_gap_instance(5e-9)
+    poly = ls.build_energy_polytope(params, bounds, ls.build_dynamics(params))
+    errors = []
+    for x in ([0.2, 3.0], [0.2, 3.0], [5.0, 0.0]):
+        with pytest.raises(InfeasibleProblem) as excinfo:
+            project_onto_polytope(x, poly)
+        errors.append(excinfo.value)
+    assert [err.period for err in errors] == [1, 1, 1]
+    assert len({str(err) for err in errors}) == 1
+    assert len({id(err) for err in errors}) == 3
 
 
 def active_set_projection(y, params, bounds):
@@ -240,6 +255,23 @@ def test_solve_reports_max_iterations_status(two_period_problem):
     solution = ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=50))
     assert solution.status == "max-iterations"
     assert solution.iterations_used == 50
+
+
+def test_one_cost_pass_per_iterate(two_period_problem, monkeypatch):
+    # N iterations take the value and subgradient of each of the N + 1
+    # iterates in one pass; only the tail average is evaluated apart
+    calls = dict.fromkeys(("subgradient_energy_cost", "evaluate_energy_cost"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(ls.solver, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ls.solver, name, counted)
+    cost = ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1])
+    solution = ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=50))
+    assert solution.iterations_used == 50
+    assert calls == {"subgradient_energy_cost": 51, "evaluate_energy_cost": 1}
 
 
 def test_stop_does_not_depend_on_the_budget(two_period_problem):
