@@ -35,7 +35,7 @@ from .model import (
     validate_params,
 )
 from .oracle import GapReport, GridSpec, OracleResult, brute_force_solve, compare, enumerate_feasible
-from .solver import Solution, SolveOptions, project_onto_polytope, solve
+from .solver import Solution, SolveOptions, solve
 from .transform import (
     EnergyPolytope,
     MembershipVerdict,
@@ -48,6 +48,7 @@ from .transform import (
     loss_map,
     power_to_energy,
     energy_to_power,
+    project_onto_polytope,
     velocity,
 )
 

@@ -41,7 +41,8 @@ too many points exits 64 before the solve; one with no feasible point
 exits 64 after solution.json is written: raise --resolution.  A directory
 as --scenario, or an --out that is or lies under a file, exits 64; a
 scenario that is not UTF-8, holds an integer beyond the float range or
-nests too deeply exits 65.
+nests too deeply exits 65, and so does one whose objective at the solution
+is beyond the float range, with no solution.json or trace.csv written.
 
 Floats in emitted JSON/CSV are written as Python's repr, the shortest text
 that parses back to the same double, so identical runs produce
@@ -83,8 +84,6 @@ from .transform import (
 __all__ = [
     "Scenario",
     "load_scenario",
-    "write_scenario",
-    "scenario_to_dict",
     "run_solve",
     "emit_feasible_set_samples",
     "main",
@@ -261,27 +260,6 @@ def load_scenario(path) -> Scenario:
         solve_options=solve_options,
         outputs=tuple(outputs),
     )
-
-
-def _section_dict(obj) -> dict:
-    schema = _section_schema(type(obj))
-    values = {key: getattr(obj, name) for key, (name, _, _) in schema.items()}
-    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in values.items()}
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    cost = scenario.cost
-    return {
-        "storage": _section_dict(scenario.storage),
-        "bounds": _section_dict(scenario.bounds),
-        "cost": {"family": costs_mod.FAMILY_TAGS[type(cost)], **_section_dict(cost)},
-        "solve": _section_dict(scenario.solve_options),
-        "outputs": list(scenario.outputs),
-    }
-
-
-def write_scenario(scenario: Scenario, path) -> None:
-    _write_text(Path(path), dumps_json(scenario_to_dict(scenario)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +458,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         scenario = load_scenario(args.scenario)
-    except _PATH_ERRORS as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, SchemaError, ValidationError) as exc:
+        return _run_verb(args, scenario)
+    except (ParseError, SchemaError, ValidationError) as exc:  # ObjectiveOutOfRange too
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-
-    try:
-        return _run_verb(args, scenario)
     except NoFeasiblePoint:
         points = _oracle_points(scenario, args.resolution)
         print(
@@ -498,7 +471,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    except (ValueError, *_PATH_ERRORS) as exc:  # HorizonNot2, resolutions, grid guards
+    except (ValueError, *_PATH_ERRORS) as exc:  # paths, HorizonNot2, resolutions, grid guards
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,6 +25,11 @@ class LengthMismatch(ValidationError):
     """A time-series vector does not have one entry per period."""
 
 
+class ObjectiveOutOfRange(ValidationError):
+    """The scenario's objective at the solution is beyond the float range,
+    so no solution can be written."""
+
+
 class NoSubgradientOracle(LossyStorageError):
     """A custom cost was asked for a subgradient but declared no oracle for it."""
 

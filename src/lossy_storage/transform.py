@@ -24,6 +24,14 @@ the convex polytope
 `find_nonconvexity_witness` builds a certificate of the former fact: two
 members of U, both on one energy cap, whose mixture rises above that cap.
 
+X is a chain: each x_t lies in the energy box, and each step
+x_t - lam * x_{t-1} in delta times the velocity box (x_{-1} the initial
+energy).  One forward sweep of reachable energy intervals per polytope
+decides emptiness, naming the first empty period, and bounds the witness
+pairs.  `project_onto_polytope` is exact, a dynamic program over the
+periods as for the fused lasso (Johnson, JCGS 2013): a backward pass over
+the piecewise-linear derivative of each cost-to-go, then a forward clip.
+
 Each set is two boxes, listed once (`_power_boxes`, `_energy_boxes`), and
 its verdict and mask share one membership rule: every value lies within
 MEMBERSHIP_TOL of each face, lower - tol <= value <= upper + tol, and NaN
@@ -36,9 +44,10 @@ as rows (shape (n, T)).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterator, Optional
 
 import numpy as np
@@ -60,6 +69,7 @@ __all__ = [
     "in_power_set",
     "power_feasibility_mask",
     "build_energy_polytope",
+    "project_onto_polytope",
     "in_energy_polytope",
     "energy_membership_mask",
     "find_nonconvexity_witness",
@@ -70,9 +80,6 @@ MEMBERSHIP_TOL = 1e-9
 
 #: Least amount by which a witness's midpoint leaves the power set.
 WITNESS_MARGIN = 1e-7
-
-#: Most candidate pairs the witness search decides.
-WITNESS_ATTEMPTS = 2000
 
 
 @dataclass(frozen=True)
@@ -98,9 +105,9 @@ class EnergyPolytope:
     """Half-space form of the feasible energy set: two boxes, one of them in
     the velocity coordinate v = A^{-1}(x - b).
 
-    What a projection needs beyond the arrays, the boxes as float lists and
-    the verdict of the feasibility sweep, is computed the first time it is
-    read and kept for the life of the polytope."""
+    What the chain sweeps need beyond the arrays, the boxes as float lists
+    and the forward sweep of reachable energies, is computed the first time
+    it is read and kept for the life of the polytope."""
 
     v_lower: np.ndarray
     v_upper: np.ndarray
@@ -122,19 +129,23 @@ class EnergyPolytope:
         )
 
     @cached_property
-    def _emptiness(self) -> Optional[tuple[str, int]]:
-        """The forward sweep of reachable energy intervals: (message,
-        period) for the first period that misses its energy box by more
-        than MEMBERSHIP_TOL, None when every period can be met.  Closer
-        misses are bridged at the midpoint of the gap."""
+    def _reach(self) -> tuple[list, list, Optional[tuple[str, int]]]:
+        """The forward sweep of reachable energy intervals: per period, up to
+        the first that misses its energy box by more than MEMBERSHIP_TOL,
+        the lowest and highest reachable energy in the box; and (message,
+        period) for that period, or None.  Closer misses are bridged at the
+        midpoint of the gap, and leave that period's low above its high."""
         x_lower, x_upper, step_lower, step_upper = self.chain
         lam = self.dynamics.lam
+        lows, highs = [], []
         low = high = float(self.dynamics.b_offset[0])  # lam * x0
         for t in range(len(x_lower)):
             reach_low, reach_high = low + step_lower[t], high + step_upper[t]
             low, high = max(reach_low, x_lower[t]), min(reach_high, x_upper[t])
+            lows.append(low)
+            highs.append(high)
             if low - high > MEMBERSHIP_TOL:
-                return (
+                return lows, highs, (
                     f"no feasible energy in period {t}: the reachable energies "
                     f"[{reach_low:.9g}, {reach_high:.9g}] miss the energy box "
                     f"[{x_lower[t]:.9g}, {x_upper[t]:.9g}] by {low - high:.3g}",
@@ -143,15 +154,111 @@ class EnergyPolytope:
             if low > high:
                 low = high = 0.5 * (low + high)
             low, high = lam * low, lam * high
-        return None
+        return lows, highs, None
 
-    def raise_if_empty(self) -> None:
-        """Raise InfeasibleProblem naming the first period that no energy
-        reachable from the earlier periods can meet.  The sweep runs once
-        per polytope; every call on an empty one raises afresh."""
-        if self._emptiness is not None:
-            message, period = self._emptiness
-            raise InfeasibleProblem(message, period=period)
+
+def _clip_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, list]:
+    """Restrict the piecewise-linear function through (xs, ds) to
+    [left, right], a subinterval of [xs[0], xs[-1]]."""
+    if left > xs[0]:
+        i = bisect_left(xs, left)  # xs[i - 1] < left <= xs[i]
+        d = ds[i - 1] + (ds[i] - ds[i - 1]) * (left - xs[i - 1]) / (xs[i] - xs[i - 1])
+        xs, ds = [left] + xs[i:], [d] + ds[i:]
+    if right < xs[-1]:
+        j = bisect_right(xs, right)  # xs[j - 1] <= right < xs[j]
+        d = ds[j - 1] + (ds[j] - ds[j - 1]) * (right - xs[j - 1]) / (xs[j] - xs[j - 1])
+        xs, ds = xs[:j] + [right], ds[:j] + [d]
+    return xs, ds
+
+
+def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
+    """Exact Euclidean projection of x onto the feasible energy polytope.
+
+    x clipped onto the energy box comes back when it is a member, that is
+    when its velocity is in the velocity box: it is then the nearest point
+    of a superset.  A member is its own clip, so members come back
+    unchanged.  Otherwise a dynamic program over the periods finds the
+    projection in O(T * k) time, k the number of knots alive in the
+    cost-to-go (a few to a few dozen in practice).
+
+    Raises InfeasibleProblem naming the first period that no energy
+    reachable from the earlier periods can meet, when it misses the energy
+    box by more than MEMBERSHIP_TOL.  Closer misses are bridged at the
+    midpoint of the gap.  The forward sweep that decides this runs once per
+    polytope; every projection onto an empty polytope raises.  Raises
+    ValueError when x has a NaN entry.
+    """
+    x = np.asarray(x, dtype=float)
+    dyn = polytope.dynamics
+    clipped = np.clip(x, polytope.x_lower, polytope.x_upper)
+    # the clip is inside the energy box, so only its velocity can be outside
+    residual = _largest_violation(
+        (("v", velocity(clipped, dyn), polytope.v_lower, polytope.v_upper),)
+    )
+    if residual <= 0.0:
+        return clipped
+    if math.isnan(residual):
+        raise ValueError("cannot project a profile with a NaN entry")
+    empty = polytope._reach[2]
+    if empty is not None:  # a fresh error on every projection
+        raise InfeasibleProblem(*empty)
+
+    lam = dyn.lam
+    start = float(dyn.b_offset[0])  # lam * x0, where the first step starts
+    y = x.tolist()
+    x_lower, x_upper, step_lower, step_upper = polytope.chain
+    horizon = len(y)
+
+    # Backward pass over the cost-to-go of each period.  (xs, ds) are the
+    # knots of its derivative, linear between knots, with a repeated
+    # abscissa for a jump; xs[0] and xs[-1] bound the energies from which
+    # the later periods stay feasible.  Running backward lets the recovery
+    # below multiply by lam; recovering backward would divide by it and
+    # amplify rounding by 1/lam per binding step.
+    minimizers, lows, highs = [0.0] * horizon, [0.0] * horizon, [0.0] * horizon
+    xs = [x_lower[-1], x_upper[-1]]
+    ds = [xs[0] - y[-1], xs[1] - y[-1]]
+    for t in range(horizon - 1, -1, -1):
+        low, high = max(xs[0], x_lower[t]), min(xs[-1], x_upper[t])
+        if low > high:  # a gap the forward pass bridged
+            low = high = 0.5 * (low + high)
+            xs, ds = [low], [0.0]
+        else:
+            xs, ds = _clip_knots(xs, ds, low, high)
+        k = bisect_left(ds, 0.0)
+        if k == 0:
+            m = xs[0]
+        elif k == len(xs):
+            m = xs[-1]
+        else:
+            m = xs[k - 1] - ds[k - 1] * (xs[k] - xs[k - 1]) / (ds[k] - ds[k - 1])
+        minimizers[t], lows[t], highs[t] = m, low, high
+        if t:
+            # the cost-to-go seen from period t - 1: knots left of the
+            # minimizer are reached by the highest step, those right of it
+            # by the lowest, and the minimum spans every step in between
+            a, c, y_prev = step_lower[t], step_upper[t], y[t - 1]
+            xs = (
+                [(z - c) / lam for z in xs[:k]]
+                + [(m - c) / lam, (m - a) / lam]
+                + [(z - a) / lam for z in xs[k:]]
+            )
+            ds = [
+                lam * d + z - y_prev
+                for z, d in zip(xs, ds[:k] + [0.0, 0.0] + ds[k:])
+            ]
+
+    # Recovery: each period's minimizer, clipped into the energies the step
+    # from the previous period's choice can reach.
+    out, previous = [0.0] * horizon, start
+    for t in range(horizon):
+        out[t] = min(
+            max(minimizers[t], previous + step_lower[t], lows[t]),
+            previous + step_upper[t],
+            highs[t],
+        )
+        previous = lam * out[t]
+    return np.array(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,28 +440,28 @@ def _cap_faces(x_min, x_max, step, lam: float, faces: np.ndarray) -> Iterator[tu
         lo, hi = (lo - step[0, s]) / lam, (hi - step[1, s]) / lam
 
 
-def _cap_face_pairs(params: StorageParams, poly: EnergyPolytope) -> Iterator[np.ndarray]:
-    """Candidate witnesses as pairs of energy profiles in the polytope, each
-    a (2, T) array; O(T^2) time and O(T) memory in all.
+def _cap_face_pair(params: StorageParams, poly: EnergyPolytope) -> Optional[np.ndarray]:
+    """The candidate witness, a pair of energy profiles in the polytope as a
+    (2, T) array, or None; O(T^2) time and O(T) memory.
 
     Both ends sit on one cap x_t = x_max_t.  At a period s <= t end a takes
     the largest step x_s - lam * x_{s-1} on that face (the lowest energies
     it can before s, the highest from s on) and end b the smallest (the
     reverse).  f is concave, so at t the midpoint's energy exceeds the cap
     by one nonnegative term per period; the term of s is at least
-    lam^(t-s) (1 - eta_c eta_d) / 2 min(-smallest, largest / (eta_c eta_d)),
-    and a pair is built only when that exceeds WITNESS_MARGIN.
+    lam^(t-s) (1 - eta_c eta_d) / 2 min(-smallest, largest / (eta_c eta_d)).
+    The pair is built for the latest s, and then the earliest t, where that
+    exceeds WITNESS_MARGIN.  No pair is built when a period's energy box is
+    out of reach, even by a gap the feasibility sweep bridges.
     """
     lam, horizon, x0 = params.lam, params.horizon, params.x0
     x_min, x_max = np.append(x0, poly.x_lower), np.append(x0, poly.x_upper)
     # the largest and the smallest step x_s - lam * x_{s-1}, which is delta * v_s
     step = np.pad(params.delta * np.array([poly.v_upper, poly.v_lower]), ((0, 0), (1, 0)))
-    reach = np.full((2, horizon + 1), x0)  # the highest and lowest x_s reachable
-    for s in range(1, horizon + 1):
-        reach[0, s] = min(x_max[s], lam * reach[0, s - 1] + step[0, s])
-        reach[1, s] = max(x_min[s], lam * reach[1, s - 1] + step[1, s])
-        if reach[0, s] < reach[1, s]:
-            return  # the power set is empty
+    lows, highs, _ = poly._reach
+    if any(low > high for low, high in zip(lows, highs)):
+        return None  # the power set is empty
+    reach = np.array([[x0] + highs, [x0] + lows])  # the highest and lowest x_s reachable
     gain = (1.0 - params.eta_c * params.eta_d) / 2.0 * lam ** np.arange(horizon)
     for s, lo, hi in _cap_faces(x_min, x_max, step, lam, np.arange(horizon + 1)):
         largest = np.minimum(step[0, s], hi[s:] - lam * reach[1, s - 1])
@@ -362,37 +469,42 @@ def _cap_face_pairs(params: StorageParams, poly: EnergyPolytope) -> Iterator[np.
         overshoot = gain[: horizon + 1 - s] * np.minimum(
             -smallest, largest / (params.eta_c * params.eta_d)
         )
-        for t in s + np.flatnonzero(overshoot > WITNESS_MARGIN):
-            face = np.empty((2, horizon + 1))
-            for k, face_lo, face_hi in _cap_faces(x_min, x_max, step, lam, np.array([t])):
-                face[:, k] = face_lo[0], face_hi[0]
-            x = reach.copy()  # end a steps to s from the highest x_{s-1}, b from the lowest
-            for k in range(s, horizon + 1):
-                x[:, k] = np.clip(lam * x[:, k - 1] + step[:, k], face[0, k], face[1, k])
-            for k in range(s - 1, 0, -1):
-                x[:, k] = np.clip((x[:, k + 1] - step[:, k + 1]) / lam, reach[1, k], reach[0, k])
-            yield x[:, 1:]
+        hits = np.flatnonzero(overshoot > WITNESS_MARGIN)
+        if hits.size == 0:
+            continue
+        t = s + hits[0]
+        face = np.empty((2, horizon + 1))
+        for k, face_lo, face_hi in _cap_faces(x_min, x_max, step, lam, np.array([t])):
+            face[:, k] = face_lo[0], face_hi[0]
+        x = reach.copy()  # end a steps to s from the highest x_{s-1}, b from the lowest
+        for k in range(s, horizon + 1):
+            x[:, k] = np.clip(lam * x[:, k - 1] + step[:, k], face[0, k], face[1, k])
+        for k in range(s - 1, 0, -1):
+            x[:, k] = np.clip((x[:, k + 1] - step[:, k + 1]) / lam, reach[1, k], reach[0, k])
+        return x[:, 1:]
+    return None
 
 
 def find_nonconvexity_witness(params: StorageParams, bounds: Bounds) -> Optional[Witness]:
     """Two feasible power profiles whose midpoint is infeasible, or None.
 
-    Decides the pairs of `_cap_face_pairs`, at most WITNESS_ATTEMPTS (2000)
-    of them, by the membership test: a pair is a witness when both ends are
-    members and the midpoint is not, by more than WITNESS_MARGIN.  Lossless
-    storage and storage whose power has one sign give no pair (there the
-    power set is a polytope), so None without a membership test.  Elsewhere None is not a
-    proof of convexity: on grids at T = 2 and 3, every pair of feasible
-    points with an infeasible midpoint came with a witness from this
-    search, but that agreement is measured, not proven.
+    Decides the one pair of `_cap_face_pair` by the membership test: it is
+    a witness when both ends are members and the midpoint is not, by more
+    than WITNESS_MARGIN.  Lossless storage and storage whose power has one
+    sign give no pair (there the power set is a polytope), so None without
+    a membership test.  Elsewhere None is not a proof of convexity: on
+    grids at T = 2 and 3, every pair of feasible points with an infeasible
+    midpoint came with a witness from this search, but that agreement is
+    measured, not proven.
     """
     dyn = build_dynamics(params)
-    pairs = _cap_face_pairs(params, build_energy_polytope(params, bounds, dyn))
-    for x in islice(pairs, WITNESS_ATTEMPTS):
-        u_a, u_b = energy_to_power(x, params, dyn)
-        mid = 0.5 * u_a + 0.5 * u_b
-        verdict = in_power_set(mid, params, bounds, tol=WITNESS_MARGIN)
-        if not verdict and all(in_power_set(u, params, bounds) for u in (u_a, u_b)):
-            worst = max(verdict.violations, key=lambda viol: viol.amount)
-            return Witness(u_a=u_a, u_b=u_b, theta=0.5, midpoint=mid, violation=worst)
-    return None
+    x = _cap_face_pair(params, build_energy_polytope(params, bounds, dyn))
+    if x is None:
+        return None
+    u_a, u_b = energy_to_power(x, params, dyn)
+    mid = 0.5 * u_a + 0.5 * u_b
+    verdict = in_power_set(mid, params, bounds, tol=WITNESS_MARGIN)
+    if verdict or not all(in_power_set(u, params, bounds) for u in (u_a, u_b)):
+        return None
+    worst = max(verdict.violations, key=lambda viol: viol.amount)
+    return Witness(u_a=u_a, u_b=u_b, theta=0.5, midpoint=mid, violation=worst)

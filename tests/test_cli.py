@@ -95,20 +95,6 @@ def test_load_scenario_forwards_validation_error(tmp_path):
         cli.load_scenario(write_json(tmp_path, bad))
 
 
-def test_scenario_round_trip(tmp_path, two_period_scenario_path):
-    scenario = cli.load_scenario(two_period_scenario_path)
-    out = tmp_path / "rewritten.json"
-    cli.write_scenario(scenario, out)
-    again = cli.load_scenario(out)
-    assert again.storage == scenario.storage
-    for field in ("u_max", "u_min_mag", "x_max", "x_min"):
-        assert np.array_equal(getattr(again.bounds, field), getattr(scenario.bounds, field))
-    assert np.array_equal(again.cost.p_buy, scenario.cost.p_buy)
-    assert np.array_equal(again.cost.p_sell, scenario.cost.p_sell)
-    assert again.solve_options.max_iterations == scenario.solve_options.max_iterations
-    assert again.outputs == scenario.outputs
-
-
 def test_run_solve_writes_artifacts(tmp_path, two_period_scenario_path):
     scenario = cli.load_scenario(two_period_scenario_path)
     code, solution = cli.run_solve(scenario, tmp_path / "out")
@@ -512,6 +498,77 @@ def test_energies_at_the_float_limit_solve_without_warning(tmp_path):
     assert solution["feasibility_residual"] == 0.0
 
 
+def shipped_two_period(cost, changes):
+    """The shipped two-period arbitrage scenario with another cost and a
+    {(section, key): value} of changes."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "two_period_arbitrage.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["cost"] = cost
+    for (section, key), value in changes.items():
+        doc[section][key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [
+        {"family": "energy_arbitrage", "p_buy": [1e308, 1e308], "p_sell": [1e308, 1e308]},
+        {"family": "load_balancing", "load": [1e160, 1e160]},
+    ],
+    ids=["arbitrage-at-the-float-limit", "squared-load-beyond-it"],
+)
+def test_objective_beyond_the_float_range_is_a_scenario_error(tmp_path, capsys, cost):
+    # selling 10 at 1e308 earns about -1.9e308, and a load of 1e160 squares
+    # to 1e320; neither is a float, and JSON has no infinity to write
+    doc = shipped_two_period(
+        cost, {("storage", "x0"): 10, ("bounds", "x_max"): [10, 10], ("bounds", "u_min"): [4, 4]}
+    )
+    path = write_json(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert "beyond the float range" in err
+    assert not (tmp_path / "out" / "solution.json").exists()
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_power_bounds_beyond_the_float_range_act_as_no_bound(tmp_path):
+    # -(1 / eta_d) * 1e308 overflows to the velocity bound -inf
+    huge = {("bounds", key): [1e308, 1e308] for key in ("u_max", "u_min", "x_max")}
+    doc = shipped_two_period(
+        {"family": "power_regulation", "signal": [0.5, -0.5]}, {("storage", "x0"): 5e307, **huge}
+    )
+    path = write_json(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_BEST_EFFORT
+    solution = json.loads((tmp_path / "out" / "solution.json").read_text(encoding="utf-8"))
+    assert solution["objective"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "cost, objective",
+    [
+        ({"family": "power_regulation", "signal": [-0.5, -0.2]}, 0.325),
+        ({"family": "peak_shaving", "load": [0.5, 0.2]}, 0.1625012959936023),
+        ({"family": "energy_arbitrage", "p_buy": [1, 1], "p_sell": [0.3, 0.5]}, -0.1875),
+        ({"family": "energy_arbitrage", "p_buy": [1e20, 1e20], "p_sell": [0.3e20, 0.5e20]},
+         -1.875e19),
+    ],
+    ids=["regulation", "peak-shaving", "arbitrage", "arbitrage-x1e20"],
+)
+def test_tiny_charge_efficiency_solves(tmp_path, cost, objective):
+    # with eta_c = 1e-300 the chain rule multiplies the subgradient by
+    # 1 / (eta_c * delta) = 1e300, so its norm overflows although every
+    # input is small
+    path = write_json(tmp_path, shipped_two_period(cost, {("storage", "eta_c"): 1e-300}))
+    code = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    solution = json.loads((tmp_path / "out" / "solution.json").read_text(encoding="utf-8"))
+    assert solution["objective"] == pytest.approx(objective, rel=1e-9)
+
+
 @pytest.mark.parametrize("solve", [5, None, [], "fast"], ids=["int", "null", "list", "string"])
 def test_solve_section_must_be_an_object(tmp_path, capsys, solve):
     doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
@@ -678,11 +735,11 @@ def test_documented_scenarios_load(tmp_path):
     for i, (where, text) in enumerate(examples):
         path = tmp_path / f"example{i}.json"
         path.write_text(text, encoding="utf-8")
-        scenario = cli.load_scenario(path)
+        cli.load_scenario(path)
         # the examples show every field the parser accepts
-        raw, full = json.loads(text), cli.scenario_to_dict(scenario)
-        assert set(raw) == set(full), where
-        assert set(raw["solve"]) == set(full["solve"]), where
+        raw = json.loads(text)
+        assert set(raw) == {"storage", "bounds", "cost", "solve", "outputs"}, where
+        assert set(raw["solve"]) == set(cli._section_schema(ls.SolveOptions)), where
 
 
 def test_documented_cost_families_match_the_classes():

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 import lossy_storage as ls
 from lossy_storage.errors import InfeasibleProblem
-from lossy_storage.solver import project_onto_polytope
-from lossy_storage.transform import MEMBERSHIP_TOL, energy_membership_mask
+from lossy_storage.transform import MEMBERSHIP_TOL, energy_membership_mask, project_onto_polytope
 
 efficiencies = st.sampled_from([1e-3, 0.05, 0.5, 1.0]) | st.floats(1e-3, 1.0)
 

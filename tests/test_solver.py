@@ -7,8 +7,12 @@ import pytest
 
 import lossy_storage as ls
 from lossy_storage.errors import InfeasibleProblem
-from lossy_storage.solver import project_onto_polytope
-from lossy_storage.transform import _energy_boxes, _largest_violation, energy_membership_mask
+from lossy_storage.transform import (
+    _energy_boxes,
+    _largest_violation,
+    energy_membership_mask,
+    project_onto_polytope,
+)
 
 from conftest import empty_intersection_instance, make_certified_instance, random_instance
 

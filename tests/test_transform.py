@@ -276,14 +276,27 @@ def test_witness_documented_pattern_is_valid(two_period_params, two_period_bound
     assert not ls.in_power_set([0.1875, 0.5], two_period_params, two_period_bounds)
 
 
-def test_witness_from_one_cap_face_pair(two_period_params, two_period_bounds, monkeypatch):
-    # the first pair built on a cap face is already a witness: the documented
-    # triple, charge to the cap vs discharge then charge to it
-    monkeypatch.setattr(ls.transform, "WITNESS_ATTEMPTS", 1)
+def test_witness_from_one_cap_face_pair(two_period_params, two_period_bounds):
+    # the one pair built on a cap face is the documented triple: charge to
+    # the cap vs discharge then charge to it
     witness = ls.find_nonconvexity_witness(two_period_params, two_period_bounds)
     assert witness is not None
     assert np.allclose(witness.u_a, [0.5, 0.0], atol=1e-15)
     assert np.allclose(witness.u_b, [-0.125, 1.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("gap, found", [(5e-10, False), (-1e-3, True)], ids=["bridged", "open"])
+def test_no_witness_across_a_bridged_gap(gap, found):
+    # full charge meets the period-1 floor only when gap <= 0; the
+    # feasibility sweep bridges a gap up to MEMBERSHIP_TOL, but the power
+    # set is then empty, so no pair is built on the cap of periods 2-3
+    params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=0.0, horizon=4)
+    bounds = ls.Bounds(
+        u_max=[1, 1, 1, 1], u_min_mag=[1, 1, 1, 1], x_max=[0.5, 5.0, 1.2, 1.2],
+        x_min=[0.0, 1.0 + gap, 0.8, 0.8],
+    )
+    witness = ls.find_nonconvexity_witness(params, bounds)
+    assert (witness is not None) == found
 
 
 def test_witness_of_leaky_storage():
