@@ -32,9 +32,12 @@ Verbs: solve, certify, sample-sets, oracle-check.  sample-sets alone
 writes the feasible-set rasters, and oracle-check is solve followed by the
 oracle report; --resolution is their points per axis.  The solve checks
 its stop rule every 1000 iterations; "max_iterations" only caps the run.
+Certified energy arbitrage is solved exactly, with no iterations, and
+ignores it.
 
-Exit codes: 0 ok, 2 infeasible, 3 not converged, 4 best-effort only
-(no convexity guarantee), 64 usage, 65 schema/validation.  Exit 2 is an
+Exit codes: 0 ok (status "exact" or "converged"), 2 infeasible, 3 not
+converged (status "max-iterations"), 4 best-effort only (no convexity
+guarantee), 64 usage, 65 schema/validation.  Exit 2 is an
 exact verdict; diagnostic.json names the first unreachable period.  An
 oracle grid with under 3 points per axis, more periods than its cap or
 too many points exits 64 before the solve; one with no feasible point

@@ -48,6 +48,7 @@ __all__ = [
     "ProbeReport",
     "evaluate_power_cost",
     "separable_cost_terms",
+    "arbitrage_step_slopes",
     "power_cost_batch",
     "evaluate_energy_cost",
     "subgradient_energy_cost",
@@ -201,6 +202,21 @@ def separable_cost_terms(
     if isinstance(cost, EnergyArbitrage):
         return np.add, cost.p_buy * np.maximum(u, 0.0) + cost.p_sell * np.minimum(u, 0.0)
     return None
+
+
+def arbitrage_step_slopes(cost: EnergyArbitrage, params: StorageParams) -> tuple[list, list]:
+    """The slopes of each period's arbitrage cost in the energy step
+    s_t = x_t - lam * x_{t-1} = delta * v_t, below and above its kink at 0,
+    as two lists.
+
+    They are eta_d * p_sell / delta and p_buy / (eta_c * delta), both
+    multiplied by the positive constant eta_c * delta, which moves no
+    minimizer and keeps them finite: eta_c * eta_d * p_sell and p_buy.  The
+    price-ratio rule is "below <= above"; the lower slope is capped at the
+    upper one, which it can pass only by rounding."""
+    above = cost.p_buy
+    below = np.minimum((params.eta_c * params.eta_d) * cost.p_sell, above)
+    return below.tolist(), above.tolist()
 
 
 def power_cost_batch(cost: CostSpec, profiles: np.ndarray) -> np.ndarray:

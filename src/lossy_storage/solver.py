@@ -1,10 +1,13 @@
-"""First-order solver for the energy-coordinate problem.
+"""Solver for the energy-coordinate problem.
 
-Minimizes cost(energy_to_power(x)) over the feasible energy polytope by
-projected subgradient descent with normalized directions, best-iterate
-tracking and tail averaging.  One cost pass per iterate gives both its
-objective and its subgradient, and `transform.project_onto_polytope` takes
-each step back into the polytope.
+Minimizes cost(energy_to_power(x)) over the feasible energy polytope.
+Certified energy arbitrage is convex and piecewise linear in the energy
+steps, so the chain kernel that also projects (`transform._chain_argmin`)
+solves it exactly in one backward and one forward pass: status "exact".
+Every other cost takes projected subgradient descent with normalized
+directions, best-iterate tracking and tail averaging.  One cost pass per
+iterate gives both its objective and its subgradient, and
+`transform.project_onto_polytope` takes each step back into the polytope.
 
 The solver never claims more than the certificate supports: solutions carry
 "global-optimum-claimed" only when the convexity certificate fired,
@@ -22,6 +25,8 @@ import numpy as np
 from .costs import (
     ConvexityCertificate,
     CostSpec,
+    EnergyArbitrage,
+    arbitrage_step_slopes,
     certify_convexity,
     evaluate_energy_cost,
     instance_digest,
@@ -30,6 +35,7 @@ from .costs import (
 from .errors import ObjectiveOutOfRange
 from .model import ValidatedProblem, build_dynamics
 from .transform import (
+    _chain_argmin,
     _energy_boxes,
     _largest_violation,
     _power_boxes,
@@ -47,6 +53,7 @@ __all__ = [
 GUARANTEE_GLOBAL = "global-optimum-claimed"
 GUARANTEE_BEST_EFFORT = "best-effort"
 
+STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 
@@ -61,11 +68,12 @@ OBJECTIVE_TOLERANCE = 1e-9
 class SolveOptions:
     """The one solver setting: max_iterations, a positive integer.
 
-    The solve starts from the projection of the zero-power profile b and
+    The descent starts from the projection of the zero-power profile b and
     takes steps a/sqrt(k) along normalized subgradients, where a is a tenth
     of the energy-box diameter.  Every STOP_WINDOW (1000) iterations it
     stops when that window improved the best objective by less than
-    OBJECTIVE_TOLERANCE (1e-9); max_iterations only caps the run.
+    OBJECTIVE_TOLERANCE (1e-9); max_iterations only caps the run.  The
+    exact pass of certified energy arbitrage takes no iterations.
     """
 
     max_iterations: int = 20000
@@ -109,36 +117,10 @@ def _norm(v: np.ndarray) -> float:
     return norm
 
 
-# Costs near the float limit may overflow without a warning: a subgradient
-# that overflowed is taken again rescaled, which the normalized step does not
-# see, a bound beyond the float range is no bound, and an objective that
-# overflowed is an error.
-@np.errstate(over="ignore", invalid="ignore")
-def solve(
-    problem: ValidatedProblem,
-    cost: CostSpec,
-    options: Optional[SolveOptions] = None,
-) -> Solution:
-    """Minimize the cost over the feasible energy polytope.
-
-    Projected subgradient descent on normalized directions with steps
-    a/sqrt(k), where a is a tenth of the energy-box diameter, starting from
-    the projection of b and tracking the best iterate and a tail average
-    (restarted each time the iteration count doubles); the better of the
-    two is returned.  Every STOP_WINDOW iterations it stops if that window
-    gained less than OBJECTIVE_TOLERANCE; max_iterations only caps the run.
-    Deterministic for fixed options.
-    Raises InfeasibleProblem, naming the first period no reachable energy
-    meets, when the polytope is empty; the first projection decides this
-    exactly, so no later step can raise.  Raises ObjectiveOutOfRange when
-    the objective of the returned point is not a finite float.
-    """
-    opts = options if options is not None else SolveOptions()
-    params, bounds = problem.params, problem.bounds
-    dyn = build_dynamics(params)
-    polytope = build_energy_polytope(params, bounds, dyn)
-    certificate = certify_convexity(cost, params)
-
+def _descend(cost, polytope, params, dyn, max_iterations: int):
+    """Projected subgradient descent from the projection of b; returns
+    (best x, its objective, the best-objective trace, status, iterations
+    used)."""
     step_base = _norm(polytope.x_upper - polytope.x_lower) / 10.0
 
     # The tail sum holds up to max_iterations energies.  When those near the
@@ -147,7 +129,7 @@ def solve(
     shift = max(
         0,
         math.frexp(float(np.max(polytope.x_upper)))[1]
-        + int(opts.max_iterations).bit_length()
+        + int(max_iterations).bit_length()
         - 1023,
     )
     tail_scale = 2.0**-shift
@@ -167,7 +149,7 @@ def solve(
 
     status = STATUS_MAX_ITERATIONS
     iterations = 0
-    for k in range(1, opts.max_iterations + 1):
+    for k in range(1, max_iterations + 1):
         iterations = k
         g_norm = _norm(g)
         if not math.isfinite(g_norm):
@@ -194,7 +176,8 @@ def solve(
             avg_restart *= 2
 
         if k % STOP_WINDOW == 0:
-            if window_best - best_f < OBJECTIVE_TOLERANCE:
+            # an infinite objective gains NaN, which stops the solve too
+            if not window_best - best_f >= OBJECTIVE_TOLERANCE:
                 status = STATUS_CONVERGED
                 break
             window_best = best_f
@@ -203,6 +186,56 @@ def solve(
     f_avg = evaluate_energy_cost(cost, x_avg, params, dyn)
     if f_avg < best_f:
         best_f, best_x = f_avg, x_avg
+    return best_x, best_f, trace, status, iterations
+
+
+# Costs near the float limit may overflow without a warning: a subgradient
+# that overflowed is taken again rescaled, which the normalized step does not
+# see, a bound beyond the float range is no bound, and an objective that
+# overflowed is an error.
+@np.errstate(over="ignore", invalid="ignore")
+def solve(
+    problem: ValidatedProblem,
+    cost: CostSpec,
+    options: Optional[SolveOptions] = None,
+) -> Solution:
+    """Minimize the cost over the feasible energy polytope.
+
+    Certified energy arbitrage is convex and piecewise linear in the energy
+    steps, so one pass of the chain kernel that also projects
+    (`transform._chain_argmin`) solves it exactly: status "exact", no
+    iterations, and a trace of one entry.
+
+    Every other cost takes projected subgradient descent on normalized
+    directions with steps a/sqrt(k), where a is a tenth of the energy-box
+    diameter, starting from the projection of b and tracking the best
+    iterate and a tail average (restarted each time the iteration count
+    doubles); the better of the two is returned.  Every STOP_WINDOW
+    iterations it stops if that window gained less than
+    OBJECTIVE_TOLERANCE, or nothing that is a number; max_iterations only
+    caps the run.  Deterministic for fixed options.
+
+    Raises InfeasibleProblem, naming the first period no reachable energy
+    meets, when the polytope is empty; the first projection (or the exact
+    pass) decides this exactly, so no later step can raise.  Raises
+    ObjectiveOutOfRange when the objective of the returned point is not a
+    finite float.
+    """
+    opts = options if options is not None else SolveOptions()
+    params, bounds = problem.params, problem.bounds
+    dyn = build_dynamics(params)
+    polytope = build_energy_polytope(params, bounds, dyn)
+    certificate = certify_convexity(cost, params)
+
+    if isinstance(cost, EnergyArbitrage) and certificate.certified:
+        below, above = arbitrage_step_slopes(cost, params)
+        best_x = np.array(_chain_argmin(polytope, None, below, above))
+        best_f = evaluate_energy_cost(cost, best_x, params, dyn)
+        trace, status, iterations = [best_f], STATUS_EXACT, 0
+    else:
+        best_x, best_f, trace, status, iterations = _descend(
+            cost, polytope, params, dyn, opts.max_iterations
+        )
     if not math.isfinite(best_f):
         raise ObjectiveOutOfRange(
             f"the objective of the best solution found, {best_f:.9g}, is "

@@ -28,9 +28,11 @@ X is a chain: each x_t lies in the energy box, and each step
 x_t - lam * x_{t-1} in delta times the velocity box (x_{-1} the initial
 energy).  One forward sweep of reachable energy intervals per polytope
 decides emptiness, naming the first empty period, and bounds the witness
-pairs.  `project_onto_polytope` is exact, a dynamic program over the
-periods as for the fused lasso (Johnson, JCGS 2013): a backward pass over
-the piecewise-linear derivative of each cost-to-go, then a forward clip.
+pairs.  One dynamic program over the periods, `_chain_argmin`, minimizes a
+sum of per-period terms over X exactly: a quadratic pull of each energy
+toward a target, or none, plus a convex piecewise-linear cost of each step
+with one kink at 0.  `project_onto_polytope` is its quadratic case with a
+free step; the solver's exact arbitrage pass is its other case.
 
 Each set is two boxes, listed once (`_power_boxes`, `_energy_boxes`), and
 its verdict and mask share one membership rule: every value lies within
@@ -171,15 +173,125 @@ def _clip_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, li
     return xs, ds
 
 
+def _crossing(xs: list, ds: list, k: int, level: float) -> float:
+    """Where the piecewise-linear function through (xs, ds) reaches `level`,
+    given k = bisect_left(ds, level): an end when it stays on one side."""
+    if k == 0:
+        return xs[0]
+    if k == len(xs):
+        return xs[-1]
+    return xs[k - 1] + (level - ds[k - 1]) * (xs[k] - xs[k - 1]) / (ds[k] - ds[k - 1])
+
+
+def _chain_argmin(
+    polytope: EnergyPolytope, y: Optional[list], below: list, above: list
+) -> list:
+    """The member of the polytope that minimizes
+
+        sum_t h_t(x_t) + phi_t(x_t - lam * x_{t-1}),
+
+    as a list: h_t(x) = (x - y_t)^2 / 2, or 0 when y is None, and phi_t
+    the convex piecewise-linear cost of the step, with slope below[t] under
+    its kink at 0 and above[t] over it (below[t] <= above[t]).
+
+    A dynamic program over the periods, as for the fused lasso (Johnson,
+    JCGS 2013): a backward pass over the piecewise-linear derivative of each
+    cost-to-go, then a forward clip.  Each backward step is an infimal
+    convolution with phi_t, which merges its two slopes into the derivative
+    as flats (Rockafellar, Convex Analysis, section 5).  O(T * k) time, k the
+    number of knots alive in the cost-to-go.
+
+    Raises InfeasibleProblem naming the first period that no energy
+    reachable from the earlier periods can meet (the forward sweep's
+    verdict, taken once per polytope); closer misses are bridged at the
+    midpoint of the gap.
+    """
+    empty = polytope._reach[2]
+    if empty is not None:  # a fresh error on every call
+        raise InfeasibleProblem(*empty)
+
+    lam = polytope.dynamics.lam
+    x_lower, x_upper, step_lower, step_upper = polytope.chain
+    horizon = len(x_lower)
+
+    # Backward pass over the cost-to-go of each period.  (xs, ds) are the
+    # knots of its derivative, linear between knots, with a repeated
+    # abscissa for a jump; xs[0] and xs[-1] bound the energies from which
+    # the later periods stay feasible.  Running backward lets the recovery
+    # below multiply by lam; recovering backward would divide by it and
+    # amplify rounding by 1/lam per binding step.
+    rises, falls = [0.0] * horizon, [0.0] * horizon
+    lows, highs = [0.0] * horizon, [0.0] * horizon
+    xs = [x_lower[-1], x_upper[-1]]
+    ds = [0.0, 0.0] if y is None else [xs[0] - y[-1], xs[1] - y[-1]]
+    for t in range(horizon - 1, -1, -1):
+        low, high = max(xs[0], x_lower[t]), min(xs[-1], x_upper[t])
+        if low > high:  # a gap the forward pass bridged
+            low = high = 0.5 * (low + high)
+            xs, ds = [low], [0.0]
+        else:
+            xs, ds = _clip_knots(xs, ds, low, high)
+        # the energies where the derivative crosses -above[t], below which
+        # the step from the previous period rises, and -below[t], above
+        # which it falls.  Seen from period t - 1, knots left of the rise
+        # are reached by the highest step, those right of the fall by the
+        # lowest, those between by no step, and the two slopes of the step
+        # cost become flats between them.
+        up, down = -above[t], -below[t]
+        k = bisect_left(ds, up)
+        rise = _crossing(xs, ds, k, up)
+        a, c = step_lower[t], step_upper[t]
+        if down == up:
+            fall = rise
+            if t:
+                xs = (
+                    [(z - c) / lam for z in xs[:k]]
+                    + [(rise - c) / lam, (rise - a) / lam]
+                    + [(z - a) / lam for z in xs[k:]]
+                )
+                ds = ds[:k] + [up, up] + ds[k:]
+        else:
+            j = bisect_left(ds, down, k)
+            fall = _crossing(xs, ds, j, down)
+            if t:
+                xs = (
+                    [(z - c) / lam for z in xs[:k]]
+                    + [(rise - c) / lam, rise / lam]
+                    + [z / lam for z in xs[k:j]]
+                    + [fall / lam, (fall - a) / lam]
+                    + [(z - a) / lam for z in xs[j:]]
+                )
+                ds = ds[:k] + [up, up] + ds[k:j] + [down, down] + ds[j:]
+        rises[t], falls[t], lows[t], highs[t] = rise, fall, low, high
+        if t:
+            if y is None:
+                ds = [lam * d for d in ds]
+            else:
+                y_prev = y[t - 1]
+                ds = [lam * d + z - y_prev for z, d in zip(xs, ds)]
+
+    # Recovery: each period holds the previous energy when it can, else
+    # moves to the rise or the fall, clipped into the energies the step
+    # from the previous period's choice can reach.
+    out, previous = [0.0] * horizon, float(polytope.dynamics.b_offset[0])  # lam * x0
+    for t in range(horizon):
+        out[t] = min(
+            max(rises[t], min(previous, falls[t]), previous + step_lower[t], lows[t]),
+            previous + step_upper[t],
+            highs[t],
+        )
+        previous = lam * out[t]
+    return out
+
+
 def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     """Exact Euclidean projection of x onto the feasible energy polytope.
 
     x clipped onto the energy box comes back when it is a member, that is
     when its velocity is in the velocity box: it is then the nearest point
     of a superset.  A member is its own clip, so members come back
-    unchanged.  Otherwise a dynamic program over the periods finds the
-    projection in O(T * k) time, k the number of knots alive in the
-    cost-to-go (a few to a few dozen in practice).
+    unchanged.  Otherwise the chain kernel `_chain_argmin` finds the
+    projection, with h_t(x) = (x - x_t)^2 / 2 and a step cost of zero.
 
     Raises InfeasibleProblem naming the first period that no energy
     reachable from the earlier periods can meet, when it misses the energy
@@ -189,76 +301,17 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     ValueError when x has a NaN entry.
     """
     x = np.asarray(x, dtype=float)
-    dyn = polytope.dynamics
     clipped = np.clip(x, polytope.x_lower, polytope.x_upper)
     # the clip is inside the energy box, so only its velocity can be outside
     residual = _largest_violation(
-        (("v", velocity(clipped, dyn), polytope.v_lower, polytope.v_upper),)
+        (("v", velocity(clipped, polytope.dynamics), polytope.v_lower, polytope.v_upper),)
     )
     if residual <= 0.0:
         return clipped
     if math.isnan(residual):
         raise ValueError("cannot project a profile with a NaN entry")
-    empty = polytope._reach[2]
-    if empty is not None:  # a fresh error on every projection
-        raise InfeasibleProblem(*empty)
-
-    lam = dyn.lam
-    start = float(dyn.b_offset[0])  # lam * x0, where the first step starts
-    y = x.tolist()
-    x_lower, x_upper, step_lower, step_upper = polytope.chain
-    horizon = len(y)
-
-    # Backward pass over the cost-to-go of each period.  (xs, ds) are the
-    # knots of its derivative, linear between knots, with a repeated
-    # abscissa for a jump; xs[0] and xs[-1] bound the energies from which
-    # the later periods stay feasible.  Running backward lets the recovery
-    # below multiply by lam; recovering backward would divide by it and
-    # amplify rounding by 1/lam per binding step.
-    minimizers, lows, highs = [0.0] * horizon, [0.0] * horizon, [0.0] * horizon
-    xs = [x_lower[-1], x_upper[-1]]
-    ds = [xs[0] - y[-1], xs[1] - y[-1]]
-    for t in range(horizon - 1, -1, -1):
-        low, high = max(xs[0], x_lower[t]), min(xs[-1], x_upper[t])
-        if low > high:  # a gap the forward pass bridged
-            low = high = 0.5 * (low + high)
-            xs, ds = [low], [0.0]
-        else:
-            xs, ds = _clip_knots(xs, ds, low, high)
-        k = bisect_left(ds, 0.0)
-        if k == 0:
-            m = xs[0]
-        elif k == len(xs):
-            m = xs[-1]
-        else:
-            m = xs[k - 1] - ds[k - 1] * (xs[k] - xs[k - 1]) / (ds[k] - ds[k - 1])
-        minimizers[t], lows[t], highs[t] = m, low, high
-        if t:
-            # the cost-to-go seen from period t - 1: knots left of the
-            # minimizer are reached by the highest step, those right of it
-            # by the lowest, and the minimum spans every step in between
-            a, c, y_prev = step_lower[t], step_upper[t], y[t - 1]
-            xs = (
-                [(z - c) / lam for z in xs[:k]]
-                + [(m - c) / lam, (m - a) / lam]
-                + [(z - a) / lam for z in xs[k:]]
-            )
-            ds = [
-                lam * d + z - y_prev
-                for z, d in zip(xs, ds[:k] + [0.0, 0.0] + ds[k:])
-            ]
-
-    # Recovery: each period's minimizer, clipped into the energies the step
-    # from the previous period's choice can reach.
-    out, previous = [0.0] * horizon, start
-    for t in range(horizon):
-        out[t] = min(
-            max(minimizers[t], previous + step_lower[t], lows[t]),
-            previous + step_upper[t],
-            highs[t],
-        )
-        previous = lam * out[t]
-    return np.array(out)
+    free = [0.0] * len(clipped)
+    return np.array(_chain_argmin(polytope, x.tolist(), free, free))
 
 
 @dataclass(frozen=True, eq=False)

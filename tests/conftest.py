@@ -42,6 +42,16 @@ def empty_intersection_instance():
     return params, bounds
 
 
+def tolerance_gap_instance(gap):
+    """Two periods whose second energy floor sits `gap` above the highest
+    energy reachable there (0.5 after period 0, plus a 0.9 charge step)."""
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=0.0, horizon=2)
+    bounds = ls.Bounds(
+        u_max=[1, 1], u_min_mag=[1, 1], x_max=[0.5, 5.0], x_min=[0.0, 1.4 + gap]
+    )
+    return params, bounds
+
+
 def dense_dynamics(params: ls.StorageParams):
     """Dense A and A^{-1} of the storage recursion, built from their
     definition: A[i, j] = delta * lam**(i-j) for j <= i, else 0, and

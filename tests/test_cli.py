@@ -166,13 +166,24 @@ def test_solve_exits_infeasible_naming_the_period(tmp_path, margin):
 
 
 def test_leaky_day_without_the_cut_solves(tmp_path):
-    path = write_json(tmp_path, leaky_day_infeasible_at(9, -1e-3))
-    assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path)]) == cli.EXIT_NOT_CONVERGED
-    assert (tmp_path / "solution.json").exists()
+    # the exact arbitrage pass needs no budget; peak shaving on the same
+    # storage descends and runs out of its 50 iterations
+    doc = leaky_day_infeasible_at(9, -1e-3)
+    peak = dict(doc, cost={"family": "peak_shaving", "load": [1.0] * 24})
+    for name, scenario, code, stop in (
+        ("arbitrage", doc, cli.EXIT_OK, ("exact", 0)),
+        ("peak", peak, cli.EXIT_NOT_CONVERGED, ("max-iterations", 50)),
+    ):
+        path = write_json(tmp_path, scenario, f"{name}.json")
+        out = tmp_path / name
+        assert cli.main(["solve", "--scenario", str(path), "--out", str(out)]) == code
+        solution = json.loads((out / "solution.json").read_text(encoding="utf-8"))
+        assert (solution["status"], solution["iterations_used"]) == stop
 
 
 def test_exit_code_not_converged(tmp_path):
     doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["cost"] = {"family": "peak_shaving", "load": [0.75, 0.375]}
     doc["solve"]["max_iterations"] = 50
     scenario = cli.load_scenario(write_json(tmp_path, doc))
     code, solution = cli.run_solve(scenario, tmp_path / "out")
@@ -481,21 +492,28 @@ def test_huge_finite_inputs_solve_like_their_unscaled_twin(
 
 
 def test_energies_at_the_float_limit_solve_without_warning(tmp_path):
-    # the tail average sums up to max_iterations energies of 1e308
+    # peak shaving descends, and its tail average sums up to max_iterations
+    # energies of 1e308; arbitrage takes the exact pass, with knots there
     doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
     doc["storage"]["x0"] = 1e308
     doc["bounds"]["x_max"] = [1e308, 1e308]
-    path = write_json(tmp_path, doc)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
-    assert code == cli.EXIT_OK
-    solution = json.loads((tmp_path / "out" / "solution.json").read_text(encoding="utf-8"))
-    assert solution["objective"] == 0.0
-    assert solution["x_star"] == [1e308, 1e308]
-    assert solution["u_star"] == [0.0, 0.0]
-    assert (solution["status"], solution["iterations_used"]) == ("converged", 1000)
-    assert solution["feasibility_residual"] == 0.0
+    peak = dict(doc, cost={"family": "peak_shaving", "load": [0.75, 0.375]})
+    for name, scenario, objective, stop in (
+        ("peak", peak, 0.75, ("converged", 1000)),
+        ("arbitrage", doc, 0.0, ("exact", 0)),
+    ):
+        path = write_json(tmp_path, scenario, f"{name}.json")
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["solve", "--scenario", str(path), "--out", str(out)])
+        assert code == cli.EXIT_OK
+        solution = json.loads((out / "solution.json").read_text(encoding="utf-8"))
+        assert solution["objective"] == objective
+        assert solution["x_star"] == [1e308, 1e308]
+        assert solution["u_star"] == [0.0, 0.0]
+        assert (solution["status"], solution["iterations_used"]) == stop
+        assert solution["feasibility_residual"] == 0.0
 
 
 def shipped_two_period(cost, changes):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lossy_storage as ls
-from lossy_storage.errors import InfeasibleProblem
+from lossy_storage.errors import InfeasibleProblem, ObjectiveOutOfRange
 from lossy_storage.transform import (
     _energy_boxes,
     _largest_violation,
@@ -14,7 +14,12 @@ from lossy_storage.transform import (
     project_onto_polytope,
 )
 
-from conftest import empty_intersection_instance, make_certified_instance, random_instance
+from conftest import (
+    empty_intersection_instance,
+    make_certified_instance,
+    random_instance,
+    tolerance_gap_instance,
+)
 
 
 @pytest.fixture
@@ -75,16 +80,6 @@ def test_projection_detects_empty_intersection():
     assert excinfo.value.period == 0
 
 
-def tolerance_gap_instance(gap):
-    """Two periods whose second energy floor sits `gap` above the highest
-    energy reachable there (0.5 after period 0, plus a 0.9 charge step)."""
-    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=0.0, horizon=2)
-    bounds = ls.Bounds(
-        u_max=[1, 1], u_min_mag=[1, 1], x_max=[0.5, 5.0], x_min=[0.0, 1.4 + gap]
-    )
-    return params, bounds
-
-
 def test_projection_bridges_a_gap_within_tolerance():
     # the forward sweep bridges period 1 at the midpoint of its gap, and the
     # backward pass then meets a bridged gap in period 0
@@ -93,11 +88,15 @@ def test_projection_bridges_a_gap_within_tolerance():
     x = project_onto_polytope([0.2, 3.0], poly)
     assert x == pytest.approx([0.5 + 2.5e-10, 1.4 + 2.5e-10], abs=1e-15)
     assert _largest_violation(_energy_boxes(x, poly)) == pytest.approx(2.5e-10, rel=1e-6)
-    solution = ls.solve(
-        ls.validate_params(params, bounds), ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[0.5, 0.5])
-    )
-    assert solution.status == "converged"
-    assert solution.feasibility_residual == pytest.approx(2.5e-10, rel=1e-6)
+    # the exact arbitrage pass and the descent's projections bridge it alike
+    problem = ls.validate_params(params, bounds)
+    exact = ls.solve(problem, ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[0.5, 0.5]))
+    descent = ls.solve(problem, ls.PeakShaving(load=[0.75, 0.375]))
+    assert (exact.status, exact.iterations_used) == ("exact", 0)
+    assert descent.status == "converged"
+    for solution in (exact, descent):
+        assert solution.x_star == pytest.approx([0.5 + 2.5e-10, 1.4 + 2.5e-10], abs=1e-15)
+        assert solution.feasibility_residual == pytest.approx(2.5e-10, rel=1e-6)
 
 
 def test_nan_entry_is_never_a_member(two_period_polytope):
@@ -218,17 +217,22 @@ def test_solve_zero_power_storage_forces_offset():
 
 
 def test_solve_on_a_point_energy_box():
-    # every energy box is a point, so the step scale (a tenth of the box
-    # diameter) is zero and every projection returns that point
+    # every energy box is a point, so the descent's step scale (a tenth of
+    # the box diameter) is zero and every projection returns that point;
+    # the exact arbitrage pass lands there too
     params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=0.75, horizon=2)
     bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[0.75, 0.75], x_min=[0.75, 0.75])
     problem = ls.validate_params(params, bounds)
-    solution = ls.solve(problem, ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1]))
-    assert solution.x_star.tolist() == [0.75, 0.75]
-    assert solution.u_star.tolist() == [0.0, 0.0]
-    assert solution.objective == 0.0
-    assert solution.status == "converged"
-    assert solution.feasibility_residual <= 0.0
+    for cost, objective, stop in (
+        (ls.PeakShaving(load=[0.75, 0.375]), 0.75, ("converged", 1000)),
+        (ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1]), 0.0, ("exact", 0)),
+    ):
+        solution = ls.solve(problem, cost)
+        assert solution.x_star.tolist() == [0.75, 0.75]
+        assert solution.u_star.tolist() == [0.0, 0.0]
+        assert solution.objective == objective
+        assert (solution.status, solution.iterations_used) == stop
+        assert solution.feasibility_residual <= 0.0
 
 
 def test_solution_invariants_on_arbitrage(two_period_problem, two_period_params, two_period_bounds):
@@ -255,7 +259,7 @@ def test_solve_is_deterministic(two_period_problem):
 
 
 def test_solve_reports_max_iterations_status(two_period_problem):
-    cost = ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1])
+    cost = ls.PeakShaving(load=[0.75, 0.375])
     solution = ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=50))
     assert solution.status == "max-iterations"
     assert solution.iterations_used == 50
@@ -272,16 +276,55 @@ def test_one_cost_pass_per_iterate(two_period_problem, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(ls.solver, name, counted)
-    cost = ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1])
+    cost = ls.PeakShaving(load=[0.75, 0.375])
     solution = ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=50))
     assert solution.iterations_used == 50
     assert calls == {"subgradient_energy_cost": 51, "evaluate_energy_cost": 1}
 
 
+def test_an_infinite_objective_ends_the_first_stop_window(monkeypatch):
+    # a load of 1e160 squares to inf at every iterate, so the first window
+    # gains inf - inf, which is NaN; it must stop the solve, not the budget
+    calls = []
+
+    def counted(*args, _fn=ls.solver.subgradient_energy_cost, **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(ls.solver, "subgradient_energy_cost", counted)
+    params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=10.0, horizon=2)
+    bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[4, 4], x_max=[10, 10], x_min=[0, 0])
+    with pytest.raises(ObjectiveOutOfRange):
+        ls.solve(ls.validate_params(params, bounds), ls.LoadBalancing(load=[1e160, 1e160]))
+    assert len(calls) <= ls.solver.STOP_WINDOW + 1
+
+
+def test_exact_arbitrage_takes_one_kernel_pass(two_period_problem, monkeypatch):
+    # no projection and no subgradient: one evaluation of the exact point
+    calls = dict.fromkeys(
+        ("project_onto_polytope", "subgradient_energy_cost", "evaluate_energy_cost"), 0
+    )
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(ls.solver, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ls.solver, name, counted)
+    cost = ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1])
+    solution = ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=50))
+    assert (solution.status, solution.iterations_used) == ("exact", 0)
+    assert solution.best_objective_trace.tolist() == [solution.objective]
+    assert solution.objective == pytest.approx(-0.375, abs=1e-15)
+    assert calls == {
+        "project_onto_polytope": 0, "subgradient_energy_cost": 0, "evaluate_energy_cost": 1
+    }
+
+
 def test_stop_does_not_depend_on_the_budget(two_period_problem):
     # the stop rule is checked every STOP_WINDOW iterations whatever the
     # budget, so a larger budget only raises the cap
-    cost = ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1])
+    cost = ls.PeakShaving(load=[0.75, 0.375])
     small, *larger = (
         ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=budget))
         for budget in (4000, 200000, 10**13)
