@@ -49,6 +49,7 @@ __all__ = [
     "evaluate_power_cost",
     "separable_cost_terms",
     "arbitrage_step_slopes",
+    "load_balancing_step_terms",
     "power_cost_batch",
     "evaluate_energy_cost",
     "subgradient_energy_cost",
@@ -217,6 +218,30 @@ def arbitrage_step_slopes(cost: EnergyArbitrage, params: StorageParams) -> tuple
     above = cost.p_buy
     below = np.minimum((params.eta_c * params.eta_d) * cost.p_sell, above)
     return below.tolist(), above.tolist()
+
+
+def load_balancing_step_terms(
+    cost: LoadBalancing, params: StorageParams
+) -> tuple[list, list, tuple[list, list]]:
+    """The terms of each period's load-balancing cost in the energy step
+    s_t = x_t - lam * x_{t-1} = delta * v_t, as lists: (below, above,
+    (below_curve, above_curve)), the slopes and the curvatures below and
+    above its kink at 0.
+
+    The cost (f_inv(s / delta) + load)^2 is (s / (eta_c * delta) + load)^2
+    for s >= 0 and (eta_d * s / delta + load)^2 below.  Less its value at
+    0 and multiplied by eta_c * delta, as `arbitrage_step_slopes` does,
+    that is 2 * load * s + s^2 / (eta_c * delta) above and 2 * eta_c *
+    eta_d * load * s + eta_c * eta_d^2 * s^2 / delta below.  The kink is
+    convex (below <= above) when the load is nonnegative or the storage
+    lossless; the lower slope is capped at the upper one, which it can
+    pass only by rounding."""
+    eta_c, eta_d, delta = params.eta_c, params.eta_d, params.delta
+    above = 2.0 * cost.load
+    below = np.minimum((eta_c * eta_d) * above, above)
+    below_curve = [2.0 * eta_c * eta_d * eta_d / delta] * params.horizon
+    above_curve = [2.0 / eta_c / delta] * params.horizon
+    return below.tolist(), above.tolist(), (below_curve, above_curve)
 
 
 def power_cost_batch(cost: CostSpec, profiles: np.ndarray) -> np.ndarray:
@@ -406,8 +431,12 @@ def midpoint_convexity_probe(
     theta = rng.uniform(size=(samples, 1))
     mid = theta * x_a + (1.0 - theta) * x_b
 
+    # on a period-major (Fortran-order) copy of each draw array, every map
+    # steps along rows of n profiles, and the sum over the periods folds
+    # whole columns in period order
     f_a, f_b, f_mid = (
-        power_cost_batch(cost, energy_to_power(x, params, dyn)) for x in (x_a, x_b, mid)
+        power_cost_batch(cost, energy_to_power(np.asfortranarray(x), params, dyn))
+        for x in (x_a, x_b, mid)
     )
 
     margin = f_mid - (theta[:, 0] * f_a + (1.0 - theta[:, 0]) * f_b)

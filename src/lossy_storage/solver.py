@@ -1,12 +1,13 @@
 """Solver for the energy-coordinate problem.
 
 Minimizes cost(energy_to_power(x)) over the feasible energy polytope.
-Certified energy arbitrage is convex and piecewise linear in the energy
-steps, so the chain kernel that also projects (`transform._chain_argmin`)
-solves it exactly in one backward and one forward pass: status "exact".
-Every other cost takes projected subgradient descent with normalized
-directions, best-iterate tracking and tail averaging.  One cost pass per
-iterate gives both its objective and its subgradient, and
+Certified energy arbitrage and load balancing are separable and convex in
+the energy steps, piecewise linear and piecewise quadratic, so the chain
+kernel that also projects (`transform._chain_argmin`) solves them exactly
+in one backward and one forward pass: status "exact".  Every other cost
+takes projected subgradient descent with normalized directions,
+best-iterate tracking and tail averaging.  One cost pass per iterate gives
+both its objective and its subgradient, and
 `transform.project_onto_polytope` takes each step back into the polytope.
 
 The solver never claims more than the certificate supports: solutions carry
@@ -26,10 +27,12 @@ from .costs import (
     ConvexityCertificate,
     CostSpec,
     EnergyArbitrage,
+    LoadBalancing,
     arbitrage_step_slopes,
     certify_convexity,
     evaluate_energy_cost,
     instance_digest,
+    load_balancing_step_terms,
     subgradient_energy_cost,
 )
 from .errors import ObjectiveOutOfRange
@@ -57,6 +60,13 @@ STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 
+#: The certified families that the chain kernel solves exactly, with the
+#: terms of their step costs.
+EXACT_STEP_TERMS = {
+    EnergyArbitrage: arbitrage_step_slopes,
+    LoadBalancing: load_balancing_step_terms,
+}
+
 #: Iterations between two checks of the stop rule.
 STOP_WINDOW = 1000
 #: The stop rule: a window that improves the best objective by less than
@@ -73,7 +83,8 @@ class SolveOptions:
     of the energy-box diameter.  Every STOP_WINDOW (1000) iterations it
     stops when that window improved the best objective by less than
     OBJECTIVE_TOLERANCE (1e-9); max_iterations only caps the run.  The
-    exact pass of certified energy arbitrage takes no iterations.
+    exact pass of certified energy arbitrage and load balancing takes no
+    iterations.
     """
 
     max_iterations: int = 20000
@@ -201,10 +212,11 @@ def solve(
 ) -> Solution:
     """Minimize the cost over the feasible energy polytope.
 
-    Certified energy arbitrage is convex and piecewise linear in the energy
-    steps, so one pass of the chain kernel that also projects
-    (`transform._chain_argmin`) solves it exactly: status "exact", no
-    iterations, and a trace of one entry.
+    Certified energy arbitrage and load balancing are convex in the energy
+    steps, piecewise linear and piecewise quadratic with one kink at 0, so
+    one pass of the chain kernel that also projects
+    (`transform._chain_argmin`), with the terms of EXACT_STEP_TERMS, solves
+    them exactly: status "exact", no iterations, and a trace of one entry.
 
     Every other cost takes projected subgradient descent on normalized
     directions with steps a/sqrt(k), where a is a tenth of the energy-box
@@ -227,9 +239,9 @@ def solve(
     polytope = build_energy_polytope(params, bounds, dyn)
     certificate = certify_convexity(cost, params)
 
-    if isinstance(cost, EnergyArbitrage) and certificate.certified:
-        below, above = arbitrage_step_slopes(cost, params)
-        best_x = np.array(_chain_argmin(polytope, None, below, above))
+    step_terms = EXACT_STEP_TERMS.get(type(cost))
+    if step_terms is not None and certificate.certified:
+        best_x = np.array(_chain_argmin(polytope, None, *step_terms(cost, params)))
         best_f = evaluate_energy_cost(cost, best_x, params, dyn)
         trace, status, iterations = [best_f], STATUS_EXACT, 0
     else:

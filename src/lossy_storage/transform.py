@@ -30,9 +30,10 @@ energy).  One forward sweep of reachable energy intervals per polytope
 decides emptiness, naming the first empty period, and bounds the witness
 pairs.  One dynamic program over the periods, `_chain_argmin`, minimizes a
 sum of per-period terms over X exactly: a quadratic pull of each energy
-toward a target, or none, plus a convex piecewise-linear cost of each step
-with one kink at 0.  `project_onto_polytope` is its quadratic case with a
-free step; the solver's exact arbitrage pass is its other case.
+toward a target, or none, plus a convex cost of each step with one kink at
+0, linear or quadratic on each side.  `project_onto_polytope` is its
+quadratic case with a free step; the solver's exact passes for arbitrage
+(linear step costs) and load balancing (quadratic ones) are its others.
 
 Each set is two boxes, listed once (`_power_boxes`, `_energy_boxes`), and
 its verdict and mask share one membership rule: every value lies within
@@ -173,6 +174,20 @@ def _clip_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, li
     return xs, ds
 
 
+def _clip_onto_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, list]:
+    """`_clip_knots`, save that an end on a knot keeps that knot's value,
+    which interpolating from a far steeper neighbour can cancel."""
+    if left > xs[0]:
+        i = bisect_left(xs, left)
+        if xs[i] == left:
+            xs, ds = xs[i:], ds[i:]
+    if right < xs[-1]:
+        j = bisect_right(xs, right)
+        if xs[j - 1] == right:
+            xs, ds = xs[:j], ds[:j]
+    return _clip_knots(xs, ds, left, right)
+
+
 def _crossing(xs: list, ds: list, k: int, level: float) -> float:
     """Where the piecewise-linear function through (xs, ds) reaches `level`,
     given k = bisect_left(ds, level): an end when it stays on one side."""
@@ -183,23 +198,102 @@ def _crossing(xs: list, ds: list, k: int, level: float) -> float:
     return xs[k - 1] + (level - ds[k - 1]) * (xs[k] - xs[k - 1]) / (ds[k] - ds[k - 1])
 
 
+def _knot_crossing(xs: list, ds: list, k: int, level: float) -> float:
+    """`_crossing`, save that a level on a knot's value takes that knot's
+    abscissa, which interpolating from a far knot can miss by its rounding."""
+    if k < len(ds) and ds[k] == level:
+        return xs[k]
+    return _crossing(xs, ds, k, level)
+
+
+def _band_step(band: tuple, p: float) -> float:
+    """The step that a curved band's (p, step) map gives p, held at its ends."""
+    ps, steps = band
+    return _knot_crossing(steps, ps, bisect_left(ps, p), p)
+
+
+def _curved_step(
+    xs: list, ds: list, up: float, down: float, qb: float, qa: float, a: float, c: float,
+    lam: float,
+) -> tuple:
+    """One backward step of `_chain_argmin` through a curved step cost: slope
+    -up and curvature qa above its kink, -down and qb below, step box [a, c].
+
+    Seen from the previous period, p = lam * x_{t-1} reaches x_t by the
+    step s(d) with phi_t'(s) = -d, d the derivative at x_t: the highest step
+    c below the level up - qa * c, the lowest step a above down - qb * a, no
+    step between up and down, and a step linear in d in the two bands left.
+    So each knot moves to p = x - s(d), and four more mark the levels.
+    Returns each band's map from p to its step, for the recovery, and the
+    knots of the derivative over x_{t-1} = p / lam.
+    """
+    # A band whose step box is empty ends at its kink level, since its
+    # curvature can overflow to inf and inf * 0 is NaN; a band end beyond
+    # the float range takes the derivative's own end, so that no knot
+    # carries an infinite derivative.
+    first = up - qa * c if c else up
+    last = down - qb * a if a else down
+    levels = (
+        first if first > -math.inf else min(ds[0], up),
+        up,
+        down,
+        last if last < math.inf else max(ds[-1], down),
+    )
+    cuts, ends = [0], []
+    for level in levels:
+        cuts.append(bisect_left(ds, level, cuts[-1]))
+        ends.append(_knot_crossing(xs, ds, cuts[-1], level))
+    _, k1, k2, k3, k4 = cuts
+    e1, e2, e3, e4 = ends
+    rising = [(up - d) / qa for d in ds[k1:k2]]  # steps in (0, c]
+    falling = [(down - d) / qb for d in ds[k3:k4]]  # steps in (a, 0]
+    band_up = [e1 - c] + [z - s for z, s in zip(xs[k1:k2], rising)] + [e2]
+    band_down = [e3] + [z - s for z, s in zip(xs[k3:k4], falling)] + [e4 - a]
+    xs = (
+        [(z - c) / lam for z in xs[:k1]]
+        + [p / lam for p in band_up]
+        + [z / lam for z in xs[k2:k3]]
+        + [p / lam for p in band_down]
+        + [(z - a) / lam for z in xs[k4:]]
+    )
+    ds = (
+        ds[:k1] + [levels[0]] + ds[k1:k2] + [up] + ds[k2:k3]
+        + [down] + ds[k3:k4] + [levels[3]] + ds[k4:]
+    )
+    return (band_up, [c] + rising + [0.0]), (band_down, [0.0] + falling + [a]), xs, ds
+
+
 def _chain_argmin(
-    polytope: EnergyPolytope, y: Optional[list], below: list, above: list
+    polytope: EnergyPolytope,
+    y: Optional[list],
+    below: list,
+    above: list,
+    curvature: Optional[tuple[list, list]] = None,
 ) -> list:
     """The member of the polytope that minimizes
 
         sum_t h_t(x_t) + phi_t(x_t - lam * x_{t-1}),
 
     as a list: h_t(x) = (x - y_t)^2 / 2, or 0 when y is None, and phi_t
-    the convex piecewise-linear cost of the step, with slope below[t] under
-    its kink at 0 and above[t] over it (below[t] <= above[t]).
+    the convex cost of the step s, piecewise quadratic with its kink at 0:
+
+        phi_t(s) = above[t] * s + above_curve[t] * s^2 / 2   for s >= 0,
+                   below[t] * s + below_curve[t] * s^2 / 2   for s < 0,
+
+    with below[t] <= above[t] and curvature = (below_curve, above_curve),
+    both >= 0, or None for a piecewise-linear step cost (no curvature).
 
     A dynamic program over the periods, as for the fused lasso (Johnson,
     JCGS 2013): a backward pass over the piecewise-linear derivative of each
-    cost-to-go, then a forward clip.  Each backward step is an infimal
-    convolution with phi_t, which merges its two slopes into the derivative
-    as flats (Rockafellar, Convex Analysis, section 5).  O(T * k) time, k the
-    number of knots alive in the cost-to-go.
+    cost-to-go, then a forward recovery.  Each backward step is an infimal
+    convolution with phi_t (Rockafellar, Convex Analysis, section 5): a
+    linear step cost merges its two slopes into the derivative as flats; a
+    curved one, as for piecewise-quadratic costs (Hochbaum & Lu, SIAM J.
+    Optim. 2017), moves each knot (x, d) to (x - s(d), d), where s(d) is the
+    step with phi_t'(s) = -d, clipped to the step box.  The recovery clips
+    the previous energy into the flats' ends, or adds the step that a
+    curved period's two bands give it to its deviation from b.  O(T * k)
+    time, k the number of knots alive in the cost-to-go.
 
     Raises InfeasibleProblem naming the first period that no energy
     reachable from the earlier periods can meet (the forward sweep's
@@ -213,15 +307,22 @@ def _chain_argmin(
     lam = polytope.dynamics.lam
     x_lower, x_upper, step_lower, step_upper = polytope.chain
     horizon = len(x_lower)
+    curved = curvature is not None
+    clip = _clip_knots
+    if curved:
+        below_curve, above_curve = curvature
+        clip = _clip_onto_knots
 
     # Backward pass over the cost-to-go of each period.  (xs, ds) are the
     # knots of its derivative, linear between knots, with a repeated
     # abscissa for a jump; xs[0] and xs[-1] bound the energies from which
     # the later periods stay feasible.  Running backward lets the recovery
     # below multiply by lam; recovering backward would divide by it and
-    # amplify rounding by 1/lam per binding step.
-    rises, falls = [0.0] * horizon, [0.0] * horizon
-    lows, highs = [0.0] * horizon, [0.0] * horizon
+    # amplify rounding by 1/lam per binding step.  Each period leaves its
+    # plan for the recovery: the rise, the fall (for a curved period, its
+    # two bands) and its energy range.
+    plan = [None] * horizon
+    start = float(polytope.dynamics.b_offset[0])  # lam * x0
     xs = [x_lower[-1], x_upper[-1]]
     ds = [0.0, 0.0] if y is None else [xs[0] - y[-1], xs[1] - y[-1]]
     for t in range(horizon - 1, -1, -1):
@@ -230,39 +331,49 @@ def _chain_argmin(
             low = high = 0.5 * (low + high)
             xs, ds = [low], [0.0]
         else:
-            xs, ds = _clip_knots(xs, ds, low, high)
-        # the energies where the derivative crosses -above[t], below which
-        # the step from the previous period rises, and -below[t], above
-        # which it falls.  Seen from period t - 1, knots left of the rise
-        # are reached by the highest step, those right of the fall by the
-        # lowest, those between by no step, and the two slopes of the step
-        # cost become flats between them.
+            xs, ds = clip(xs, ds, low, high)
         up, down = -above[t], -below[t]
-        k = bisect_left(ds, up)
-        rise = _crossing(xs, ds, k, up)
         a, c = step_lower[t], step_upper[t]
-        if down == up:
-            fall = rise
-            if t:
-                xs = (
-                    [(z - c) / lam for z in xs[:k]]
-                    + [(rise - c) / lam, (rise - a) / lam]
-                    + [(z - a) / lam for z in xs[k:]]
-                )
-                ds = ds[:k] + [up, up] + ds[k:]
+        if curved:
+            # Only steps from lam times the previous energy box matter, and
+            # a band end far beyond them would cost every interpolation on
+            # its segment its precision, so the step box is capped there.
+            p_low, p_high = (lam * x_lower[t - 1], lam * x_upper[t - 1]) if t else (start, start)
+            a, c = max(a, min(0.0, xs[0] - p_high)), min(c, max(0.0, xs[-1] - p_low))
+            rise, fall, xs, ds = _curved_step(
+                xs, ds, up, down, below_curve[t], above_curve[t], a, c, lam
+            )
         else:
-            j = bisect_left(ds, down, k)
-            fall = _crossing(xs, ds, j, down)
-            if t:
-                xs = (
-                    [(z - c) / lam for z in xs[:k]]
-                    + [(rise - c) / lam, rise / lam]
-                    + [z / lam for z in xs[k:j]]
-                    + [fall / lam, (fall - a) / lam]
-                    + [(z - a) / lam for z in xs[j:]]
-                )
-                ds = ds[:k] + [up, up] + ds[k:j] + [down, down] + ds[j:]
-        rises[t], falls[t], lows[t], highs[t] = rise, fall, low, high
+            # the energies where the derivative crosses -above[t], below
+            # which the step from the previous period rises, and -below[t],
+            # above which it falls.  Seen from period t - 1, knots left of
+            # the rise are reached by the highest step, those right of the
+            # fall by the lowest, those between by no step, and the two
+            # slopes of the step cost become flats between them.
+            k = bisect_left(ds, up)
+            rise = _crossing(xs, ds, k, up)
+            if down == up:
+                fall = rise
+                if t:
+                    xs = (
+                        [(z - c) / lam for z in xs[:k]]
+                        + [(rise - c) / lam, (rise - a) / lam]
+                        + [(z - a) / lam for z in xs[k:]]
+                    )
+                    ds = ds[:k] + [up, up] + ds[k:]
+            else:
+                j = bisect_left(ds, down, k)
+                fall = _crossing(xs, ds, j, down)
+                if t:
+                    xs = (
+                        [(z - c) / lam for z in xs[:k]]
+                        + [(rise - c) / lam, rise / lam]
+                        + [z / lam for z in xs[k:j]]
+                        + [fall / lam, (fall - a) / lam]
+                        + [(z - a) / lam for z in xs[j:]]
+                    )
+                    ds = ds[:k] + [up, up] + ds[k:j] + [down, down] + ds[j:]
+        plan[t] = rise, fall, low, high
         if t:
             if y is None:
                 ds = [lam * d for d in ds]
@@ -272,14 +383,28 @@ def _chain_argmin(
 
     # Recovery: each period holds the previous energy when it can, else
     # moves to the rise or the fall, clipped into the energies the step
-    # from the previous period's choice can reach.
-    out, previous = [0.0] * horizon, float(polytope.dynamics.b_offset[0])  # lam * x0
+    # from the previous period's choice can reach.  A curved period takes
+    # the step its two bands give p = lam * x_{t-1}, clipped to the step
+    # box, and adds it to held = lam * (x_{t-1} - b_{t-1}), the deviation
+    # from b that `velocity` measures steps against: so a hold from x = b
+    # measures exactly 0, which p + 0 would not where lam * b_{t-1} rounds
+    # away from b_t.
+    out, previous = [0.0] * horizon, start
+    if curved:
+        b, held = polytope.dynamics.b_offset.tolist(), 0.0
     for t in range(horizon):
-        out[t] = min(
-            max(rises[t], min(previous, falls[t]), previous + step_lower[t], lows[t]),
-            previous + step_upper[t],
-            highs[t],
-        )
+        rise, fall, low, high = plan[t]
+        if curved:
+            step = _band_step(rise, previous) + _band_step(fall, previous)
+            step = min(max(step, step_lower[t]), step_upper[t])
+            out[t] = min(max(b[t] + (held + step), low), high)
+            held = lam * (out[t] - b[t])
+        else:
+            out[t] = min(
+                max(rise, min(previous, fall), previous + step_lower[t], low),
+                previous + step_upper[t],
+                high,
+            )
         previous = lam * out[t]
     return out
 
@@ -343,7 +468,12 @@ def loss_map(u, params: StorageParams) -> np.ndarray:
 def inverse_loss_map(v, params: StorageParams) -> np.ndarray:
     """Exact inverse of `loss_map`: (1/eta_c) * v+ + eta_d * v-."""
     v = _check_length(v, params.horizon, "v")
-    return (1.0 / params.eta_c) * np.maximum(v, 0.0) + params.eta_d * np.minimum(v, 0.0)
+    u = np.maximum(v, 0.0)
+    u *= 1.0 / params.eta_c
+    discharge = np.minimum(v, 0.0)
+    discharge *= params.eta_d
+    u += discharge
+    return u
 
 
 def power_to_energy(u, params: StorageParams, dyn: Dynamics) -> np.ndarray:
@@ -364,7 +494,8 @@ def velocity(x, dyn: Dynamics) -> np.ndarray:
     x = _check_length(x, dyn.b_offset.shape[0], "x")
     d = x - dyn.b_offset
     d[..., 1:] -= dyn.lam * d[..., :-1]
-    return d / dyn.delta
+    d /= dyn.delta
+    return d
 
 
 def velocity_adjoint(w, dyn: Dynamics) -> np.ndarray:
@@ -554,7 +685,10 @@ def find_nonconvexity_witness(params: StorageParams, bounds: Bounds) -> Optional
     x = _cap_face_pair(params, build_energy_polytope(params, bounds, dyn))
     if x is None:
         return None
-    u_a, u_b = energy_to_power(x, params, dyn)
+    # the ends are built on the power box, but energy_to_power amplifies the
+    # rounding of their energies by 1 / (eta_c * delta) and can land one
+    # outside; the clip puts it back, and in_power_set still decides the pair
+    u_a, u_b = np.clip(energy_to_power(x, params, dyn), -bounds.u_min_mag, bounds.u_max)
     mid = 0.5 * u_a + 0.5 * u_b
     verdict = in_power_set(mid, params, bounds, tol=WITNESS_MARGIN)
     if verdict or not all(in_power_set(u, params, bounds) for u in (u_a, u_b)):

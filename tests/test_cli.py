@@ -452,7 +452,7 @@ def test_trace_grows_with_the_solve(tmp_path):
     # the zero-power start is the minimum, so the solve stops at once
     # however large the iteration budget
     doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
-    doc["cost"] = {"family": "load_balancing", "load": [0, 0]}
+    doc["cost"] = {"family": "power_regulation", "signal": [0, 0]}
     doc["solve"]["max_iterations"] = 10**13
     path = write_json(tmp_path, doc)
     assert cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
@@ -566,21 +566,32 @@ def test_power_bounds_beyond_the_float_range_act_as_no_bound(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "cost, objective",
+    "cost, objective, delta",
     [
-        ({"family": "power_regulation", "signal": [-0.5, -0.2]}, 0.325),
-        ({"family": "peak_shaving", "load": [0.5, 0.2]}, 0.1625012959936023),
-        ({"family": "energy_arbitrage", "p_buy": [1, 1], "p_sell": [0.3, 0.5]}, -0.1875),
+        ({"family": "power_regulation", "signal": [-0.5, -0.2]}, 0.325, 1.0),
+        ({"family": "peak_shaving", "load": [0.5, 0.2]}, 0.1625012959936023, 1.0),
+        # charging stores nothing, so discharge the 0.375 the energy allows
+        # until both net draws are 0.1625
+        ({"family": "load_balancing", "load": [0.5, 0.2]}, 2 * 0.1625**2, 1.0),
+        # eta_c * delta underflows to 0, so the charging curvature
+        # 2 / (eta_c * delta) is inf on an empty charging step box; each
+        # discharging step, below 2e-30, is lost on the energy 0.75
+        ({"family": "load_balancing", "load": [0.5, 0.2]}, 0.5**2 + 0.2**2, 1e-30),
+        ({"family": "energy_arbitrage", "p_buy": [1, 1], "p_sell": [0.3, 0.5]}, -0.1875, 1.0),
         ({"family": "energy_arbitrage", "p_buy": [1e20, 1e20], "p_sell": [0.3e20, 0.5e20]},
-         -1.875e19),
+         -1.875e19, 1.0),
     ],
-    ids=["regulation", "peak-shaving", "arbitrage", "arbitrage-x1e20"],
+    ids=[
+        "regulation", "peak-shaving", "load-balancing", "load-balancing-delta-1e-30",
+        "arbitrage", "arbitrage-x1e20",
+    ],
 )
-def test_tiny_charge_efficiency_solves(tmp_path, cost, objective):
+def test_tiny_charge_efficiency_solves(tmp_path, cost, objective, delta):
     # with eta_c = 1e-300 the chain rule multiplies the subgradient by
     # 1 / (eta_c * delta) = 1e300, so its norm overflows although every
     # input is small
-    path = write_json(tmp_path, shipped_two_period(cost, {("storage", "eta_c"): 1e-300}))
+    changes = {("storage", "eta_c"): 1e-300, ("storage", "delta"): delta}
+    path = write_json(tmp_path, shipped_two_period(cost, changes))
     code = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_OK
     solution = json.loads((tmp_path / "out" / "solution.json").read_text(encoding="utf-8"))

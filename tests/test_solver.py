@@ -283,8 +283,9 @@ def test_one_cost_pass_per_iterate(two_period_problem, monkeypatch):
 
 
 def test_an_infinite_objective_ends_the_first_stop_window(monkeypatch):
-    # a load of 1e160 squares to inf at every iterate, so the first window
-    # gains inf - inf, which is NaN; it must stop the solve, not the budget
+    # renewable output swinging by 2e308 overflows every iterate's variation
+    # to inf, so the first window gains inf - inf, which is NaN; it must
+    # stop the solve, not the budget
     calls = []
 
     def counted(*args, _fn=ls.solver.subgradient_energy_cost, **kwargs):
@@ -295,8 +296,10 @@ def test_an_infinite_objective_ends_the_first_stop_window(monkeypatch):
     params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=10.0, horizon=2)
     bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[4, 4], x_max=[10, 10], x_min=[0, 0])
     with pytest.raises(ObjectiveOutOfRange):
-        ls.solve(ls.validate_params(params, bounds), ls.LoadBalancing(load=[1e160, 1e160]))
-    assert len(calls) <= ls.solver.STOP_WINDOW + 1
+        ls.solve(
+            ls.validate_params(params, bounds), ls.PowerSmoothing(renewable=[1e308, -1e308])
+        )
+    assert len(calls) == ls.solver.STOP_WINDOW + 1
 
 
 def test_exact_arbitrage_takes_one_kernel_pass(two_period_problem, monkeypatch):
@@ -341,7 +344,7 @@ def test_trace_grows_with_the_solve(two_period_problem):
     # the zero-power start is the minimum: the subgradient is zero there
     solution = ls.solve(
         two_period_problem,
-        ls.LoadBalancing(load=[0.0, 0.0]),
+        ls.PowerRegulation(signal=[0.0, 0.0]),
         ls.SolveOptions(max_iterations=10**13),
     )
     assert solution.iterations_used == 1

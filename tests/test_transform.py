@@ -10,6 +10,7 @@ import lossy_storage as ls
 from lossy_storage.errors import LengthMismatch
 from lossy_storage.transform import (
     MEMBERSHIP_TOL,
+    _cap_face_pair,
     energy_membership_mask,
     power_feasibility_mask,
     velocity_adjoint,
@@ -315,6 +316,34 @@ def test_witness_of_leaky_storage():
     assert not ls.in_power_set(witness.midpoint, params, bounds, tol=1e-7)
     assert witness.violation.constraint == "energy_upper"
     assert witness.violation.amount > 1e-7
+
+
+def test_witness_ends_rounded_past_the_power_box():
+    # at energies near 1e6, energy_to_power amplifies the rounding of the
+    # pair's energies by 1 / (eta_c * delta), about 34 here, so an end built
+    # on its power bound comes back outside it by more than MEMBERSHIP_TOL;
+    # the clip into the power box keeps the witness
+    params = ls.StorageParams(
+        eta_c=0.029503700777674308, eta_d=0.229323139880528, lam=0.999, delta=1.0,
+        x0=494864.31263744534, horizon=6,
+    )
+    bounds = ls.Bounds(
+        u_max=[709020.0, 154722.0, 600037.0, 344306.0, 891686.0, 157793.0],
+        u_min_mag=[711263.0, 883080.0, 304587.0, 905903.0, 884976.0, 116665.0],
+        x_max=[559764.0, 475008.0, 535268.0, 527264.0, 499255.0, 513857.0],
+        x_min=[0.0] * 6,
+    )
+    dyn = ls.build_dynamics(params)
+    pair = _cap_face_pair(params, ls.build_energy_polytope(params, bounds, dyn))
+    unclipped = [ls.in_power_set(u, params, bounds) for u in ls.energy_to_power(pair, params, dyn)]
+    assert not all(unclipped)
+    assert all(viol.constraint.startswith("power_") for v in unclipped for viol in v.violations)
+    witness = ls.find_nonconvexity_witness(params, bounds)
+    assert witness is not None
+    assert ls.in_power_set(witness.u_a, params, bounds)
+    assert ls.in_power_set(witness.u_b, params, bounds)
+    assert witness.violation.constraint == "energy_upper"
+    assert witness.violation.amount > 1.0
 
 
 def _grid_pair_breaks_convexity(params, bounds, points):
