@@ -3,10 +3,10 @@
 Maps between storage power profiles and energy (state-of-charge) profiles
 via an explicit piecewise-affine bijection, builds the convex polytope of
 feasible energy profiles, certifies convexity of practical cost families,
-solves the reformulated problem (certified energy arbitrage exactly, by a
-dynamic program over the periods, and the other families with a projected
-subgradient method), and verifies against a brute-force oracle on the
-original formulation.
+solves the reformulated problem (certified energy arbitrage and load
+balancing exactly, by a dynamic program over the periods, and the other
+families with a projected subgradient method), and verifies against a
+brute-force oracle on the original formulation.
 """
 
 from .costs import (

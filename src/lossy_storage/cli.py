@@ -32,8 +32,8 @@ Verbs: solve, certify, sample-sets, oracle-check.  sample-sets alone
 writes the feasible-set rasters, and oracle-check is solve followed by the
 oracle report; --resolution is their points per axis.  The solve checks
 its stop rule every 1000 iterations; "max_iterations" only caps the run.
-Certified energy arbitrage is solved exactly, with no iterations, and
-ignores it.
+Certified energy arbitrage and load balancing are solved exactly, with no
+iterations, and ignore it.
 
 Exit codes: 0 ok (status "exact" or "converged"), 2 infeasible, 3 not
 converged (status "max-iterations"), 4 best-effort only (no convexity

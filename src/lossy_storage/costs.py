@@ -61,6 +61,8 @@ __all__ = [
 
 #: Slack added to the midpoint inequality before calling something a violation.
 PROBE_MARGIN = 1e-7
+#: Most float64 values (rows x periods) one block of the probe's maps holds.
+_PROBE_BLOCK = 1 << 15
 
 
 class _VectorFamily:
@@ -415,38 +417,54 @@ def midpoint_convexity_probe(
     Draws pairs x_a, x_b uniformly from a box of half-width 1 + |x0| around
     the zero-power offset b, mixes them with a uniform theta and flags any
     triple where the convexity inequality fails by more than PROBE_MARGIN.
-    samples must be an integer of at least 1.
+    The draws are taken whole, in that order; the mixture and the cost maps
+    then run over blocks of rows small enough to stay in cache, which
+    changes no bit of the report.  samples must be an integer of at least
+    1; a box beyond the float range raises ValidationError.
     """
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     _check_cost_length(cost, params.horizon)
     dyn = build_dynamics(params)
     radius = 1.0 + abs(params.x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = dyn.b_offset - radius
+        span = (dyn.b_offset + radius) - lo
+    if not np.all(np.isfinite(span)):
+        raise ValidationError(
+            f"the probe box b +- (1 + |x0|) is not finite for x0 = {params.x0!r}"
+        )
+
+    # uniform(lo, hi) draws lo + (hi - lo) * random(), bit for bit
     rng = np.random.default_rng(seed)
-    lo = dyn.b_offset - radius
-    hi = dyn.b_offset + radius
+    x_a, x_b = draws = rng.random((2, samples, params.horizon))
+    draws *= span
+    draws += lo
+    theta = rng.random((samples, 1))
 
-    x_a = rng.uniform(lo, hi, size=(samples, params.horizon))
-    x_b = rng.uniform(lo, hi, size=(samples, params.horizon))
-    theta = rng.uniform(size=(samples, 1))
-    mid = theta * x_a + (1.0 - theta) * x_b
+    # on a period-major (Fortran-order) copy of a block, every map steps
+    # along rows of profiles, and the sum over the periods folds whole
+    # columns in period order.  A lone row is contiguous, which np.sum adds
+    # pairwise from 8 periods on, so no block is one row unless samples is.
+    rows = max(2, _PROBE_BLOCK // params.horizon)
+    cuts = [0, *range(rows, samples - 1, rows), samples]
+    margin = np.empty(samples)
+    for block in map(slice, cuts, cuts[1:]):
+        w = theta[block]
+        mid = w * x_a[block] + (1.0 - w) * x_b[block]
+        f_a, f_b, f_mid = (
+            power_cost_batch(cost, energy_to_power(np.asfortranarray(x), params, dyn))
+            for x in (x_a[block], x_b[block], mid)
+        )
+        margin[block] = f_mid - (w[:, 0] * f_a + (1.0 - w[:, 0]) * f_b)
 
-    # on a period-major (Fortran-order) copy of each draw array, every map
-    # steps along rows of n profiles, and the sum over the periods folds
-    # whole columns in period order
-    f_a, f_b, f_mid = (
-        power_cost_batch(cost, energy_to_power(np.asfortranarray(x), params, dyn))
-        for x in (x_a, x_b, mid)
-    )
-
-    margin = f_mid - (theta[:, 0] * f_a + (1.0 - theta[:, 0]) * f_b)
     violating = margin > PROBE_MARGIN
     worst = int(np.argmax(margin))
     return ProbeReport(
         samples=samples,
         violations=int(np.count_nonzero(violating)),
         worst_margin=float(margin[worst]),
-        worst_triple=(x_a[worst], x_b[worst], float(theta[worst, 0]))
+        worst_triple=(x_a[worst].copy(), x_b[worst].copy(), float(theta[worst, 0]))
         if violating.any()
         else None,
     )

@@ -61,7 +61,7 @@ GRID_SIZE_GUARD = 10**8
 #: Largest gap between solver and grid objectives that `compare` passes.
 GAP_TOLERANCE = 1e-3
 #: Most candidate points (prefix x level) one broadcast step of the walk holds.
-_BLOCK = 1 << 12
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)

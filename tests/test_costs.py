@@ -1,9 +1,12 @@
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import lossy_storage as ls
+from lossy_storage import costs
 from lossy_storage.costs import FAMILIES, power_cost_batch
 from lossy_storage.errors import LengthMismatch, NoSubgradientOracle, ValidationError
 
@@ -345,6 +348,60 @@ def test_probe_accepts_numpy_integer_sample_count(two_period_params):
     plain = ls.midpoint_convexity_probe(cost, two_period_params, samples=50, seed=1)
     assert report.samples == 50
     assert (report.violations, report.worst_margin) == (plain.violations, plain.worst_margin)
+
+
+@pytest.mark.parametrize("x0", [1e308, -1e308, float("nan")])
+def test_probe_rejects_a_box_beyond_the_float_range(x0):
+    # StorageParams itself does not validate, so a NaN x0 reaches the probe
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=x0, horizon=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="probe box"):
+            ls.midpoint_convexity_probe(ls.PeakShaving(load=[0.5, 0.5]), params, 10, seed=1)
+
+
+def _probe_bytes(report):
+    triple = report.worst_triple
+    return (
+        report.violations,
+        report.worst_margin.hex(),
+        None if triple is None else (triple[0].tobytes(), triple[1].tobytes(), triple[2].hex()),
+    )
+
+
+def test_probe_blocks_do_not_change_the_report(two_period_params, monkeypatch):
+    nine_periods = ls.StorageParams(eta_c=0.8, eta_d=0.7, lam=0.95, delta=1.0, x0=0.5, horizon=9)
+    cases = [
+        # the inverted prices of test_probe_finds_genuinely_nonconvex_composition
+        (ls.EnergyArbitrage(p_buy=[0.1, 0.1], p_sell=[2.0, 2.0]), two_period_params),
+        (ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1.5, 1.5]), two_period_params),
+        # from 8 periods on a lone row would be summed pairwise
+        (ls.EnergyArbitrage(p_buy=np.linspace(1.0, 2.0, 9), p_sell=np.full(9, 0.5)), nine_periods),
+    ]
+    for cost, params in cases:
+        rows = costs._PROBE_BLOCK // params.horizon
+        for samples in (10, rows + 2):  # rows + 2 runs one default block and two rows
+            default = _probe_bytes(ls.midpoint_convexity_probe(cost, params, samples, seed=7))
+            for block in (7, samples * params.horizon + 1):
+                monkeypatch.setattr(costs, "_PROBE_BLOCK", block)
+                report = ls.midpoint_convexity_probe(cost, params, samples, seed=7)
+                assert _probe_bytes(report) == default, (cost, samples, block)
+            monkeypatch.undo()
+    assert ls.midpoint_convexity_probe(*cases[0], 10, seed=7).violations > 0
+
+
+def test_probe_memory_is_bounded_by_its_draws():
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.8, lam=0.99, delta=1.0, x0=1.0, horizon=4)
+    cost = ls.EnergyArbitrage(p_buy=[1.0, 2.0, 3.0, 1.5], p_sell=[0.5, 1.0, 1.5, 0.5])
+    ls.midpoint_convexity_probe(cost, params, samples=100_000, seed=3)  # warm-up
+    tracemalloc.start()
+    try:
+        ls.midpoint_convexity_probe(cost, params, samples=100_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the draws, theta and margin alone take 7.6 MB
+    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_instance_digest_distinguishes(two_period_params, two_period_bounds):
