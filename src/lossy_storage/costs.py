@@ -48,7 +48,7 @@ __all__ = [
     "ProbeReport",
     "evaluate_power_cost",
     "separable_cost_terms",
-    "arbitrage_step_slopes",
+    "arbitrage_step_terms",
     "load_balancing_step_terms",
     "power_cost_batch",
     "evaluate_energy_cost",
@@ -207,32 +207,32 @@ def separable_cost_terms(
     return None
 
 
-def arbitrage_step_slopes(cost: EnergyArbitrage, params: StorageParams) -> tuple[list, list]:
-    """The slopes of each period's arbitrage cost in the energy step
-    s_t = x_t - lam * x_{t-1} = delta * v_t, below and above its kink at 0,
-    as two lists.
+def arbitrage_step_terms(cost: EnergyArbitrage, params: StorageParams) -> tuple[list, ...]:
+    """The terms of each period's arbitrage cost in the energy step
+    s_t = x_t - lam * x_{t-1} = delta * v_t, as lists: (below, above,
+    below_curve, above_curve), the slopes and the curvatures (all 0) below
+    and above its kink at 0.
 
-    They are eta_d * p_sell / delta and p_buy / (eta_c * delta), both
+    The slopes are eta_d * p_sell / delta and p_buy / (eta_c * delta), both
     multiplied by the positive constant eta_c * delta, which moves no
     minimizer and keeps them finite: eta_c * eta_d * p_sell and p_buy.  The
     price-ratio rule is "below <= above"; the lower slope is capped at the
     upper one, which it can pass only by rounding."""
     above = cost.p_buy
     below = np.minimum((params.eta_c * params.eta_d) * cost.p_sell, above)
-    return below.tolist(), above.tolist()
+    flat = [0.0] * params.horizon
+    return below.tolist(), above.tolist(), flat, flat
 
 
-def load_balancing_step_terms(
-    cost: LoadBalancing, params: StorageParams
-) -> tuple[list, list, tuple[list, list]]:
+def load_balancing_step_terms(cost: LoadBalancing, params: StorageParams) -> tuple[list, ...]:
     """The terms of each period's load-balancing cost in the energy step
     s_t = x_t - lam * x_{t-1} = delta * v_t, as lists: (below, above,
-    (below_curve, above_curve)), the slopes and the curvatures below and
+    below_curve, above_curve), the slopes and the curvatures below and
     above its kink at 0.
 
     The cost (f_inv(s / delta) + load)^2 is (s / (eta_c * delta) + load)^2
     for s >= 0 and (eta_d * s / delta + load)^2 below.  Less its value at
-    0 and multiplied by eta_c * delta, as `arbitrage_step_slopes` does,
+    0 and multiplied by eta_c * delta, as `arbitrage_step_terms` does,
     that is 2 * load * s + s^2 / (eta_c * delta) above and 2 * eta_c *
     eta_d * load * s + eta_c * eta_d^2 * s^2 / delta below.  The kink is
     convex (below <= above) when the load is nonnegative or the storage
@@ -243,7 +243,7 @@ def load_balancing_step_terms(
     below = np.minimum((eta_c * eta_d) * above, above)
     below_curve = [2.0 * eta_c * eta_d * eta_d / delta] * params.horizon
     above_curve = [2.0 / eta_c / delta] * params.horizon
-    return below.tolist(), above.tolist(), (below_curve, above_curve)
+    return below.tolist(), above.tolist(), below_curve, above_curve
 
 
 def power_cost_batch(cost: CostSpec, profiles: np.ndarray) -> np.ndarray:

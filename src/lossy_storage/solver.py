@@ -2,9 +2,9 @@
 
 Minimizes cost(energy_to_power(x)) over the feasible energy polytope.
 Certified energy arbitrage and load balancing are separable and convex in
-the energy steps, piecewise linear and piecewise quadratic, so the chain
-kernel that also projects (`transform._chain_argmin`) solves them exactly
-in one backward and one forward pass: status "exact".  Every other cost
+the energy steps, piecewise linear and piecewise quadratic, so the chain's
+step-cost pass (`transform._chain_argmin`) solves them exactly in one
+backward and one forward pass: status "exact".  Every other cost
 takes projected subgradient descent with normalized directions,
 best-iterate tracking and tail averaging.  One cost pass per iterate gives
 both its objective and its subgradient, and
@@ -28,7 +28,7 @@ from .costs import (
     CostSpec,
     EnergyArbitrage,
     LoadBalancing,
-    arbitrage_step_slopes,
+    arbitrage_step_terms,
     certify_convexity,
     evaluate_energy_cost,
     instance_digest,
@@ -60,10 +60,11 @@ STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 
-#: The certified families that the chain kernel solves exactly, with the
-#: terms of their step costs.
+#: The certified families that the chain's step-cost pass solves exactly,
+#: with the terms (below, above, below_curve, above_curve) of their step
+#: costs.
 EXACT_STEP_TERMS = {
-    EnergyArbitrage: arbitrage_step_slopes,
+    EnergyArbitrage: arbitrage_step_terms,
     LoadBalancing: load_balancing_step_terms,
 }
 
@@ -214,9 +215,9 @@ def solve(
 
     Certified energy arbitrage and load balancing are convex in the energy
     steps, piecewise linear and piecewise quadratic with one kink at 0, so
-    one pass of the chain kernel that also projects
-    (`transform._chain_argmin`), with the terms of EXACT_STEP_TERMS, solves
-    them exactly: status "exact", no iterations, and a trace of one entry.
+    one step-cost pass over the chain (`transform._chain_argmin`), with the
+    terms of EXACT_STEP_TERMS, solves them exactly: status "exact", no
+    iterations, and a trace of one entry.
 
     Every other cost takes projected subgradient descent on normalized
     directions with steps a/sqrt(k), where a is a tenth of the energy-box
@@ -241,7 +242,7 @@ def solve(
 
     step_terms = EXACT_STEP_TERMS.get(type(cost))
     if step_terms is not None and certificate.certified:
-        best_x = np.array(_chain_argmin(polytope, None, *step_terms(cost, params)))
+        best_x = np.array(_chain_argmin(polytope, *step_terms(cost, params)))
         best_f = evaluate_energy_cost(cost, best_x, params, dyn)
         trace, status, iterations = [best_f], STATUS_EXACT, 0
     else:

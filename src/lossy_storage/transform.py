@@ -28,12 +28,12 @@ X is a chain: each x_t lies in the energy box, and each step
 x_t - lam * x_{t-1} in delta times the velocity box (x_{-1} the initial
 energy).  One forward sweep of reachable energy intervals per polytope
 decides emptiness, naming the first empty period, and bounds the witness
-pairs.  One dynamic program over the periods, `_chain_argmin`, minimizes a
-sum of per-period terms over X exactly: a quadratic pull of each energy
-toward a target, or none, plus a convex cost of each step with one kink at
-0, linear or quadratic on each side.  `project_onto_polytope` is its
-quadratic case with a free step; the solver's exact passes for arbitrage
-(linear step costs) and load balancing (quadratic ones) are its others.
+pairs.  Dynamic programs over the periods minimize over X exactly, each in
+one backward and one forward pass: `project_onto_polytope` a quadratic pull
+of each energy toward a target, with free steps, and `_chain_argmin` a
+convex cost of each step with one kink at 0, linear or quadratic on each
+side, which is the solver's exact pass for arbitrage (linear step costs)
+and load balancing (quadratic ones).
 
 Each set is two boxes, listed once (`_power_boxes`, `_energy_boxes`), and
 its verdict and mask share one membership rule: every value lies within
@@ -223,9 +223,11 @@ def _curved_step(
     step s(d) with phi_t'(s) = -d, d the derivative at x_t: the highest step
     c below the level up - qa * c, the lowest step a above down - qb * a, no
     step between up and down, and a step linear in d in the two bands left.
-    So each knot moves to p = x - s(d), and four more mark the levels.
-    Returns each band's map from p to its step, for the recovery, and the
-    knots of the derivative over x_{t-1} = p / lam.
+    So each knot moves to p = x - s(d), and four more mark the levels.  With
+    no curvature the bands are empty, and when up == down they meet in one
+    knot on a single flat, of which only the two ends are kept.  Returns
+    each band's map from p to its step, for the recovery, and the knots of
+    the derivative over x_{t-1} = p / lam.
     """
     # A band whose step box is empty ends at its kink level, since its
     # curvature can overflow to inf and inf * 0 is NaN; a band end beyond
@@ -249,51 +251,44 @@ def _curved_step(
     falling = [(down - d) / qb for d in ds[k3:k4]]  # steps in (a, 0]
     band_up = [e1 - c] + [z - s for z, s in zip(xs[k1:k2], rising)] + [e2]
     band_down = [e3] + [z - s for z, s in zip(xs[k3:k4], falling)] + [e4 - a]
+    middle = band_up + xs[k2:k3] + band_down
+    middle_ds = [levels[0]] + ds[k1:k2] + [up] + ds[k2:k3] + [down] + ds[k3:k4] + [levels[3]]
+    if up == down and not (qa or qb):
+        del middle[1:3], middle_ds[1:3]
     xs = (
         [(z - c) / lam for z in xs[:k1]]
-        + [p / lam for p in band_up]
-        + [z / lam for z in xs[k2:k3]]
-        + [p / lam for p in band_down]
+        + [p / lam for p in middle]
         + [(z - a) / lam for z in xs[k4:]]
     )
-    ds = (
-        ds[:k1] + [levels[0]] + ds[k1:k2] + [up] + ds[k2:k3]
-        + [down] + ds[k3:k4] + [levels[3]] + ds[k4:]
-    )
+    ds = ds[:k1] + middle_ds + ds[k4:]
     return (band_up, [c] + rising + [0.0]), (band_down, [0.0] + falling + [a]), xs, ds
 
 
 def _chain_argmin(
-    polytope: EnergyPolytope,
-    y: Optional[list],
-    below: list,
-    above: list,
-    curvature: Optional[tuple[list, list]] = None,
+    polytope: EnergyPolytope, below: list, above: list, below_curve: list, above_curve: list
 ) -> list:
     """The member of the polytope that minimizes
 
-        sum_t h_t(x_t) + phi_t(x_t - lam * x_{t-1}),
+        sum_t phi_t(x_t - lam * x_{t-1}),
 
-    as a list: h_t(x) = (x - y_t)^2 / 2, or 0 when y is None, and phi_t
-    the convex cost of the step s, piecewise quadratic with its kink at 0:
+    as a list, phi_t the convex cost of the step s, piecewise quadratic
+    with its kink at 0:
 
         phi_t(s) = above[t] * s + above_curve[t] * s^2 / 2   for s >= 0,
                    below[t] * s + below_curve[t] * s^2 / 2   for s < 0,
 
-    with below[t] <= above[t] and curvature = (below_curve, above_curve),
-    both >= 0, or None for a piecewise-linear step cost (no curvature).
+    with below[t] <= above[t] and both curvatures >= 0 (0 for a linear side).
 
     A dynamic program over the periods, as for the fused lasso (Johnson,
     JCGS 2013): a backward pass over the piecewise-linear derivative of each
     cost-to-go, then a forward recovery.  Each backward step is an infimal
-    convolution with phi_t (Rockafellar, Convex Analysis, section 5): a
-    linear step cost merges its two slopes into the derivative as flats; a
-    curved one, as for piecewise-quadratic costs (Hochbaum & Lu, SIAM J.
-    Optim. 2017), moves each knot (x, d) to (x - s(d), d), where s(d) is the
-    step with phi_t'(s) = -d, clipped to the step box.  The recovery clips
-    the previous energy into the flats' ends, or adds the step that a
-    curved period's two bands give it to its deviation from b.  O(T * k)
-    time, k the number of knots alive in the cost-to-go.
+    convolution with phi_t (Rockafellar, Convex Analysis, section 5) which,
+    as for piecewise-quadratic costs (Hochbaum & Lu, SIAM J. Optim. 2017),
+    moves each knot (x, d) to (x - s(d), d), where s(d) is the step with
+    phi_t'(s) = -d, clipped to the step box; a linear side leaves a flat.
+    The recovery adds the step that a period's two bands give the previous
+    energy to its deviation from b.  O(T * k) time, k the number of knots
+    alive in the cost-to-go.
 
     Raises InfeasibleProblem naming the first period that no energy
     reachable from the earlier periods can meet (the forward sweep's
@@ -307,11 +302,6 @@ def _chain_argmin(
     lam = polytope.dynamics.lam
     x_lower, x_upper, step_lower, step_upper = polytope.chain
     horizon = len(x_lower)
-    curved = curvature is not None
-    clip = _clip_knots
-    if curved:
-        below_curve, above_curve = curvature
-        clip = _clip_onto_knots
 
     # Backward pass over the cost-to-go of each period.  (xs, ds) are the
     # knots of its derivative, linear between knots, with a repeated
@@ -319,92 +309,44 @@ def _chain_argmin(
     # the later periods stay feasible.  Running backward lets the recovery
     # below multiply by lam; recovering backward would divide by it and
     # amplify rounding by 1/lam per binding step.  Each period leaves its
-    # plan for the recovery: the rise, the fall (for a curved period, its
-    # two bands) and its energy range.
+    # plan for the recovery: its two bands and its energy range.
     plan = [None] * horizon
     start = float(polytope.dynamics.b_offset[0])  # lam * x0
-    xs = [x_lower[-1], x_upper[-1]]
-    ds = [0.0, 0.0] if y is None else [xs[0] - y[-1], xs[1] - y[-1]]
+    xs, ds = [x_lower[-1], x_upper[-1]], [0.0, 0.0]
     for t in range(horizon - 1, -1, -1):
         low, high = max(xs[0], x_lower[t]), min(xs[-1], x_upper[t])
         if low > high:  # a gap the forward pass bridged
             low = high = 0.5 * (low + high)
             xs, ds = [low], [0.0]
         else:
-            xs, ds = clip(xs, ds, low, high)
-        up, down = -above[t], -below[t]
-        a, c = step_lower[t], step_upper[t]
-        if curved:
-            # Only steps from lam times the previous energy box matter, and
-            # a band end far beyond them would cost every interpolation on
-            # its segment its precision, so the step box is capped there.
-            p_low, p_high = (lam * x_lower[t - 1], lam * x_upper[t - 1]) if t else (start, start)
-            a, c = max(a, min(0.0, xs[0] - p_high)), min(c, max(0.0, xs[-1] - p_low))
-            rise, fall, xs, ds = _curved_step(
-                xs, ds, up, down, below_curve[t], above_curve[t], a, c, lam
-            )
-        else:
-            # the energies where the derivative crosses -above[t], below
-            # which the step from the previous period rises, and -below[t],
-            # above which it falls.  Seen from period t - 1, knots left of
-            # the rise are reached by the highest step, those right of the
-            # fall by the lowest, those between by no step, and the two
-            # slopes of the step cost become flats between them.
-            k = bisect_left(ds, up)
-            rise = _crossing(xs, ds, k, up)
-            if down == up:
-                fall = rise
-                if t:
-                    xs = (
-                        [(z - c) / lam for z in xs[:k]]
-                        + [(rise - c) / lam, (rise - a) / lam]
-                        + [(z - a) / lam for z in xs[k:]]
-                    )
-                    ds = ds[:k] + [up, up] + ds[k:]
-            else:
-                j = bisect_left(ds, down, k)
-                fall = _crossing(xs, ds, j, down)
-                if t:
-                    xs = (
-                        [(z - c) / lam for z in xs[:k]]
-                        + [(rise - c) / lam, rise / lam]
-                        + [z / lam for z in xs[k:j]]
-                        + [fall / lam, (fall - a) / lam]
-                        + [(z - a) / lam for z in xs[j:]]
-                    )
-                    ds = ds[:k] + [up, up] + ds[k:j] + [down, down] + ds[j:]
+            xs, ds = _clip_onto_knots(xs, ds, low, high)
+        # Only steps from lam times the previous energy box matter, and a
+        # band end far beyond them would cost every interpolation on its
+        # segment its precision, so the step box is capped there.
+        p_low, p_high = (lam * x_lower[t - 1], lam * x_upper[t - 1]) if t else (start, start)
+        a = max(step_lower[t], min(0.0, xs[0] - p_high))
+        c = min(step_upper[t], max(0.0, xs[-1] - p_low))
+        rise, fall, xs, ds = _curved_step(
+            xs, ds, -above[t], -below[t], below_curve[t], above_curve[t], a, c, lam
+        )
         plan[t] = rise, fall, low, high
-        if t:
-            if y is None:
-                ds = [lam * d for d in ds]
-            else:
-                y_prev = y[t - 1]
-                ds = [lam * d + z - y_prev for z, d in zip(xs, ds)]
+        ds = [lam * d for d in ds]
 
-    # Recovery: each period holds the previous energy when it can, else
-    # moves to the rise or the fall, clipped into the energies the step
-    # from the previous period's choice can reach.  A curved period takes
-    # the step its two bands give p = lam * x_{t-1}, clipped to the step
-    # box, and adds it to held = lam * (x_{t-1} - b_{t-1}), the deviation
+    # Recovery: each period takes the step its two bands give p = lam *
+    # x_{t-1} and adds it to held = lam * (x_{t-1} - b_{t-1}), the deviation
     # from b that `velocity` measures steps against: so a hold from x = b
     # measures exactly 0, which p + 0 would not where lam * b_{t-1} rounds
-    # away from b_t.
+    # away from b_t.  The energy is clipped into the period's energy range,
+    # then into the step box, which wins where the two miss each other by
+    # a gap that the forward pass bridged.
     out, previous = [0.0] * horizon, start
-    if curved:
-        b, held = polytope.dynamics.b_offset.tolist(), 0.0
+    b, held = polytope.dynamics.b_offset.tolist(), 0.0
     for t in range(horizon):
         rise, fall, low, high = plan[t]
-        if curved:
-            step = _band_step(rise, previous) + _band_step(fall, previous)
-            step = min(max(step, step_lower[t]), step_upper[t])
-            out[t] = min(max(b[t] + (held + step), low), high)
-            held = lam * (out[t] - b[t])
-        else:
-            out[t] = min(
-                max(rise, min(previous, fall), previous + step_lower[t], low),
-                previous + step_upper[t],
-                high,
-            )
+        step = _band_step(rise, previous) + _band_step(fall, previous)
+        energy = min(max(b[t] + (held + step), low), high)
+        out[t] = min(max(energy, b[t] + (held + step_lower[t])), b[t] + (held + step_upper[t]))
+        held = lam * (out[t] - b[t])
         previous = lam * out[t]
     return out
 
@@ -415,8 +357,11 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     x clipped onto the energy box comes back when it is a member, that is
     when its velocity is in the velocity box: it is then the nearest point
     of a superset.  A member is its own clip, so members come back
-    unchanged.  Otherwise the chain kernel `_chain_argmin` finds the
-    projection, with h_t(x) = (x - x_t)^2 / 2 and a step cost of zero.
+    unchanged.  Otherwise one pass of the chain dynamic program finds the
+    projection, as `_chain_argmin` does for a step cost, here with a
+    quadratic pull (x_t - y_t)^2 / 2 of each energy and no step cost: the
+    derivative of each cost-to-go is piecewise linear, and a free step
+    turns its crossing of 0 into one flat.
 
     Raises InfeasibleProblem naming the first period that no energy
     reachable from the earlier periods can meet, when it misses the energy
@@ -435,8 +380,51 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
         return clipped
     if math.isnan(residual):
         raise ValueError("cannot project a profile with a NaN entry")
-    free = [0.0] * len(clipped)
-    return np.array(_chain_argmin(polytope, x.tolist(), free, free))
+    empty = polytope._reach[2]
+    if empty is not None:  # a fresh error on every call
+        raise InfeasibleProblem(*empty)
+
+    # Backward pass as in `_chain_argmin`, with the pull's derivative
+    # x - y_t added to each cost-to-go and no step cost: per period the
+    # energy where the derivative crosses 0 and the energy range.  Seen
+    # from period t - 1, knots left of the crossing are reached by the
+    # highest step and those right of it by the lowest, with a flat at 0
+    # between.
+    y = x.tolist()
+    lam = polytope.dynamics.lam
+    x_lower, x_upper, step_lower, step_upper = polytope.chain
+    horizon = len(y)
+    plan = [None] * horizon
+    xs = [x_lower[-1], x_upper[-1]]
+    ds = [xs[0] - y[-1], xs[1] - y[-1]]
+    for t in range(horizon - 1, -1, -1):
+        low, high = max(xs[0], x_lower[t]), min(xs[-1], x_upper[t])
+        if low > high:  # a gap the forward pass bridged
+            low = high = 0.5 * (low + high)
+            xs, ds = [low], [0.0]
+        else:
+            xs, ds = _clip_knots(xs, ds, low, high)
+        k = bisect_left(ds, 0.0)
+        zero = _crossing(xs, ds, k, 0.0)
+        plan[t] = zero, low, high
+        if t:
+            a, c, y_prev = step_lower[t], step_upper[t], y[t - 1]
+            xs = (
+                [(z - c) / lam for z in xs[:k]]
+                + [(zero - c) / lam, (zero - a) / lam]
+                + [(z - a) / lam for z in xs[k:]]
+            )
+            ds = [lam * d + z - y_prev for z, d in zip(xs, ds[:k] + [0.0, 0.0] + ds[k:])]
+
+    # Recovery: each period moves to the crossing, clipped into its energy
+    # range and the energies the step from the previous period's choice can
+    # reach; where the two miss each other, the lower of their tops wins.
+    out, previous = [0.0] * horizon, float(polytope.dynamics.b_offset[0])
+    for t in range(horizon):
+        zero, low, high = plan[t]
+        out[t] = min(max(zero, previous + step_lower[t], low), previous + step_upper[t], high)
+        previous = lam * out[t]
+    return np.array(out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -88,13 +88,15 @@ def test_projection_bridges_a_gap_within_tolerance():
     x = project_onto_polytope([0.2, 3.0], poly)
     assert x == pytest.approx([0.5 + 2.5e-10, 1.4 + 2.5e-10], abs=1e-15)
     assert _largest_violation(_energy_boxes(x, poly)) == pytest.approx(2.5e-10, rel=1e-6)
-    # the exact arbitrage pass and the descent's projections bridge it alike
+    # both exact passes and the descent's projections bridge it alike
     problem = ls.validate_params(params, bounds)
-    exact = ls.solve(problem, ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[0.5, 0.5]))
+    arbitrage = ls.solve(problem, ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[0.5, 0.5]))
+    balancing = ls.solve(problem, ls.LoadBalancing(load=[0.75, 0.375]))
     descent = ls.solve(problem, ls.PeakShaving(load=[0.75, 0.375]))
-    assert (exact.status, exact.iterations_used) == ("exact", 0)
+    for exact in (arbitrage, balancing):
+        assert (exact.status, exact.iterations_used) == ("exact", 0)
     assert descent.status == "converged"
-    for solution in (exact, descent):
+    for solution in (arbitrage, balancing, descent):
         assert solution.x_star == pytest.approx([0.5 + 2.5e-10, 1.4 + 2.5e-10], abs=1e-15)
         assert solution.feasibility_residual == pytest.approx(2.5e-10, rel=1e-6)
 
