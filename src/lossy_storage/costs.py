@@ -2,9 +2,11 @@
 
 Five built-in cost families plus a custom hook.  Each family evaluates in
 power coordinates; the energy-coordinate objective is the composition with
-`energy_to_power`.  Certification is sound but not complete: a Certified verdict
-guarantees the composed objective is convex, NotCertified guarantees nothing
-either way.
+`energy_to_power`.  Each family class declares its terms (or batch map),
+subgradient, Lipschitz constant, certificate rule and, if the chain's
+step-cost pass solves it exactly, step terms; `_Family` holds the defaults.
+Certification is sound but not complete: a Certified verdict guarantees the
+composed objective is convex, NotCertified guarantees nothing either way.
 
 Certification rules, checked in order:
 
@@ -47,13 +49,9 @@ __all__ = [
     "ConvexityCertificate",
     "ProbeReport",
     "evaluate_power_cost",
-    "separable_cost_terms",
-    "arbitrage_step_terms",
-    "load_balancing_step_terms",
     "power_cost_batch",
     "evaluate_energy_cost",
     "subgradient_energy_cost",
-    "lipschitz_estimate",
     "certify_convexity",
     "midpoint_convexity_probe",
     "instance_digest",
@@ -65,7 +63,39 @@ PROBE_MARGIN = 1e-7
 _PROBE_BLOCK = 1 << 15
 
 
-class _VectorFamily:
+class _Family:
+    """The defaults of every cost family.  A sum or max over periods sets
+    `fold` (np.add or np.maximum) and `terms`; any other overrides `batch`.
+    Each family declares `power_subgradient(u)`, a subgradient at the power
+    profile u (deterministic kink choices), and, unless it overrides
+    `certify`, `decreasing(params)`: where it may decrease on [0, inf)."""
+
+    fold = None
+
+    def batch(self, u: np.ndarray) -> np.ndarray:
+        """Cost of each row of an (n, T) array of power profiles."""
+        return self.fold.reduce(self.terms(u), axis=-1)
+
+    def lipschitz(self, lo: np.ndarray, hi: np.ndarray) -> Optional[float]:
+        """Lipschitz constant w.r.t. the max norm over the power box [lo, hi];
+        None when unknown."""
+        return None
+
+    def certify(self, params: StorageParams) -> ConvexityCertificate:
+        """The lossless rule, then the nondecreasing rule, which the periods
+        of `decreasing(params)` fail."""
+        if params.eta_c == 1.0 and params.eta_d == 1.0:
+            return ConvexityCertificate(certified=True, rule="lossless")
+        return _verdict("nondecreasing", self.decreasing(params))
+
+    def step_terms(self, params: StorageParams) -> Optional[tuple[list, ...]]:
+        """The terms (below, above, below_curve, above_curve) of the cost in
+        the energy steps, for a certified family the chain's step-cost pass
+        solves exactly; None otherwise."""
+        return None
+
+
+class _VectorFamily(_Family):
     """Shared constructor of the built-in families: each field becomes a
     float array, and every entry must be finite."""
 
@@ -87,6 +117,25 @@ class PeakShaving(_VectorFamily):
 
     load: np.ndarray
 
+    fold = np.maximum
+
+    def terms(self, u):
+        return np.abs(u + self.load)
+
+    def power_subgradient(self, u):
+        residual = u + self.load
+        peak = int(np.argmax(np.abs(residual)))
+        g = np.zeros(u.shape[0])
+        if abs(residual[peak]) > 0.0:
+            g[peak] = 1.0 if residual[peak] > 0.0 else -1.0
+        return g
+
+    def lipschitz(self, lo, hi):
+        return 1.0
+
+    def decreasing(self, params):
+        return self.load < 0.0
+
 
 @dataclass(frozen=True, eq=False)
 class LoadBalancing(_VectorFamily):
@@ -94,12 +143,61 @@ class LoadBalancing(_VectorFamily):
 
     load: np.ndarray
 
+    fold = np.add
+
+    def terms(self, u):
+        return (u + self.load) ** 2
+
+    def power_subgradient(self, u):
+        return 2.0 * (u + self.load)
+
+    def lipschitz(self, lo, hi):
+        return float(np.sum(2.0 * np.maximum(np.abs(lo + self.load), np.abs(hi + self.load))))
+
+    def decreasing(self, params):
+        return self.load < 0.0
+
+    def step_terms(self, params):
+        """The terms of each period's load-balancing cost in the energy step
+        s_t = x_t - lam * x_{t-1} = delta * v_t, as lists: (below, above,
+        below_curve, above_curve), the slopes and the curvatures below and
+        above its kink at 0.
+
+        The cost (f_inv(s / delta) + load)^2 is (s / (eta_c * delta) + load)^2
+        for s >= 0 and (eta_d * s / delta + load)^2 below.  Less its value at
+        0 and multiplied by eta_c * delta, as `EnergyArbitrage.step_terms`
+        does, that is 2 * load * s + s^2 / (eta_c * delta) above and 2 *
+        eta_c * eta_d * load * s + eta_c * eta_d^2 * s^2 / delta below.  The
+        kink is convex (below <= above) when the load is nonnegative or the
+        storage lossless; the lower slope is capped at the upper one, which
+        it can pass only by rounding."""
+        eta_c, eta_d, delta = params.eta_c, params.eta_d, params.delta
+        above = 2.0 * self.load
+        below = np.minimum((eta_c * eta_d) * above, above)
+        below_curve = [2.0 * eta_c * eta_d * eta_d / delta] * params.horizon
+        above_curve = [2.0 / eta_c / delta] * params.horizon
+        return below.tolist(), above.tolist(), below_curve, above_curve
+
 
 @dataclass(frozen=True, eq=False)
 class PowerRegulation(_VectorFamily):
     """sum_t |u_t - signal_t|: tracking error against a regulation signal."""
 
     signal: np.ndarray
+
+    fold = np.add
+
+    def terms(self, u):
+        return np.abs(u - self.signal)
+
+    def power_subgradient(self, u):
+        return np.sign(u - self.signal)
+
+    def lipschitz(self, lo, hi):
+        return float(lo.shape[0])
+
+    def decreasing(self, params):
+        return self.signal > 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +207,42 @@ class EnergyArbitrage(_VectorFamily):
     p_buy: np.ndarray
     p_sell: np.ndarray
 
+    fold = np.add
+
+    def terms(self, u):
+        return self.p_buy * np.maximum(u, 0.0) + self.p_sell * np.minimum(u, 0.0)
+
+    def power_subgradient(self, u):
+        # charging-branch price at the kink, mirroring the v = 0 tie-break
+        return np.where(u < 0.0, self.p_sell, self.p_buy)
+
+    def lipschitz(self, lo, hi):
+        return float(np.sum(np.maximum(np.abs(self.p_buy), np.abs(self.p_sell))))
+
+    def certify(self, params):
+        """The price-ratio rule alone."""
+        # a price near the float limit may overflow the first term to +-inf,
+        # which is then right about the sign: eta_d * p_sell cannot overflow
+        with np.errstate(over="ignore"):
+            gap = (1.0 / params.eta_c) * self.p_buy - params.eta_d * self.p_sell
+        return _verdict("price_ratio", gap < 0.0)
+
+    def step_terms(self, params):
+        """The terms of each period's arbitrage cost in the energy step
+        s_t = x_t - lam * x_{t-1} = delta * v_t, as lists: (below, above,
+        below_curve, above_curve), the slopes and the curvatures (all 0) below
+        and above its kink at 0.
+
+        The slopes are eta_d * p_sell / delta and p_buy / (eta_c * delta), both
+        multiplied by the positive constant eta_c * delta, which moves no
+        minimizer and keeps them finite: eta_c * eta_d * p_sell and p_buy.  The
+        price-ratio rule is "below <= above"; the lower slope is capped at the
+        upper one, which it can pass only by rounding."""
+        above = self.p_buy
+        below = np.minimum((params.eta_c * params.eta_d) * self.p_sell, above)
+        flat = [0.0] * params.horizon
+        return below.tolist(), above.tolist(), flat, flat
+
 
 @dataclass(frozen=True, eq=False)
 class PowerSmoothing(_VectorFamily):
@@ -116,23 +250,60 @@ class PowerSmoothing(_VectorFamily):
 
     renewable: np.ndarray
 
+    def batch(self, u):
+        return np.sum(np.abs(np.diff(self.renewable - u, axis=-1)), axis=-1)
+
+    def power_subgradient(self, u):
+        sigma = np.sign(np.diff(self.renewable - u))
+        g = np.zeros(u.shape[0])
+        g[1:] -= sigma
+        g[:-1] += sigma
+        return g
+
+    def lipschitz(self, lo, hi):
+        return 2.0 * (lo.shape[0] - 1)
+
+    def certify(self, params):
+        """Never certified."""
+        # variation costs decrease when charging ramps down
+        return ConvexityCertificate(certified=False)
+
 
 @dataclass(frozen=True)
-class CustomCost:
+class CustomCost(_Family):
     """Black-box convex cost of the power profile.
 
     The evaluator must be convex (that is the caller's contract).  To be
     certifiable it must additionally be declared coordinate-wise
-    nondecreasing on [0, inf), either globally (bool) or per coordinate;
-    monotonicity is never inferred from samples, because sampling can only
-    falsify.  A subgradient oracle is required for solving, not for
-    evaluation.
+    nondecreasing on [0, inf), either globally (a bool or numpy bool) or
+    per coordinate; monotonicity is never inferred from samples, because
+    sampling can only falsify.  A subgradient oracle is required for
+    solving, not for evaluation.
     """
 
     evaluator: Callable[[np.ndarray], float]
     subgradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     nondecreasing_on_nonneg: Union[bool, Sequence[bool]] = False
     label: str = "custom"
+
+    def batch(self, u):
+        return np.array([float(self.evaluator(row)) for row in u])
+
+    def power_subgradient(self, u):
+        if self.subgradient is None:
+            raise NoSubgradientOracle(f"custom cost {self.label!r} declared no subgradient oracle")
+        return np.asarray(self.subgradient(u), dtype=float)
+
+    def decreasing(self, params):
+        flags = self.nondecreasing_on_nonneg
+        if isinstance(flags, (bool, np.bool_)):
+            return np.full(params.horizon, not flags)
+        arr = np.asarray(flags, dtype=bool)
+        if arr.shape != (params.horizon,):
+            raise LengthMismatch(
+                f"monotonicity declaration has shape {arr.shape}, expected ({params.horizon},)"
+            )
+        return ~arr
 
 
 CostSpec = Union[
@@ -182,6 +353,14 @@ class ProbeReport:
     worst_triple: Optional[tuple[np.ndarray, np.ndarray, float]] = None
 
 
+def _verdict(rule: str, failing: np.ndarray) -> ConvexityCertificate:
+    """Certified by `rule` when no period fails it, else the failing periods."""
+    if not failing.any():
+        return ConvexityCertificate(certified=True, rule=rule)
+    failing_indices = tuple(np.flatnonzero(failing).tolist())
+    return ConvexityCertificate(certified=False, failing_indices=failing_indices)
+
+
 def _check_cost_length(cost: CostSpec, horizon: int) -> None:
     for name in _FAMILY_FIELDS.get(type(cost), ()):
         shape = getattr(cost, name).shape
@@ -189,75 +368,9 @@ def _check_cost_length(cost: CostSpec, horizon: int) -> None:
             raise LengthMismatch(f"{name} has shape {shape}, expected ({horizon},)")
 
 
-def separable_cost_terms(
-    cost: CostSpec, u: np.ndarray
-) -> Optional[tuple[np.ufunc, np.ndarray]]:
-    """Per-period terms of a family that is a sum or a max over periods,
-    with the ufunc that folds them (np.add or np.maximum); None for power
-    smoothing and custom costs.  u has the periods on its last axis; the
-    terms are elementwise, so any (..., T) array works."""
-    if isinstance(cost, PeakShaving):
-        return np.maximum, np.abs(u + cost.load)
-    if isinstance(cost, LoadBalancing):
-        return np.add, (u + cost.load) ** 2
-    if isinstance(cost, PowerRegulation):
-        return np.add, np.abs(u - cost.signal)
-    if isinstance(cost, EnergyArbitrage):
-        return np.add, cost.p_buy * np.maximum(u, 0.0) + cost.p_sell * np.minimum(u, 0.0)
-    return None
-
-
-def arbitrage_step_terms(cost: EnergyArbitrage, params: StorageParams) -> tuple[list, ...]:
-    """The terms of each period's arbitrage cost in the energy step
-    s_t = x_t - lam * x_{t-1} = delta * v_t, as lists: (below, above,
-    below_curve, above_curve), the slopes and the curvatures (all 0) below
-    and above its kink at 0.
-
-    The slopes are eta_d * p_sell / delta and p_buy / (eta_c * delta), both
-    multiplied by the positive constant eta_c * delta, which moves no
-    minimizer and keeps them finite: eta_c * eta_d * p_sell and p_buy.  The
-    price-ratio rule is "below <= above"; the lower slope is capped at the
-    upper one, which it can pass only by rounding."""
-    above = cost.p_buy
-    below = np.minimum((params.eta_c * params.eta_d) * cost.p_sell, above)
-    flat = [0.0] * params.horizon
-    return below.tolist(), above.tolist(), flat, flat
-
-
-def load_balancing_step_terms(cost: LoadBalancing, params: StorageParams) -> tuple[list, ...]:
-    """The terms of each period's load-balancing cost in the energy step
-    s_t = x_t - lam * x_{t-1} = delta * v_t, as lists: (below, above,
-    below_curve, above_curve), the slopes and the curvatures below and
-    above its kink at 0.
-
-    The cost (f_inv(s / delta) + load)^2 is (s / (eta_c * delta) + load)^2
-    for s >= 0 and (eta_d * s / delta + load)^2 below.  Less its value at
-    0 and multiplied by eta_c * delta, as `arbitrage_step_terms` does,
-    that is 2 * load * s + s^2 / (eta_c * delta) above and 2 * eta_c *
-    eta_d * load * s + eta_c * eta_d^2 * s^2 / delta below.  The kink is
-    convex (below <= above) when the load is nonnegative or the storage
-    lossless; the lower slope is capped at the upper one, which it can
-    pass only by rounding."""
-    eta_c, eta_d, delta = params.eta_c, params.eta_d, params.delta
-    above = 2.0 * cost.load
-    below = np.minimum((eta_c * eta_d) * above, above)
-    below_curve = [2.0 * eta_c * eta_d * eta_d / delta] * params.horizon
-    above_curve = [2.0 / eta_c / delta] * params.horizon
-    return below.tolist(), above.tolist(), below_curve, above_curve
-
-
 def power_cost_batch(cost: CostSpec, profiles: np.ndarray) -> np.ndarray:
     """Cost of each row of an (n, T) array of power profiles."""
-    u = np.atleast_2d(np.asarray(profiles, dtype=float))
-    separable = separable_cost_terms(cost, u)
-    if separable is not None:
-        reducer, terms = separable
-        return reducer.reduce(terms, axis=-1)
-    if isinstance(cost, PowerSmoothing):
-        return np.sum(np.abs(np.diff(cost.renewable - u, axis=-1)), axis=-1)
-    if isinstance(cost, CustomCost):
-        return np.array([float(cost.evaluator(row)) for row in u])
-    raise TypeError(f"unknown cost spec {type(cost).__name__}")
+    return cost.batch(np.atleast_2d(np.asarray(profiles, dtype=float)))
 
 
 def evaluate_power_cost(cost: CostSpec, u) -> float:
@@ -272,58 +385,6 @@ def evaluate_energy_cost(
 ) -> float:
     """Cost of an energy profile: the power cost of energy_to_power(x)."""
     return evaluate_power_cost(cost, energy_to_power(x, params, dyn))
-
-
-def _power_subgradient(cost: CostSpec, u: np.ndarray) -> np.ndarray:
-    """A subgradient of the family at u (deterministic kink choices)."""
-    t = u.shape[0]
-    if isinstance(cost, PeakShaving):
-        residual = u + cost.load
-        peak = int(np.argmax(np.abs(residual)))
-        g = np.zeros(t)
-        if abs(residual[peak]) > 0.0:
-            g[peak] = 1.0 if residual[peak] > 0.0 else -1.0
-        return g
-    if isinstance(cost, LoadBalancing):
-        return 2.0 * (u + cost.load)
-    if isinstance(cost, PowerRegulation):
-        return np.sign(u - cost.signal)
-    if isinstance(cost, EnergyArbitrage):
-        # charging-branch price at the kink, mirroring the v = 0 tie-break
-        return np.where(u < 0.0, cost.p_sell, cost.p_buy)
-    if isinstance(cost, PowerSmoothing):
-        sigma = np.sign(np.diff(cost.renewable - u))
-        g = np.zeros(t)
-        g[1:] -= sigma
-        g[:-1] += sigma
-        return g
-    if isinstance(cost, CustomCost):
-        if cost.subgradient is None:
-            raise NoSubgradientOracle(
-                f"custom cost {cost.label!r} declared no subgradient oracle"
-            )
-        return np.asarray(cost.subgradient(u), dtype=float)
-    raise TypeError(f"unknown cost spec {type(cost).__name__}")
-
-
-def lipschitz_estimate(cost: CostSpec, bounds: Bounds) -> Optional[float]:
-    """Lipschitz constant of the family w.r.t. the max norm, over the power
-    box; None for custom costs."""
-    lo, hi = -bounds.u_min_mag, bounds.u_max
-    t = lo.shape[0]
-    if isinstance(cost, PeakShaving):
-        return 1.0
-    if isinstance(cost, LoadBalancing):
-        return float(
-            np.sum(2.0 * np.maximum(np.abs(lo + cost.load), np.abs(hi + cost.load)))
-        )
-    if isinstance(cost, PowerRegulation):
-        return float(t)
-    if isinstance(cost, EnergyArbitrage):
-        return float(np.sum(np.maximum(np.abs(cost.p_buy), np.abs(cost.p_sell))))
-    if isinstance(cost, PowerSmoothing):
-        return 2.0 * (t - 1)
-    return None
 
 
 def subgradient_energy_cost(
@@ -347,63 +408,17 @@ def subgradient_energy_cost(
     v = velocity(x, dyn)
     u = inverse_loss_map(v, params)
     value = float(power_cost_batch(cost, u)[0])
-    g = _power_subgradient(cost, u)
+    g = cost.power_subgradient(u)
     if rescale:
         g = g / np.max(np.abs(g))
     scale = np.where(v >= 0.0, 1.0 / params.eta_c, params.eta_d)
     return value, velocity_adjoint(scale * g, dyn)
 
 
-def _normalized_monotone_flags(cost: CustomCost, horizon: int) -> np.ndarray:
-    flags = cost.nondecreasing_on_nonneg
-    if isinstance(flags, bool):
-        return np.full(horizon, flags)
-    arr = np.asarray(flags, dtype=bool)
-    if arr.shape != (horizon,):
-        raise LengthMismatch(
-            f"monotonicity declaration has shape {arr.shape}, expected ({horizon},)"
-        )
-    return arr
-
-
 def certify_convexity(cost: CostSpec, params: StorageParams) -> ConvexityCertificate:
     """Sound convexity certificate for the energy-coordinate objective."""
     _check_cost_length(cost, params.horizon)
-    lossless = params.eta_c == 1.0 and params.eta_d == 1.0
-
-    if isinstance(cost, EnergyArbitrage):
-        # a price near the float limit may overflow the first term to +-inf,
-        # which is then right about the sign: eta_d * p_sell cannot overflow
-        with np.errstate(over="ignore"):
-            gap = (1.0 / params.eta_c) * cost.p_buy - params.eta_d * cost.p_sell
-        failing = np.nonzero(gap < 0.0)[0]
-        if failing.size == 0:
-            return ConvexityCertificate(certified=True, rule="price_ratio")
-        return ConvexityCertificate(
-            certified=False, failing_indices=tuple(int(i) for i in failing)
-        )
-
-    if isinstance(cost, PowerSmoothing):
-        # never certified; variation costs decrease when charging ramps down
-        return ConvexityCertificate(certified=False)
-
-    if lossless:
-        return ConvexityCertificate(certified=True, rule="lossless")
-
-    if isinstance(cost, (PeakShaving, LoadBalancing)):
-        failing = np.nonzero(cost.load < 0.0)[0]
-    elif isinstance(cost, PowerRegulation):
-        failing = np.nonzero(cost.signal > 0.0)[0]
-    elif isinstance(cost, CustomCost):
-        failing = np.nonzero(~_normalized_monotone_flags(cost, params.horizon))[0]
-    else:
-        raise TypeError(f"unknown cost spec {type(cost).__name__}")
-
-    if failing.size == 0:
-        return ConvexityCertificate(certified=True, rule="nondecreasing")
-    return ConvexityCertificate(
-        certified=False, failing_indices=tuple(int(i) for i in failing)
-    )
+    return cost.certify(params)
 
 
 def midpoint_convexity_probe(

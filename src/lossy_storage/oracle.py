@@ -11,10 +11,10 @@ time: each prefix's energy y_t = lam * y_{t-1} + delta * f(u_t) is computed
 once, in `power_to_energy`'s order of operations (so the energy-box test is
 `power_feasibility_mask`'s, bit for bit), and a prefix is dropped as soon as
 it leaves its box.  The sum and max families fold their per-period terms
-(`separable_cost_terms`, the ones `power_cost_batch` reduces) along each
-prefix; power smoothing and custom costs are evaluated by
-`power_cost_batch` on the feasible rows of each block.  The folded sums
-match `power_cost_batch`'s bit for bit up to T = 7, where numpy's np.sum
+along each prefix (the family's `terms`, by its `fold`, as
+`power_cost_batch` reduces them); power smoothing and custom costs are
+evaluated by `power_cost_batch` on the feasible rows of each block.  The
+folded sums match `power_cost_batch`'s bit for bit up to T = 7, where np.sum
 adds in order; from 8 periods on np.sum adds pairwise and the two may differ
 in the last bits.  The reported cost is always `power_cost_batch`'s.
 
@@ -32,13 +32,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .costs import (
-    CostSpec,
-    instance_digest,
-    lipschitz_estimate,
-    power_cost_batch,
-    separable_cost_terms,
-)
+from .costs import CostSpec, instance_digest, power_cost_batch
 from .errors import (
     GridTooLarge,
     HorizonTooLarge,
@@ -175,7 +169,8 @@ def _walk(
         levels[: len(axis), t] = axis
     # power_to_energy's order: f, then delta *, then the recurrence, then + b
     rates = params.delta * loss_map(levels, params)
-    separable = None if cost is None else separable_cost_terms(cost, levels)
+    fold = None if cost is None else cost.fold
+    terms = None if fold is None else cost.terms(levels)
     x_min, x_max = bounds.x_min.tolist(), bounds.x_max.tolist()
 
     def extend(t, prefix, y, folded):
@@ -188,9 +183,8 @@ def _walk(
             x_t = y_t + dyn.b_offset[t]
             ok = _inside(x_t, x_min[t], x_max[t], tol)
             folded_t = None
-            if separable is not None:
-                reducer, terms = separable
-                folded_t = reducer(folded[block, None], terms[:n, t])
+            if fold is not None:
+                folded_t = fold(folded[block, None], terms[:n, t])
             if t == horizon - 1:
                 yield prefix[block], axis, ok, folded_t
                 continue
@@ -260,7 +254,7 @@ def brute_force_solve(
         (bounds.u_max[t] + bounds.u_min_mag[t]) / (grid.points_per_axis - 1)
         for t in range(params.horizon)
     )
-    lipschitz = lipschitz_estimate(cost, bounds)
+    lipschitz = cost.lipschitz(-bounds.u_min_mag, bounds.u_max)
     return OracleResult(
         u_best=best_u,
         cost_best=float(power_cost_batch(cost, best_u)[0]),

@@ -3,11 +3,11 @@
 Minimizes cost(energy_to_power(x)) over the feasible energy polytope.
 Certified energy arbitrage and load balancing are separable and convex in
 the energy steps, piecewise linear and piecewise quadratic, so the chain's
-step-cost pass (`transform._chain_argmin`) solves them exactly in one
-backward and one forward pass: status "exact".  Every other cost
-takes projected subgradient descent with normalized directions,
-best-iterate tracking and tail averaging.  One cost pass per iterate gives
-both its objective and its subgradient, and
+step-cost pass (`transform._chain_argmin`), with the step terms those two
+family classes declare, solves them exactly in one backward and one forward
+pass: status "exact".  Every other cost takes projected subgradient descent
+with normalized directions, best-iterate tracking and tail averaging.  One
+cost pass per iterate gives both its objective and its subgradient, and
 `transform.project_onto_polytope` takes each step back into the polytope.
 
 The solver never claims more than the certificate supports: solutions carry
@@ -26,13 +26,9 @@ import numpy as np
 from .costs import (
     ConvexityCertificate,
     CostSpec,
-    EnergyArbitrage,
-    LoadBalancing,
-    arbitrage_step_terms,
     certify_convexity,
     evaluate_energy_cost,
     instance_digest,
-    load_balancing_step_terms,
     subgradient_energy_cost,
 )
 from .errors import ObjectiveOutOfRange
@@ -59,14 +55,6 @@ GUARANTEE_BEST_EFFORT = "best-effort"
 STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
-
-#: The certified families that the chain's step-cost pass solves exactly,
-#: with the terms (below, above, below_curve, above_curve) of their step
-#: costs.
-EXACT_STEP_TERMS = {
-    EnergyArbitrage: arbitrage_step_terms,
-    LoadBalancing: load_balancing_step_terms,
-}
 
 #: Iterations between two checks of the stop rule.
 STOP_WINDOW = 1000
@@ -216,8 +204,9 @@ def solve(
     Certified energy arbitrage and load balancing are convex in the energy
     steps, piecewise linear and piecewise quadratic with one kink at 0, so
     one step-cost pass over the chain (`transform._chain_argmin`), with the
-    terms of EXACT_STEP_TERMS, solves them exactly: status "exact", no
-    iterations, and a trace of one entry.
+    terms their family's `step_terms` declares, solves them exactly: status
+    "exact", no iterations, and a trace of one entry.  An uncertified cost
+    never takes that pass.
 
     Every other cost takes projected subgradient descent on normalized
     directions with steps a/sqrt(k), where a is a tenth of the energy-box
@@ -240,9 +229,9 @@ def solve(
     polytope = build_energy_polytope(params, bounds, dyn)
     certificate = certify_convexity(cost, params)
 
-    step_terms = EXACT_STEP_TERMS.get(type(cost))
-    if step_terms is not None and certificate.certified:
-        best_x = np.array(_chain_argmin(polytope, *step_terms(cost, params)))
+    step_terms = cost.step_terms(params) if certificate.certified else None
+    if step_terms is not None:
+        best_x = np.array(_chain_argmin(polytope, *step_terms))
         best_f = evaluate_energy_cost(cost, best_x, params, dyn)
         trace, status, iterations = [best_f], STATUS_EXACT, 0
     else:

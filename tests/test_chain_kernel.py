@@ -265,6 +265,23 @@ def test_lossless_load_balancing_with_a_negative_load():
     assert solution.objective == pytest.approx(0.0625, abs=1e-15)
 
 
+@pytest.mark.parametrize("cost", [
+    ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[2, 2]),
+    ls.LoadBalancing(load=[-0.5, 0.2]),
+], ids=["price-ratio-fails", "negative-load"])
+def test_uncertified_exact_families_take_the_descent(cost):
+    # the step-cost pass needs the certificate: without it the lower slope
+    # would be capped at the upper one, which solves another problem
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=0.5, horizon=2)
+    bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[1, 1], x_min=[0, 0])
+    problem = ls.validate_params(params, bounds)
+    solution = ls.solve(problem, cost, ls.SolveOptions(max_iterations=50))
+    assert not solution.certificate.certified
+    assert solution.status != "exact"
+    assert solution.iterations_used >= 1
+    assert solution.guarantee_flag == "best-effort"
+
+
 @pytest.mark.parametrize("power_bound", [1e6, 1e300, 1e308])
 @pytest.mark.parametrize("eta, objective, u_star", [
     # discharge the 0.25 the energy allows, all of it against the top load

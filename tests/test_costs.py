@@ -154,6 +154,10 @@ def test_certify_custom_declaration(two_period_params):
         evaluator=lambda u: float(np.sum(u)), nondecreasing_on_nonneg=[True, False]
     )
     assert ls.certify_convexity(partial, two_period_params).failing_indices == (1,)
+    # a numpy bool declares every coordinate, as a bool does
+    for flag, failing in ((np.True_, ()), (np.False_, (0, 1))):
+        numpy_flag = ls.CustomCost(evaluator=lambda u: float(np.sum(u)), nondecreasing_on_nonneg=flag)
+        assert ls.certify_convexity(numpy_flag, two_period_params).failing_indices == failing
 
 
 def test_certify_rejects_wrong_lengths(two_period_params):
@@ -181,6 +185,29 @@ def test_certified_families_are_monotone_on_nonnegatives(two_period_params):
         before = power_cost_batch(cost, u)
         after = power_cost_batch(cost, bumped)
         assert np.all(after >= before - 1e-9)
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_lipschitz_constant_bounds_the_variation(tag):
+    # the oracle's discretization bound is this constant times the spacing
+    rng = np.random.default_rng(sorted(FAMILIES).index(tag))
+    family = FAMILIES[tag]
+    for trial in range(600):
+        horizon = int(rng.integers(1, 9))
+        lo, hi = -(10.0 ** rng.uniform(-3, 1, horizon)), 10.0 ** rng.uniform(-3, 1, horizon)
+        cost = family(**{
+            field.name: rng.choice([-1.0, 1.0], horizon) * 10.0 ** rng.uniform(-3, 1, horizon)
+            for field in dataclasses.fields(family)
+        })
+        u, w = lo + (hi - lo) * rng.random((2, 16, horizon))
+        change = np.abs(power_cost_batch(cost, u) - power_cost_batch(cost, w))
+        bound = cost.lipschitz(lo, hi) * np.max(np.abs(u - w), axis=1)
+        assert np.all(change <= bound * (1.0 + 1e-9)), trial
+
+
+def test_custom_cost_has_no_lipschitz_constant():
+    cost = ls.CustomCost(evaluator=lambda u: float(np.sum(u)))
+    assert cost.lipschitz(-np.ones(2), np.ones(2)) is None
 
 
 # --- subgradients ------------------------------------------------------------
