@@ -9,10 +9,11 @@ periods.  The state-of-charge recursion
 
 is a chain: each period's energy depends on the previous one only.  The
 paper writes it as x = A f(u) + b, with A[i, j] = delta * lam**(i-j) below
-the diagonal and the zero-power trajectory b[t] = lam**(t+1) * x0.  A is
-never formed: `Dynamics` keeps b, lam and delta, and `transform` applies A,
-A^{-1} and A^{-T} as O(T) recurrences.  Decision vectors are stored 0-based
-as (x_1 .. x_T); x0 is data, not a decision variable.
+the diagonal and the zero-power trajectory b[t] = lam * b[t-1] from b[-1] =
+x0, rounded as `simulate` rounds it.  A is never formed: `Dynamics` keeps b,
+lam and delta, and `transform` applies A, A^{-1} and A^{-T} as O(T)
+recurrences.  Decision vectors are stored 0-based as (x_1 .. x_T); x0 is
+data, not a decision variable.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class ValidatedProblem:
 class Dynamics:
     """The state-of-charge recursion x[t] = lam * x[t-1] + delta * v[t].
 
-    b_offset: the zero-power trajectory, b[t] = lam**(t+1) * x0.
+    b_offset: the zero-power trajectory, b[t] = lam * b[t-1] from b[-1] = x0.
     lam:      the retention factor.
     delta:    the period length.
     """
@@ -155,11 +156,14 @@ def validate_params(raw: StorageParams, bounds: Bounds) -> ValidatedProblem:
 def build_dynamics(params: StorageParams) -> Dynamics:
     """The chain form of the dynamics for validated parameters, in O(T).
 
-    Powers of lam are accumulated by repeated multiplication (not pow) so b
-    is bit-stable for lam near 1 and large horizons.
+    b is rounded as the recursion rounds, b[t] = fl(lam * b[t-1]) by a
+    sequential product, so it is bit for bit `simulate` of the zero-power
+    profile and a hold from b stays on b; lam**(t+1) * x0 rounds otherwise.
     """
     lam = float(params.lam)
-    b = np.cumprod(np.full(int(params.horizon), lam)) * params.x0
+    factors = np.full(int(params.horizon), lam)
+    factors[0] *= params.x0
+    b = np.cumprod(factors)
     return Dynamics(b_offset=b, lam=lam, delta=float(params.delta))
 
 

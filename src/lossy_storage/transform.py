@@ -160,56 +160,60 @@ class EnergyPolytope:
         return lows, highs, None
 
 
-def _clip_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, list]:
-    """Restrict the piecewise-linear function through (xs, ds) to
-    [left, right], a subinterval of [xs[0], xs[-1]]."""
-    if left > xs[0]:
-        i = bisect_left(xs, left)  # xs[i - 1] < left <= xs[i]
-        d = ds[i - 1] + (ds[i] - ds[i - 1]) * (left - xs[i - 1]) / (xs[i] - xs[i - 1])
-        xs, ds = [left] + xs[i:], [d] + ds[i:]
-    if right < xs[-1]:
-        j = bisect_right(xs, right)  # xs[j - 1] <= right < xs[j]
-        d = ds[j - 1] + (ds[j] - ds[j - 1]) * (right - xs[j - 1]) / (xs[j] - xs[j - 1])
-        xs, ds = xs[:j] + [right], ds[:j] + [d]
-    return xs, ds
-
-
-def _clip_onto_knots(xs: list, ds: list, left: float, right: float) -> tuple[list, list]:
-    """`_clip_knots`, save that an end on a knot keeps that knot's value,
-    which interpolating from a far steeper neighbour can cancel."""
-    if left > xs[0]:
-        i = bisect_left(xs, left)
-        if xs[i] == left:
+def _clip_knots(xs: list, ds: list, lower: float, upper: float) -> tuple:
+    """The backward head of both chain passes: the cost-to-go's derivative,
+    linear between its knots (xs, ds), restricted to where its range meets
+    the energy box [lower, upper].  Returns the knots and that range (low,
+    high).  A miss, which the forward sweep bridged, is bridged at its
+    midpoint by one knot.  An end on a knot keeps that knot's value, which
+    interpolating from a far steeper neighbour can cancel."""
+    low, high = max(xs[0], lower), min(xs[-1], upper)
+    if low > high:
+        low = high = 0.5 * (low + high)
+        return [low], [0.0], low, high
+    if low > xs[0]:
+        i = bisect_left(xs, low)  # xs[i - 1] < low <= xs[i]
+        if xs[i] == low:
             xs, ds = xs[i:], ds[i:]
-    if right < xs[-1]:
-        j = bisect_right(xs, right)
-        if xs[j - 1] == right:
+        else:
+            d = ds[i - 1] + (ds[i] - ds[i - 1]) * (low - xs[i - 1]) / (xs[i] - xs[i - 1])
+            xs, ds = [low] + xs[i:], [d] + ds[i:]
+    if high < xs[-1]:
+        j = bisect_right(xs, high)  # xs[j - 1] <= high < xs[j]
+        if xs[j - 1] == high:
             xs, ds = xs[:j], ds[:j]
-    return _clip_knots(xs, ds, left, right)
+        else:
+            d = ds[j - 1] + (ds[j] - ds[j - 1]) * (high - xs[j - 1]) / (xs[j] - xs[j - 1])
+            xs, ds = xs[:j] + [high], ds[:j] + [d]
+    return xs, ds, low, high
 
 
 def _crossing(xs: list, ds: list, k: int, level: float) -> float:
     """Where the piecewise-linear function through (xs, ds) reaches `level`,
-    given k = bisect_left(ds, level): an end when it stays on one side."""
-    if k == 0:
-        return xs[0]
+    given k = bisect_left(ds, level): an end when it stays on one side.  A
+    level on a knot's value takes that knot's abscissa, which interpolating
+    from a far knot can miss by its rounding."""
     if k == len(xs):
         return xs[-1]
+    if k == 0 or ds[k] == level:
+        return xs[k]
     return xs[k - 1] + (level - ds[k - 1]) * (xs[k] - xs[k - 1]) / (ds[k] - ds[k - 1])
 
 
-def _knot_crossing(xs: list, ds: list, k: int, level: float) -> float:
-    """`_crossing`, save that a level on a knot's value takes that knot's
-    abscissa, which interpolating from a far knot can miss by its rounding."""
-    if k < len(ds) and ds[k] == level:
-        return xs[k]
-    return _crossing(xs, ds, k, level)
+def _recovered(
+    target: float, previous: float, low: float, high: float, a: float, c: float
+) -> float:
+    """The recovery rule of both chain passes: the target energy clipped into
+    the period's energy range [low, high], then into the step box [previous
+    + a, previous + c] reachable from previous = lam * x_{t-1}.  So the step
+    box wins, and a gap the forward sweep bridged is left on the energy box."""
+    return min(max(min(max(target, low), high), previous + a), previous + c)
 
 
 def _band_step(band: tuple, p: float) -> float:
     """The step that a curved band's (p, step) map gives p, held at its ends."""
     ps, steps = band
-    return _knot_crossing(steps, ps, bisect_left(ps, p), p)
+    return _crossing(steps, ps, bisect_left(ps, p), p)
 
 
 def _curved_step(
@@ -244,7 +248,7 @@ def _curved_step(
     cuts, ends = [0], []
     for level in levels:
         cuts.append(bisect_left(ds, level, cuts[-1]))
-        ends.append(_knot_crossing(xs, ds, cuts[-1], level))
+        ends.append(_crossing(xs, ds, cuts[-1], level))
     _, k1, k2, k3, k4 = cuts
     e1, e2, e3, e4 = ends
     rising = [(up - d) / qa for d in ds[k1:k2]]  # steps in (0, c]
@@ -286,14 +290,15 @@ def _chain_argmin(
     as for piecewise-quadratic costs (Hochbaum & Lu, SIAM J. Optim. 2017),
     moves each knot (x, d) to (x - s(d), d), where s(d) is the step with
     phi_t'(s) = -d, clipped to the step box; a linear side leaves a flat.
-    The recovery adds the step that a period's two bands give the previous
-    energy to its deviation from b.  O(T * k) time, k the number of knots
-    alive in the cost-to-go.
+    The recovery adds the step that a period's two bands give p = lam *
+    x_{t-1} to p, and clips it into the period's energy range, then into
+    the step box reachable from p, which wins.  O(T * k) time, k the
+    number of knots alive in the cost-to-go.
 
     Raises InfeasibleProblem naming the first period that no energy
     reachable from the earlier periods can meet (the forward sweep's
-    verdict, taken once per polytope); closer misses are bridged at the
-    midpoint of the gap.
+    verdict, taken once per polytope).  A closer miss is left on the
+    energy box, by at most the gap.
     """
     empty = polytope._reach[2]
     if empty is not None:  # a fresh error on every call
@@ -314,12 +319,7 @@ def _chain_argmin(
     start = float(polytope.dynamics.b_offset[0])  # lam * x0
     xs, ds = [x_lower[-1], x_upper[-1]], [0.0, 0.0]
     for t in range(horizon - 1, -1, -1):
-        low, high = max(xs[0], x_lower[t]), min(xs[-1], x_upper[t])
-        if low > high:  # a gap the forward pass bridged
-            low = high = 0.5 * (low + high)
-            xs, ds = [low], [0.0]
-        else:
-            xs, ds = _clip_onto_knots(xs, ds, low, high)
+        xs, ds, low, high = _clip_knots(xs, ds, x_lower[t], x_upper[t])
         # Only steps from lam times the previous energy box matter, and a
         # band end far beyond them would cost every interpolation on its
         # segment its precision, so the step box is capped there.
@@ -333,20 +333,12 @@ def _chain_argmin(
         ds = [lam * d for d in ds]
 
     # Recovery: each period takes the step its two bands give p = lam *
-    # x_{t-1} and adds it to held = lam * (x_{t-1} - b_{t-1}), the deviation
-    # from b that `velocity` measures steps against: so a hold from x = b
-    # measures exactly 0, which p + 0 would not where lam * b_{t-1} rounds
-    # away from b_t.  The energy is clipped into the period's energy range,
-    # then into the step box, which wins where the two miss each other by
-    # a gap that the forward pass bridged.
+    # x_{t-1}; b is built by the same product, so a hold from b stays on b.
     out, previous = [0.0] * horizon, start
-    b, held = polytope.dynamics.b_offset.tolist(), 0.0
     for t in range(horizon):
         rise, fall, low, high = plan[t]
         step = _band_step(rise, previous) + _band_step(fall, previous)
-        energy = min(max(b[t] + (held + step), low), high)
-        out[t] = min(max(energy, b[t] + (held + step_lower[t])), b[t] + (held + step_upper[t]))
-        held = lam * (out[t] - b[t])
+        out[t] = _recovered(previous + step, previous, low, high, step_lower[t], step_upper[t])
         previous = lam * out[t]
     return out
 
@@ -355,30 +347,37 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     """Exact Euclidean projection of x onto the feasible energy polytope.
 
     x clipped onto the energy box comes back when it is a member, that is
-    when its velocity is in the velocity box: it is then the nearest point
-    of a superset.  A member is its own clip, so members come back
-    unchanged.  Otherwise one pass of the chain dynamic program finds the
-    projection, as `_chain_argmin` does for a step cost, here with a
-    quadratic pull (x_t - y_t)^2 / 2 of each energy and no step cost: the
-    derivative of each cost-to-go is piecewise linear, and a free step
-    turns its crossing of 0 into one flat.
+    when each step x_t - lam * x_{t-1}, rounded as the recovery rounds it,
+    is in the step box: it is then the nearest point of a superset.  So
+    members, and projections inside the energy box, come back unchanged.
+    Otherwise one pass of the chain dynamic program finds the projection,
+    as `_chain_argmin` does for a step cost, here with a quadratic pull
+    (x_t - y_t)^2 / 2 of each energy and no step cost: the derivative of
+    each cost-to-go is piecewise linear, and a free step turns its crossing
+    of 0 into one flat.  The recovery clips each crossing into its energy
+    range, then into the step box reachable from lam * x_{t-1}, which wins.
 
     Raises InfeasibleProblem naming the first period that no energy
     reachable from the earlier periods can meet, when it misses the energy
-    box by more than MEMBERSHIP_TOL.  Closer misses are bridged at the
-    midpoint of the gap.  The forward sweep that decides this runs once per
-    polytope; every projection onto an empty polytope raises.  Raises
+    box by more than MEMBERSHIP_TOL; a closer miss is left on the energy
+    box, by at most the gap.  The forward sweep that decides this runs once
+    per polytope; every projection onto an empty polytope raises.  Raises
     ValueError when x has a NaN entry.
     """
     x = np.asarray(x, dtype=float)
     clipped = np.clip(x, polytope.x_lower, polytope.x_upper)
-    # the clip is inside the energy box, so only its velocity can be outside
-    residual = _largest_violation(
-        (("v", velocity(clipped, polytope.dynamics), polytope.v_lower, polytope.v_upper),)
-    )
-    if residual <= 0.0:
+    # only the clip's steps can be outside, tested as the recovery rounds
+    # them, which `velocity` does not, so that a projection passes the test
+    dyn = polytope.dynamics
+    previous = dyn.lam * clipped
+    previous[1:] = previous[:-1]
+    previous[0] = dyn.b_offset[0]
+    if (
+        (previous + dyn.delta * polytope.v_lower <= clipped)
+        & (clipped <= previous + dyn.delta * polytope.v_upper)
+    ).all():
         return clipped
-    if math.isnan(residual):
+    if np.isnan(x).any():
         raise ValueError("cannot project a profile with a NaN entry")
     empty = polytope._reach[2]
     if empty is not None:  # a fresh error on every call
@@ -398,12 +397,7 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     xs = [x_lower[-1], x_upper[-1]]
     ds = [xs[0] - y[-1], xs[1] - y[-1]]
     for t in range(horizon - 1, -1, -1):
-        low, high = max(xs[0], x_lower[t]), min(xs[-1], x_upper[t])
-        if low > high:  # a gap the forward pass bridged
-            low = high = 0.5 * (low + high)
-            xs, ds = [low], [0.0]
-        else:
-            xs, ds = _clip_knots(xs, ds, low, high)
+        xs, ds, low, high = _clip_knots(xs, ds, x_lower[t], x_upper[t])
         k = bisect_left(ds, 0.0)
         zero = _crossing(xs, ds, k, 0.0)
         plan[t] = zero, low, high
@@ -416,13 +410,11 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
             )
             ds = [lam * d + z - y_prev for z, d in zip(xs, ds[:k] + [0.0, 0.0] + ds[k:])]
 
-    # Recovery: each period moves to the crossing, clipped into its energy
-    # range and the energies the step from the previous period's choice can
-    # reach; where the two miss each other, the lower of their tops wins.
+    # Recovery: each period moves toward its crossing.
     out, previous = [0.0] * horizon, float(polytope.dynamics.b_offset[0])
     for t in range(horizon):
         zero, low, high = plan[t]
-        out[t] = min(max(zero, previous + step_lower[t], low), previous + step_upper[t], high)
+        out[t] = _recovered(zero, previous, low, high, step_lower[t], step_upper[t])
         previous = lam * out[t]
     return np.array(out)
 

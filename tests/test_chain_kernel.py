@@ -9,8 +9,14 @@ from scipy import sparse
 from scipy.optimize import LinearConstraint, NonlinearConstraint, linprog, minimize
 
 import lossy_storage as ls
+from lossy_storage import transform
 from lossy_storage.errors import InfeasibleProblem
-from lossy_storage.transform import _chain_argmin, project_onto_polytope
+from lossy_storage.transform import (
+    _chain_argmin,
+    _largest_violation,
+    _power_boxes,
+    project_onto_polytope,
+)
 
 from conftest import (
     dense_dynamics,
@@ -112,6 +118,34 @@ def test_projection_keeps_the_sign_of_a_zero_floor():
     x = project_onto_polytope([-5.0, -5.0, 3.0], poly)
     assert x.tolist() == [0.0, 0.0, 0.9]
     assert np.signbit(x).tolist() == [True, True, False]
+
+
+def no_pass(*args):
+    raise AssertionError("the projection ran its pass")
+
+
+def test_a_projection_projected_again_takes_the_fast_path(monkeypatch):
+    # the fast path tests each step as the recovery rounds it, so a
+    # projection inside the energy box is its own projection, bit for bit,
+    # without a pass; `velocity`, which rounds otherwise, can put one of its
+    # steps an ulp outside the step box, and a descent whose step leaves
+    # that period alone would then run the pass on every iterate
+    rng = np.random.default_rng(2213)
+    checked = 0
+    for _ in range(300):
+        horizon = int(rng.integers(1, 30))
+        params, bounds = random_instance(rng, horizon)
+        poly = ls.build_energy_polytope(params, bounds, ls.build_dynamics(params))
+        if poly._reach[2] is not None:
+            continue
+        x = project_onto_polytope(rng.uniform(-1.0, bounds.x_max + 1.0), poly)
+        if np.any(x < poly.x_lower) or np.any(x > poly.x_upper):
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(transform, "_clip_knots", no_pass)
+            assert project_onto_polytope(x, poly).tobytes() == x.tobytes()
+        checked += 1
+    assert checked >= 200
 
 
 def descent_twin(cost):
@@ -324,14 +358,14 @@ def test_exact_load_balancing_holds_energies_at_the_float_limit(power_bound):
 
 def test_exact_load_balancing_holds_energies_on_b_when_lam_rounds():
     # every unit step is lost on energies near 3e41, so the best point
-    # holds x = b; at lam < 1, lam * b_{t-1} can round away from b_t (the
-    # cumprod's), and a hold taken from lam * x_{t-1} would measure a power
-    # near 1e25 in `velocity`, which measures steps against b
+    # holds x = b; at lam < 1, x0 * lam**2 rounds away from lam * (lam * x0)
+    # here, and a b built that way would make a hold taken from lam * x_{t-1}
+    # measure a power near 1e25 in `velocity`, which measures steps against b
     params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=0.999, delta=1.0, x0=2.86e41, horizon=3)
     ones = [1.0] * 3
     bounds = ls.Bounds(u_max=ones, u_min_mag=ones, x_max=[1.35e42] * 3, x_min=[0.0] * 3)
     b = ls.build_dynamics(params).b_offset
-    assert params.lam * b[1] != b[2]
+    assert (np.cumprod(np.full(3, params.lam)) * params.x0)[1] != b[1]
     solution = ls.solve(ls.validate_params(params, bounds), ls.LoadBalancing(load=[0.1, 0.4, 0.5]))
     assert solution.status == "exact"
     assert solution.x_star.tolist() == b.tolist()
@@ -339,9 +373,58 @@ def test_exact_load_balancing_holds_energies_on_b_when_lam_rounds():
     assert solution.objective == pytest.approx(0.1**2 + 0.4**2 + 0.5**2, rel=1e-15)
 
 
+def test_exact_load_balancing_holds_the_empty_storage_on_the_floor():
+    # the storage empties in period 0 and holds 0 after it; every charging
+    # step, below 1e-52, is lost on the way, so each hold is lam * 0 = 0,
+    # which measures no step from b and stays on the energy floor
+    params = ls.StorageParams(
+        eta_c=1.6445580019677365e-230, eta_d=0.12642760059907432, lam=0.999,
+        delta=0.015761861764125088, x0=0.004186665746786796, horizon=3,
+    )
+    bounds = ls.Bounds(
+        u_max=[1e180] * 3, u_min_mag=[1e180] * 3,
+        x_max=[0.011706192035562968] * 3, x_min=[0.0] * 3,
+    )
+    cost = ls.LoadBalancing(load=[137.66, 39.48, 27.46])
+    solution = ls.solve(ls.validate_params(params, bounds), cost)
+    assert solution.status == "exact"
+    assert solution.x_star.tolist() == [0.0, 0.0, 0.0]
+    assert solution.u_star.tolist()[1:] == [0.0, 0.0]
+    assert solution.feasibility_residual == 0.0
+
+
+def test_both_passes_leave_a_bridged_first_gap_on_the_energy_box():
+    # lam * x0 = 2 misses the first energy box by 5e-10, within the
+    # tolerance: every pass takes the lowest step from it, so the power
+    # stays in its box and the energy misses its cap by the gap
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=2.0, horizon=2)
+    bounds = ls.Bounds(
+        u_max=[1, 1], u_min_mag=[1, 1], x_max=[2 - 1 / 0.9 - 5e-10, 5], x_min=[0, 0]
+    )
+    problem = ls.validate_params(params, bounds)
+    dyn = ls.build_dynamics(params)
+    poly = ls.build_energy_polytope(params, bounds, dyn)
+    projected = project_onto_polytope([0.0, 0.0], poly)
+    solutions = [
+        ls.solve(problem, cost) for cost in (
+            ls.PeakShaving(load=[0.75, 0.375]),
+            ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[0.5, 0.5]),
+            ls.LoadBalancing(load=[0.75, 0.375]),
+        )
+    ]
+    assert [s.status for s in solutions] == ["converged", "exact", "exact"]
+    first = {projected[0]} | {s.x_star[0] for s in solutions}
+    assert first == {2.0 - 1 / 0.9}
+    powers = [ls.energy_to_power(projected, params, dyn)] + [s.u_star for s in solutions]
+    for u in powers:
+        assert _largest_violation(_power_boxes(u, params, bounds, dyn)[:1]) == 0.0
+    for solution in solutions:
+        assert solution.feasibility_residual == pytest.approx(5e-10, rel=1e-6)
+
+
 def test_exact_arbitrage_holds_b_when_lam_rounds():
     # as for load balancing: every unit step is lost on energies near 3e41,
-    # so the best point holds x = b, where lam * b_{t-1} rounds away from b_t
+    # so the best point holds x = b, which a cumprod b would round otherwise
     params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=0.999, delta=1.0, x0=2.86e41, horizon=3)
     ones = [1.0] * 3
     bounds = ls.Bounds(u_max=ones, u_min_mag=ones, x_max=[1.35e42] * 3, x_min=[0.0] * 3)

@@ -167,3 +167,17 @@ def test_simulate_agrees_with_matrix_form():
         u = rng.uniform(-bounds.u_min_mag, bounds.u_max)
         gap = np.max(np.abs(ls.simulate(u, params) - ls.power_to_energy(u, params, dyn)))
         assert gap <= 1e-9
+
+
+def test_b_is_the_zero_power_trajectory_bit_for_bit():
+    # b is rounded as the recursion rounds, so `simulate` of the zero-power
+    # profile gives it bit for bit; lam**(t+1) * x0 differs in most draws
+    rng = np.random.default_rng(2212)
+    for _ in range(200):
+        horizon = int(rng.integers(2, 50))
+        params = ls.StorageParams(
+            eta_c=0.9, eta_d=0.9, lam=rng.uniform(0.5, 1.0), delta=1.0,
+            x0=rng.uniform(0.0, 10.0), horizon=horizon,
+        )
+        b = ls.build_dynamics(params).b_offset
+        assert ls.simulate(np.zeros(horizon), params).tobytes() == b.tobytes()
