@@ -3,8 +3,9 @@
 Five built-in cost families plus a custom hook.  Each family evaluates in
 power coordinates; the energy-coordinate objective is the composition with
 `energy_to_power`.  Each family class declares its terms (or batch map),
-subgradient, Lipschitz constant, certificate rule and, if the chain's
-step-cost pass solves it exactly, step terms; `_Family` holds the defaults.
+value and subgradient at one profile (`value_and_subgradient`), Lipschitz
+constant, certificate rule and, if the chain's step-cost pass solves it
+exactly, step terms; `_Family` holds the defaults.
 Certification is sound but not complete: a Certified verdict guarantees the
 composed objective is convex, NotCertified guarantees nothing either way.
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NoSubgradientOracle, ValidationError
 from .model import Bounds, Dynamics, StorageParams, build_dynamics
-from .transform import energy_to_power, inverse_loss_map, velocity, velocity_adjoint
+from .transform import _adjoint_in_place, _check_length, energy_to_power, velocity
 
 __all__ = [
     "PeakShaving",
@@ -66,9 +67,10 @@ _PROBE_BLOCK = 1 << 15
 class _Family:
     """The defaults of every cost family.  A sum or max over periods sets
     `fold` (np.add or np.maximum) and `terms`; any other overrides `batch`.
-    Each family declares `power_subgradient(u)`, a subgradient at the power
-    profile u (deterministic kink choices), and, unless it overrides
-    `certify`, `decreasing(params)`: where it may decrease on [0, inf)."""
+    Each family declares `value_and_subgradient(u)`: at the power profile
+    u, the cost (bit for bit `batch`'s) and a subgradient (deterministic kink
+    choices), from one residual.  Unless it overrides `certify`, each also
+    declares `decreasing(params)`: where it may decrease on [0, inf)."""
 
     fold = None
 
@@ -122,13 +124,14 @@ class PeakShaving(_VectorFamily):
     def terms(self, u):
         return np.abs(u + self.load)
 
-    def power_subgradient(self, u):
+    def value_and_subgradient(self, u):
         residual = u + self.load
-        peak = int(np.argmax(np.abs(residual)))
+        size = np.abs(residual)
+        peak = int(size.argmax())
         g = np.zeros(u.shape[0])
-        if abs(residual[peak]) > 0.0:
+        if size[peak] > 0.0:
             g[peak] = 1.0 if residual[peak] > 0.0 else -1.0
-        return g
+        return float(size[peak]), g
 
     def lipschitz(self, lo, hi):
         return 1.0
@@ -148,8 +151,9 @@ class LoadBalancing(_VectorFamily):
     def terms(self, u):
         return (u + self.load) ** 2
 
-    def power_subgradient(self, u):
-        return 2.0 * (u + self.load)
+    def value_and_subgradient(self, u):
+        residual = u + self.load
+        return float(np.add.reduce(residual**2)), 2.0 * residual
 
     def lipschitz(self, lo, hi):
         return float(np.sum(2.0 * np.maximum(np.abs(lo + self.load), np.abs(hi + self.load))))
@@ -190,8 +194,9 @@ class PowerRegulation(_VectorFamily):
     def terms(self, u):
         return np.abs(u - self.signal)
 
-    def power_subgradient(self, u):
-        return np.sign(u - self.signal)
+    def value_and_subgradient(self, u):
+        residual = u - self.signal
+        return float(np.add.reduce(np.abs(residual))), np.sign(residual)
 
     def lipschitz(self, lo, hi):
         return float(lo.shape[0])
@@ -212,9 +217,9 @@ class EnergyArbitrage(_VectorFamily):
     def terms(self, u):
         return self.p_buy * np.maximum(u, 0.0) + self.p_sell * np.minimum(u, 0.0)
 
-    def power_subgradient(self, u):
+    def value_and_subgradient(self, u):
         # charging-branch price at the kink, mirroring the v = 0 tie-break
-        return np.where(u < 0.0, self.p_sell, self.p_buy)
+        return float(np.add.reduce(self.terms(u))), np.where(u < 0.0, self.p_sell, self.p_buy)
 
     def lipschitz(self, lo, hi):
         return float(np.sum(np.maximum(np.abs(self.p_buy), np.abs(self.p_sell))))
@@ -253,12 +258,13 @@ class PowerSmoothing(_VectorFamily):
     def batch(self, u):
         return np.sum(np.abs(np.diff(self.renewable - u, axis=-1)), axis=-1)
 
-    def power_subgradient(self, u):
-        sigma = np.sign(np.diff(self.renewable - u))
+    def value_and_subgradient(self, u):
+        steps = np.diff(self.renewable - u)
+        sigma = np.sign(steps)
         g = np.zeros(u.shape[0])
         g[1:] -= sigma
         g[:-1] += sigma
-        return g
+        return float(np.sum(np.abs(steps))), g
 
     def lipschitz(self, lo, hi):
         return 2.0 * (lo.shape[0] - 1)
@@ -289,10 +295,11 @@ class CustomCost(_Family):
     def batch(self, u):
         return np.array([float(self.evaluator(row)) for row in u])
 
-    def power_subgradient(self, u):
+    def value_and_subgradient(self, u):
+        value = float(self.evaluator(u))
         if self.subgradient is None:
             raise NoSubgradientOracle(f"custom cost {self.label!r} declared no subgradient oracle")
-        return np.asarray(self.subgradient(u), dtype=float)
+        return value, np.asarray(self.subgradient(u), dtype=float)
 
     def decreasing(self, params):
         flags = self.nondecreasing_on_nonneg
@@ -320,7 +327,7 @@ FAMILIES = {
     "power_smoothing": PowerSmoothing,
 }
 FAMILY_TAGS = {cls: tag for tag, cls in FAMILIES.items()}
-# looked up once here: _check_cost_length runs once per solver iteration
+# looked up once here: every cost pass of the descent checks their lengths
 _FAMILY_FIELDS = {
     cls: tuple(field.name for field in dataclasses.fields(cls)) for cls in FAMILIES.values()
 }
@@ -391,28 +398,28 @@ def subgradient_energy_cost(
     cost: CostSpec, x, params: StorageParams, dyn: Dynamics, rescale: bool = False
 ) -> tuple[float, np.ndarray]:
     """The energy-coordinate objective at x and a chain-rule subgradient
-    there, as (value, subgradient), from one recovered power profile.
+    there, as (value, subgradient), from one `value_and_subgradient` call.
 
     The value is `evaluate_energy_cost`'s, bit for bit.  With v =
-    A^{-1}(x - b) the velocity and u the recovered power profile, the
-    subgradient is A^{-T} D(v) g: g is a subgradient of the family at u, D
-    is diagonal with 1/eta_c on charging coordinates (v_i >= 0, the kink
-    included) and eta_d on discharging ones, and A^{-T} is the reversed
-    first difference of the recursion (`velocity_adjoint`).  Valid
-    subgradient of the composition whenever the certificate holds.  With
-    rescale, g is first divided by its largest magnitude, which keeps the
-    direction and keeps the product finite for costs near the float limit.
+    A^{-1}(x - b) the velocity, D diagonal with 1/eta_c on charging
+    coordinates (v_i >= 0, the kink included) and eta_d on discharging ones,
+    and u = D v the recovered power profile (`inverse_loss_map`'s, bit for
+    bit, wherever 1/eta_c is finite), the subgradient is A^{-T} D g, g the
+    family's subgradient at u and A^{-T} the reversed first difference of
+    the recursion (`velocity_adjoint`).  Valid subgradient of the
+    composition whenever the certificate holds.  With rescale, g is first
+    divided by its largest magnitude, which keeps the direction and keeps
+    the product finite for costs near the float limit.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_length(x, params.horizon, "x")
     _check_cost_length(cost, params.horizon)
     v = velocity(x, dyn)
-    u = inverse_loss_map(v, params)
-    value = float(power_cost_batch(cost, u)[0])
-    g = cost.power_subgradient(u)
+    scale = np.where(v >= 0.0, 1.0 / params.eta_c, params.eta_d)
+    u = scale * v + 0.0  # a zero power is +0.0, as `inverse_loss_map` gives it
+    value, g = cost.value_and_subgradient(u)
     if rescale:
         g = g / np.max(np.abs(g))
-    scale = np.where(v >= 0.0, 1.0 / params.eta_c, params.eta_d)
-    return value, velocity_adjoint(scale * g, dyn)
+    return value, _adjoint_in_place(scale * g, dyn)
 
 
 def certify_convexity(cost: CostSpec, params: StorageParams) -> ConvexityCertificate:

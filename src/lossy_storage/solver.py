@@ -138,7 +138,7 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
     # one cost pass per iterate: its value, and the subgradient of the
     # step that leaves it
     best_f, g = subgradient_energy_cost(cost, x, params, dyn)
-    best_x = x.copy()
+    best_x = x
     trace = [best_f]
 
     avg_sum = tail_scale * x
@@ -164,8 +164,7 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
         x = project_onto_polytope(x - (step / g_norm) * g, polytope)
         f, g = subgradient_energy_cost(cost, x, params, dyn)
         if f < best_f:
-            best_f = f
-            best_x = x.copy()
+            best_f, best_x = f, x
         trace.append(best_f)
 
         avg_sum += tail_scale * x if shift else x

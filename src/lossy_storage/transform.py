@@ -108,9 +108,9 @@ class EnergyPolytope:
     """Half-space form of the feasible energy set: two boxes, one of them in
     the velocity coordinate v = A^{-1}(x - b).
 
-    What the chain sweeps need beyond the arrays, the boxes as float lists
-    and the forward sweep of reachable energies, is computed the first time
-    it is read and kept for the life of the polytope."""
+    What the chain sweeps need beyond the arrays, the step box, the boxes as
+    float lists and the forward sweep of reachable energies, is computed the
+    first time it is read and kept for the life of the polytope."""
 
     v_lower: np.ndarray
     v_upper: np.ndarray
@@ -119,17 +119,17 @@ class EnergyPolytope:
     dynamics: Dynamics
 
     @cached_property
+    def steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(step_lower, step_upper): the box of each step x_t - lam * x_{t-1},
+        which is delta times the velocity box."""
+        return self.dynamics.delta * self.v_lower, self.dynamics.delta * self.v_upper
+
+    @cached_property
     def chain(self) -> tuple[list, list, list, list]:
         """(x_lower, x_upper, step_lower, step_upper) as float lists: the
-        energy box, and the box of each step x_t - lam * x_{t-1}, which is
-        delta times the velocity box."""
-        delta = self.dynamics.delta
-        return (
-            self.x_lower.tolist(),
-            self.x_upper.tolist(),
-            (delta * self.v_lower).tolist(),
-            (delta * self.v_upper).tolist(),
-        )
+        energy box and the step box."""
+        step_lower, step_upper = self.steps
+        return self.x_lower.tolist(), self.x_upper.tolist(), step_lower.tolist(), step_upper.tolist()
 
     @cached_property
     def _reach(self) -> tuple[list, list, Optional[tuple[str, int]]]:
@@ -211,7 +211,7 @@ def _recovered(
 
 
 def _band_step(band: tuple, p: float) -> float:
-    """The step that a curved band's (p, step) map gives p, held at its ends."""
+    """The step that a period's (p, step) map gives p, held at its ends."""
     ps, steps = band
     return _crossing(steps, ps, bisect_left(ps, p), p)
 
@@ -228,10 +228,11 @@ def _curved_step(
     c below the level up - qa * c, the lowest step a above down - qb * a, no
     step between up and down, and a step linear in d in the two bands left.
     So each knot moves to p = x - s(d), and four more mark the levels.  With
-    no curvature the bands are empty, and when up == down they meet in one
-    knot on a single flat, of which only the two ends are kept.  Returns
-    each band's map from p to its step, for the recovery, and the knots of
-    the derivative over x_{t-1} = p / lam.
+    no curvature the bands are empty and each outer level is its inner one,
+    so two crossings mark all four; when up == down they meet in one knot on
+    a single flat, of which only the two ends are kept.  Returns the map
+    from p to its step, both bands and the flat between them, for the
+    recovery, and the knots of the derivative over x_{t-1} = p / lam.
     """
     # A band whose step box is empty ends at its kink level, since its
     # curvature can overflow to inf and inf * 0 is NaN; a band end beyond
@@ -245,16 +246,23 @@ def _curved_step(
         down,
         last if last < math.inf else max(ds[-1], down),
     )
-    cuts, ends = [0], []
-    for level in levels:
-        cuts.append(bisect_left(ds, level, cuts[-1]))
-        ends.append(_crossing(xs, ds, cuts[-1], level))
-    _, k1, k2, k3, k4 = cuts
-    e1, e2, e3, e4 = ends
-    rising = [(up - d) / qa for d in ds[k1:k2]]  # steps in (0, c]
-    falling = [(down - d) / qb for d in ds[k3:k4]]  # steps in (a, 0]
-    band_up = [e1 - c] + [z - s for z, s in zip(xs[k1:k2], rising)] + [e2]
-    band_down = [e3] + [z - s for z, s in zip(xs[k3:k4], falling)] + [e4 - a]
+    if qa or qb:
+        cuts, ends = [0], []
+        for level in levels:
+            cuts.append(bisect_left(ds, level, cuts[-1]))
+            ends.append(_crossing(xs, ds, cuts[-1], level))
+        _, k1, k2, k3, k4 = cuts
+        e1, e2, e3, e4 = ends
+        rising = [(up - d) / qa for d in ds[k1:k2]]  # steps in (0, c]
+        falling = [(down - d) / qb for d in ds[k3:k4]]  # steps in (a, 0]
+        band_up = [e1 - c] + [z - s for z, s in zip(xs[k1:k2], rising)] + [e2]
+        band_down = [e3] + [z - s for z, s in zip(xs[k3:k4], falling)] + [e4 - a]
+    else:
+        k1 = k2 = bisect_left(ds, up)
+        k3 = k4 = bisect_left(ds, down, k2)
+        e2, e3 = _crossing(xs, ds, k2, up), _crossing(xs, ds, k3, down)
+        rising = falling = []
+        band_up, band_down = [e2 - c, e2], [e3, e3 - a]
     middle = band_up + xs[k2:k3] + band_down
     middle_ds = [levels[0]] + ds[k1:k2] + [up] + ds[k2:k3] + [down] + ds[k3:k4] + [levels[3]]
     if up == down and not (qa or qb):
@@ -265,7 +273,9 @@ def _curved_step(
         + [(z - a) / lam for z in xs[k4:]]
     )
     ds = ds[:k1] + middle_ds + ds[k4:]
-    return (band_up, [c] + rising + [0.0]), (band_down, [0.0] + falling + [a]), xs, ds
+    # both bands' steps, whose ends c + 0.0 and a + 0.0 round as their sum
+    steps = [c + 0.0] + rising + [0.0, 0.0] + falling + [a + 0.0]
+    return (band_up + band_down, steps), xs, ds
 
 
 def _chain_argmin(
@@ -290,7 +300,7 @@ def _chain_argmin(
     as for piecewise-quadratic costs (Hochbaum & Lu, SIAM J. Optim. 2017),
     moves each knot (x, d) to (x - s(d), d), where s(d) is the step with
     phi_t'(s) = -d, clipped to the step box; a linear side leaves a flat.
-    The recovery adds the step that a period's two bands give p = lam *
+    The recovery adds the step that a period's step map gives p = lam *
     x_{t-1} to p, and clips it into the period's energy range, then into
     the step box reachable from p, which wins.  O(T * k) time, k the
     number of knots alive in the cost-to-go.
@@ -314,7 +324,7 @@ def _chain_argmin(
     # the later periods stay feasible.  Running backward lets the recovery
     # below multiply by lam; recovering backward would divide by it and
     # amplify rounding by 1/lam per binding step.  Each period leaves its
-    # plan for the recovery: its two bands and its energy range.
+    # plan for the recovery: its step map and its energy range.
     plan = [None] * horizon
     start = float(polytope.dynamics.b_offset[0])  # lam * x0
     xs, ds = [x_lower[-1], x_upper[-1]], [0.0, 0.0]
@@ -326,18 +336,18 @@ def _chain_argmin(
         p_low, p_high = (lam * x_lower[t - 1], lam * x_upper[t - 1]) if t else (start, start)
         a = max(step_lower[t], min(0.0, xs[0] - p_high))
         c = min(step_upper[t], max(0.0, xs[-1] - p_low))
-        rise, fall, xs, ds = _curved_step(
+        band, xs, ds = _curved_step(
             xs, ds, -above[t], -below[t], below_curve[t], above_curve[t], a, c, lam
         )
-        plan[t] = rise, fall, low, high
+        plan[t] = band, low, high
         ds = [lam * d for d in ds]
 
-    # Recovery: each period takes the step its two bands give p = lam *
+    # Recovery: each period takes the step its map gives p = lam *
     # x_{t-1}; b is built by the same product, so a hold from b stays on b.
     out, previous = [0.0] * horizon, start
     for t in range(horizon):
-        rise, fall, low, high = plan[t]
-        step = _band_step(rise, previous) + _band_step(fall, previous)
+        band, low, high = plan[t]
+        step = _band_step(band, previous)
         out[t] = _recovered(previous + step, previous, low, high, step_lower[t], step_upper[t])
         previous = lam * out[t]
     return out
@@ -365,19 +375,17 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     ValueError when x has a NaN entry.
     """
     x = np.asarray(x, dtype=float)
-    clipped = np.clip(x, polytope.x_lower, polytope.x_upper)
+    clipped = x.clip(polytope.x_lower, polytope.x_upper)
     # only the clip's steps can be outside, tested as the recovery rounds
     # them, which `velocity` does not, so that a projection passes the test
     dyn = polytope.dynamics
+    step_lower, step_upper = polytope.steps
     previous = dyn.lam * clipped
     previous[1:] = previous[:-1]
     previous[0] = dyn.b_offset[0]
-    if (
-        (previous + dyn.delta * polytope.v_lower <= clipped)
-        & (clipped <= previous + dyn.delta * polytope.v_upper)
-    ).all():
+    if ((previous + step_lower <= clipped) & (clipped <= previous + step_upper)).all():
         return clipped
-    if np.isnan(x).any():
+    if math.isnan(np.vdot(x, x)):  # squares are >= 0, so only a NaN entry gives NaN
         raise ValueError("cannot project a profile with a NaN entry")
     empty = polytope._reach[2]
     if empty is not None:  # a fresh error on every call
@@ -481,9 +489,14 @@ def velocity(x, dyn: Dynamics) -> np.ndarray:
 def velocity_adjoint(w, dyn: Dynamics) -> np.ndarray:
     """A^{-T} w, the transpose of `velocity`'s linear part: the reversed
     first difference (w_t - lam * w_{t+1}) / delta."""
-    r = np.array(w, dtype=float)
+    return _adjoint_in_place(np.array(w, dtype=float), dyn)
+
+
+def _adjoint_in_place(r: np.ndarray, dyn: Dynamics) -> np.ndarray:
+    """`velocity_adjoint` of the float array r, written over r."""
     r[..., :-1] -= dyn.lam * r[..., 1:]
-    return r / dyn.delta
+    r /= dyn.delta
+    return r
 
 
 def energy_to_power(x, params: StorageParams, dyn: Dynamics) -> np.ndarray:
@@ -620,8 +633,8 @@ def _cap_face_pair(params: StorageParams, poly: EnergyPolytope) -> Optional[np.n
     """
     lam, horizon, x0 = params.lam, params.horizon, params.x0
     x_min, x_max = np.append(x0, poly.x_lower), np.append(x0, poly.x_upper)
-    # the largest and the smallest step x_s - lam * x_{s-1}, which is delta * v_s
-    step = np.pad(params.delta * np.array([poly.v_upper, poly.v_lower]), ((0, 0), (1, 0)))
+    # the largest and the smallest step x_s - lam * x_{s-1}
+    step = np.pad(np.array(poly.steps[::-1]), ((0, 0), (1, 0)))
     lows, highs, _ = poly._reach
     if any(low > high for low, high in zip(lows, highs)):
         return None  # the power set is empty

@@ -9,6 +9,7 @@ import lossy_storage as ls
 from lossy_storage import costs
 from lossy_storage.costs import FAMILIES, power_cost_batch
 from lossy_storage.errors import LengthMismatch, NoSubgradientOracle, ValidationError
+from lossy_storage.transform import velocity_adjoint
 
 from conftest import dense_dynamics, random_instance
 
@@ -279,6 +280,50 @@ def test_subgradient_validity_inequality():
                 step = 1e-6
                 f_step = ls.evaluate_energy_cost(cost, x + step * d, params, dyn)
                 assert (f_step - fx) / step >= float(g @ d) - 1e-5
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 8, 9, 24, 168])
+def test_cost_pass_matches_its_public_pieces_bit_for_bit(horizon):
+    # from 8 periods on np.sum adds pairwise, so the family sums must run
+    # over the same layout as the batch map's; the points include v = +-0
+    # (x = b, and zeros of alternating sign on b = 0) and subnormal steps,
+    # where eta_d = 0.4 rounds a discharge to -0.0
+    rng = np.random.default_rng(horizon)
+    series = lambda: rng.uniform(-1.0, 1.0, horizon)  # noqa: E731
+    families = [
+        ls.PeakShaving(load=series()),
+        ls.LoadBalancing(load=series()),
+        ls.PowerRegulation(signal=series()),
+        ls.EnergyArbitrage(p_buy=rng.uniform(0.5, 2.0, horizon), p_sell=rng.uniform(0.0, 2.0, horizon)),
+        ls.PowerSmoothing(renewable=series()),
+        ls.CustomCost(
+            evaluator=lambda u: float(np.sum(u * u + u)), subgradient=lambda u: 2.0 * u + 1.0
+        ),
+    ]
+    signs = np.where(np.arange(horizon) % 2, -0.0, 0.0)
+    for eta_c, eta_d, lam, x0 in ((0.6, 0.8, 0.95, 1.0), (0.9, 0.4, 1.0, 0.0)):
+        params = ls.StorageParams(eta_c=eta_c, eta_d=eta_d, lam=lam, delta=1.0, x0=x0, horizon=horizon)
+        dyn = ls.build_dynamics(params)
+        b = dyn.b_offset
+        points = [
+            rng.uniform(0.0, 2.0, horizon),
+            b.copy(),
+            b + signs,
+            b + 5e-324 * rng.choice([-3.0, -1.0, 0.0, 1.0, 3.0], horizon),
+            np.where(rng.random(horizon) < 0.5, b, rng.uniform(0.0, 2.0, horizon)),
+        ]
+        for cost in families:
+            for x in points:
+                value, g = ls.subgradient_energy_cost(cost, x, params, dyn)
+                assert _same_bits(value, ls.evaluate_energy_cost(cost, x, params, dyn))
+                v = ls.velocity(x, dyn)
+                family_g = cost.value_and_subgradient(ls.inverse_loss_map(v, params))[1]
+                slope = np.where(v >= 0, 1 / params.eta_c, params.eta_d)
+                assert _same_bits(g, velocity_adjoint(slope * family_g, dyn))
 
 
 def test_rescaled_subgradient_keeps_the_direction(two_period_params, two_period_dyn):

@@ -72,6 +72,27 @@ def test_projection_idempotent(two_period_polytope):
         assert float(np.max(np.abs(twice - once))) <= 1e-8
 
 
+def test_projection_never_returns_its_input(two_period_polytope, monkeypatch):
+    # the descent keeps its best iterate without a copy, so a projection
+    # must be a fresh array on the fast path and on the full pass alike
+    passes = []
+
+    def counted(*args, _fn=ls.transform._clip_knots):
+        passes.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(ls.transform, "_clip_knots", counted)
+    storage = np.array([0.0, 0.9, 0.0, 0.95, 0.0, -2.0, 0.0, 3.0])
+    for target, full_pass in ((storage[1:4:2], False), (storage[5::2], True)):
+        passes.clear()
+        out = project_onto_polytope(target, two_period_polytope)
+        assert bool(passes) == full_pass
+        assert out is not target
+        assert not np.shares_memory(out, storage)
+        out[:] = 7.0
+        assert storage.tolist() == [0.0, 0.9, 0.0, 0.95, 0.0, -2.0, 0.0, 3.0]
+
+
 def test_projection_detects_empty_intersection():
     params, bounds = empty_intersection_instance()
     poly = ls.build_energy_polytope(params, bounds, ls.build_dynamics(params))
@@ -282,6 +303,20 @@ def test_one_cost_pass_per_iterate(two_period_problem, monkeypatch):
     solution = ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=50))
     assert solution.iterations_used == 50
     assert calls == {"subgradient_energy_cost": 51, "evaluate_energy_cost": 1}
+
+
+def test_an_overflowing_subgradient_is_taken_again_rescaled():
+    # at delta = 1e-10 the chain rule takes prices near the float limit to
+    # an infinite subgradient, and a step along it would be NaN; the solve
+    # must take that subgradient again, rescaled
+    params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1e-10, x0=1.0, horizon=2)
+    bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[2, 2], x_min=[0, 0])
+    cost = ls.EnergyArbitrage(p_buy=[1e299, 1e299], p_sell=[1e300, 1e300])
+    problem = ls.validate_params(params, bounds)
+    assert not ls.certify_convexity(cost, params).certified
+    solution = ls.solve(problem, cost, ls.SolveOptions(max_iterations=50))
+    assert (solution.status, solution.iterations_used) == ("max-iterations", 50)
+    assert math.isfinite(solution.objective)
 
 
 def test_an_infinite_objective_ends_the_first_stop_window(monkeypatch):
