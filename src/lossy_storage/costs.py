@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NoSubgradientOracle, ValidationError
 from .model import Bounds, Dynamics, StorageParams, build_dynamics
-from .transform import _adjoint_in_place, _check_length, energy_to_power, velocity
+from .transform import _adjoint_in_place, energy_to_power, inverse_loss_map, velocity
 
 __all__ = [
     "PeakShaving",
@@ -401,24 +401,21 @@ def subgradient_energy_cost(
     there, as (value, subgradient), from one `value_and_subgradient` call.
 
     The value is `evaluate_energy_cost`'s, bit for bit.  With v =
-    A^{-1}(x - b) the velocity, D diagonal with 1/eta_c on charging
-    coordinates (v_i >= 0, the kink included) and eta_d on discharging ones,
-    and u = D v the recovered power profile (`inverse_loss_map`'s, bit for
-    bit, wherever 1/eta_c is finite), the subgradient is A^{-T} D g, g the
-    family's subgradient at u and A^{-T} the reversed first difference of
-    the recursion (`velocity_adjoint`).  Valid subgradient of the
-    composition whenever the certificate holds.  With rescale, g is first
-    divided by its largest magnitude, which keeps the direction and keeps
-    the product finite for costs near the float limit.
+    A^{-1}(x - b) the velocity and u the recovered power profile, the
+    subgradient is A^{-T} D(v) g: g is a subgradient of the family at u, D
+    is diagonal with 1/eta_c on charging coordinates (v_i >= 0, the kink
+    included) and eta_d on discharging ones, and A^{-T} is the reversed
+    first difference of the recursion (`velocity_adjoint`).  Valid
+    subgradient of the composition whenever the certificate holds.  With
+    rescale, g is first divided by its largest magnitude, which keeps the
+    direction and keeps the product finite for costs near the float limit.
     """
-    x = _check_length(x, params.horizon, "x")
     _check_cost_length(cost, params.horizon)
     v = velocity(x, dyn)
-    scale = np.where(v >= 0.0, 1.0 / params.eta_c, params.eta_d)
-    u = scale * v + 0.0  # a zero power is +0.0, as `inverse_loss_map` gives it
-    value, g = cost.value_and_subgradient(u)
+    value, g = cost.value_and_subgradient(inverse_loss_map(v, params))
     if rescale:
         g = g / np.max(np.abs(g))
+    scale = np.where(v >= 0.0, 1.0 / params.eta_c, params.eta_d)
     return value, _adjoint_in_place(scale * g, dyn)
 
 

@@ -228,11 +228,10 @@ def _curved_step(
     c below the level up - qa * c, the lowest step a above down - qb * a, no
     step between up and down, and a step linear in d in the two bands left.
     So each knot moves to p = x - s(d), and four more mark the levels.  With
-    no curvature the bands are empty and each outer level is its inner one,
-    so two crossings mark all four; when up == down they meet in one knot on
-    a single flat, of which only the two ends are kept.  Returns the map
-    from p to its step, both bands and the flat between them, for the
-    recovery, and the knots of the derivative over x_{t-1} = p / lam.
+    no curvature the bands are empty, and when up == down they meet in one
+    knot on a single flat, of which only the two ends are kept.  Returns
+    the map from p to its step, both bands and the flat between them, for
+    the recovery, and the knots of the derivative over x_{t-1} = p / lam.
     """
     # A band whose step box is empty ends at its kink level, since its
     # curvature can overflow to inf and inf * 0 is NaN; a band end beyond
@@ -246,23 +245,16 @@ def _curved_step(
         down,
         last if last < math.inf else max(ds[-1], down),
     )
-    if qa or qb:
-        cuts, ends = [0], []
-        for level in levels:
-            cuts.append(bisect_left(ds, level, cuts[-1]))
-            ends.append(_crossing(xs, ds, cuts[-1], level))
-        _, k1, k2, k3, k4 = cuts
-        e1, e2, e3, e4 = ends
-        rising = [(up - d) / qa for d in ds[k1:k2]]  # steps in (0, c]
-        falling = [(down - d) / qb for d in ds[k3:k4]]  # steps in (a, 0]
-        band_up = [e1 - c] + [z - s for z, s in zip(xs[k1:k2], rising)] + [e2]
-        band_down = [e3] + [z - s for z, s in zip(xs[k3:k4], falling)] + [e4 - a]
-    else:
-        k1 = k2 = bisect_left(ds, up)
-        k3 = k4 = bisect_left(ds, down, k2)
-        e2, e3 = _crossing(xs, ds, k2, up), _crossing(xs, ds, k3, down)
-        rising = falling = []
-        band_up, band_down = [e2 - c, e2], [e3, e3 - a]
+    cuts, ends = [0], []
+    for level in levels:
+        cuts.append(bisect_left(ds, level, cuts[-1]))
+        ends.append(_crossing(xs, ds, cuts[-1], level))
+    _, k1, k2, k3, k4 = cuts
+    e1, e2, e3, e4 = ends
+    rising = [(up - d) / qa for d in ds[k1:k2]]  # steps in (0, c]
+    falling = [(down - d) / qb for d in ds[k3:k4]]  # steps in (a, 0]
+    band_up = [e1 - c] + [z - s for z, s in zip(xs[k1:k2], rising)] + [e2]
+    band_down = [e3] + [z - s for z, s in zip(xs[k3:k4], falling)] + [e4 - a]
     middle = band_up + xs[k2:k3] + band_down
     middle_ds = [levels[0]] + ds[k1:k2] + [up] + ds[k2:k3] + [down] + ds[k3:k4] + [levels[3]]
     if up == down and not (qa or qb):

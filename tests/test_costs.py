@@ -291,7 +291,8 @@ def test_cost_pass_matches_its_public_pieces_bit_for_bit(horizon):
     # from 8 periods on np.sum adds pairwise, so the family sums must run
     # over the same layout as the batch map's; the points include v = +-0
     # (x = b, and zeros of alternating sign on b = 0) and subnormal steps,
-    # where eta_d = 0.4 rounds a discharge to -0.0
+    # which delta = 2 halves to -0.0 and eta_d = 0.4 rounds to -0.0; the
+    # last custom cost sees the sign of a zero power
     rng = np.random.default_rng(horizon)
     series = lambda: rng.uniform(-1.0, 1.0, horizon)  # noqa: E731
     families = [
@@ -303,16 +304,26 @@ def test_cost_pass_matches_its_public_pieces_bit_for_bit(horizon):
         ls.CustomCost(
             evaluator=lambda u: float(np.sum(u * u + u)), subgradient=lambda u: 2.0 * u + 1.0
         ),
+        ls.CustomCost(
+            evaluator=lambda u: float(np.sum(u * u + np.copysign(1.0, u))),
+            subgradient=lambda u: 2.0 * u + np.copysign(1.0, u),
+        ),
     ]
     signs = np.where(np.arange(horizon) % 2, -0.0, 0.0)
-    for eta_c, eta_d, lam, x0 in ((0.6, 0.8, 0.95, 1.0), (0.9, 0.4, 1.0, 0.0)):
-        params = ls.StorageParams(eta_c=eta_c, eta_d=eta_d, lam=lam, delta=1.0, x0=x0, horizon=horizon)
+    tiny = 5e-324 * (np.arange(horizon) % 2 == 0)
+    for eta_c, eta_d, lam, delta, x0 in (
+        (0.6, 0.8, 0.95, 1.0, 1.0),
+        (0.9, 0.4, 1.0, 1.0, 0.0),
+        (0.9, 0.8, 1.0, 2.0, 0.0),
+    ):
+        params = ls.StorageParams(eta_c=eta_c, eta_d=eta_d, lam=lam, delta=delta, x0=x0, horizon=horizon)
         dyn = ls.build_dynamics(params)
         b = dyn.b_offset
         points = [
             rng.uniform(0.0, 2.0, horizon),
             b.copy(),
-            b + signs,
+            signs.copy(),
+            b - tiny,
             b + 5e-324 * rng.choice([-3.0, -1.0, 0.0, 1.0, 3.0], horizon),
             np.where(rng.random(horizon) < 0.5, b, rng.uniform(0.0, 2.0, horizon)),
         ]
