@@ -22,22 +22,26 @@ power_regulation (signal), energy_arbitrage (p_buy, p_sell),
 power_smoothing (renewable).  Cost vectors must be finite.
 "max_iterations", a positive integer, is the one solve setting.  The solve
 always starts from the zero-power profile, takes steps a/sqrt(k) where a is
-a tenth of the energy-box diameter, and stops on a fixed objective
-tolerance, so "solve" has no "step_rule", "initial_point",
-"step_parameter", "objective_tolerance" or "seed", and the projection is
-exact, so it has no "projection_tolerance"; a scenario that still sets any
-of them gets the unknown-field schema error.
+a tenth of the energy-box diameter, and stops by fixed rules, so "solve"
+has no "step_rule", "initial_point", "step_parameter",
+"objective_tolerance" or "seed", and the projection is exact, so it has no
+"projection_tolerance"; a scenario that still sets any of them gets the
+unknown-field schema error.
 
 Verbs: solve, certify, sample-sets, oracle-check.  sample-sets alone
 writes the feasible-set rasters, and oracle-check is solve followed by the
-oracle report; --resolution is their points per axis.  The solve checks
-its stop rule every 1000 iterations; "max_iterations" only caps the run.
-Certified energy arbitrage and load balancing are solved exactly, with no
-iterations, and ignore it.
+oracle report; --resolution is their points per axis.  The descent
+stops, with status "converged", at a zero subgradient, at a projected
+fixed point (a step the projection gives back bit for bit) or when 1000
+iterations improve the best objective by less than 1e-9; under a convexity
+certificate the first two prove the solution optimal.  "max_iterations"
+only caps the run.  Certified energy arbitrage and load balancing are
+solved exactly, with no iterations, and ignore it.
 
-Exit codes: 0 ok (status "exact" or "converged"), 2 infeasible, 3 not
-converged (status "max-iterations"), 4 best-effort only (no convexity
-guarantee), 64 usage, 65 schema/validation.  Exit 2 is an
+Exit codes: 0 ok (status "exact" or "converged", with a certificate), 2
+infeasible, 3 not converged (status "max-iterations"), 4 best-effort only
+(no convexity guarantee), 64 usage, 65 schema/validation, including an
+eta_c whose reciprocal overflows.  Exit 2 is an
 exact verdict; diagnostic.json names the first unreachable period.  An
 oracle grid with under 3 points per axis, more periods than its cap or
 too many points exits 64 before the solve; one with no feasible point

@@ -46,7 +46,8 @@ __all__ = [
 class StorageParams:
     """Physical storage description.
 
-    eta_c, eta_d: charging / discharging efficiencies in (0, 1].
+    eta_c, eta_d: charging / discharging efficiencies in (0, 1]; 1/eta_c
+                  must be finite.
     lam:          per-period self-discharge retention factor in (0, 1]
                   (1 means no leakage).
     delta:        period duration in hours.
@@ -124,6 +125,10 @@ def validate_params(raw: StorageParams, bounds: Bounds) -> ValidatedProblem:
     for name, value in (("eta_c", raw.eta_c), ("eta_d", raw.eta_d), ("lam", raw.lam)):
         if not (0.0 < value <= 1.0):
             raise InvalidEfficiency(f"{name} must lie in (0, 1], got {value!r}")
+    # the recovered charging power is v / eta_c, which a subnormal eta_c
+    # takes to inf
+    if not np.isfinite(1.0 / float(raw.eta_c)):
+        raise InvalidEfficiency(f"eta_c must have a finite reciprocal, got {raw.eta_c!r}")
     if not (raw.delta > 0.0 and np.isfinite(raw.delta)):
         raise ValidationError(f"delta must be a positive duration, got {raw.delta!r}")
     if not np.isfinite(raw.x0):

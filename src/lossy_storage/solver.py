@@ -10,6 +10,14 @@ with normalized directions, best-iterate tracking and tail averaging.  One
 cost pass per iterate gives both its objective and its subgradient, and
 `transform.project_onto_polytope` takes each step back into the polytope.
 
+The descent has three stops, each with status "converged": a zero
+subgradient, a projected fixed point (the step's projection is the iterate
+itself, bit for bit) and a stalled window (STOP_WINDOW iterations that gain
+less than OBJECTIVE_TOLERANCE).  For a convex cost the first two prove the
+iterate optimal: then -g lies in the normal cone of the polytope at x, so
+F(z) >= F(x) + g.(z - x) >= F(x) for every feasible z.  The window stop
+proves nothing.
+
 The solver never claims more than the certificate supports: solutions carry
 "global-optimum-claimed" only when the convexity certificate fired,
 otherwise "best-effort".
@@ -56,10 +64,10 @@ STATUS_EXACT = "exact"
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 
-#: Iterations between two checks of the stop rule.
+#: Iterations between two checks of the window stop.
 STOP_WINDOW = 1000
-#: The stop rule: a window that improves the best objective by less than
-#: this ends the solve.
+#: The window stop: a window that improves the best objective by less
+#: than this ends the solve.
 OBJECTIVE_TOLERANCE = 1e-9
 
 
@@ -69,8 +77,9 @@ class SolveOptions:
 
     The descent starts from the projection of the zero-power profile b and
     takes steps a/sqrt(k) along normalized subgradients, where a is a tenth
-    of the energy-box diameter.  Every STOP_WINDOW (1000) iterations it
-    stops when that window improved the best objective by less than
+    of the energy-box diameter.  It stops at a zero subgradient, at a
+    projected fixed point, and every STOP_WINDOW (1000) iterations when
+    that window improved the best objective by less than
     OBJECTIVE_TOLERANCE (1e-9); max_iterations only caps the run.  The
     exact pass of certified energy arbitrage and load balancing takes no
     iterations.
@@ -120,7 +129,16 @@ def _norm(v: np.ndarray) -> float:
 def _descend(cost, polytope, params, dyn, max_iterations: int):
     """Projected subgradient descent from the projection of b; returns
     (best x, its objective, the best-objective trace, status, iterations
-    used)."""
+    used).
+
+    Iteration k stops with STATUS_CONVERGED, appending the best objective
+    to the trace, when the subgradient is zero or when the projection of
+    x - (a / sqrt(k)) g / |g| is x bit for bit: the iterate and so its
+    subgradient would repeat, and each later step, being shorter, projects
+    back onto x too (the projection is onto a convex set).  Every
+    STOP_WINDOW iterations it also stops when the window gained less than
+    OBJECTIVE_TOLERANCE, or nothing that is a number.  Otherwise it runs
+    max_iterations and reports STATUS_MAX_ITERATIONS."""
     step_base = _norm(polytope.x_upper - polytope.x_lower) / 10.0
 
     # The tail sum holds up to max_iterations energies.  When those near the
@@ -161,7 +179,14 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
             status = STATUS_CONVERGED
             break
         step = step_base / math.sqrt(k)
-        x = project_onto_polytope(x - (step / g_norm) * g, polytope)
+        x_next = project_onto_polytope(x - (step / g_norm) * g, polytope)
+        if x_next.tobytes() == x.tobytes():
+            # a projected fixed point: -g is normal to the polytope at x,
+            # and every later step, being shorter, projects back to x
+            trace.append(best_f)
+            status = STATUS_CONVERGED
+            break
+        x = x_next
         f, g = subgradient_energy_cost(cost, x, params, dyn)
         if f < best_f:
             best_f, best_x = f, x
@@ -211,10 +236,14 @@ def solve(
     directions with steps a/sqrt(k), where a is a tenth of the energy-box
     diameter, starting from the projection of b and tracking the best
     iterate and a tail average (restarted each time the iteration count
-    doubles); the better of the two is returned.  Every STOP_WINDOW
-    iterations it stops if that window gained less than
-    OBJECTIVE_TOLERANCE, or nothing that is a number; max_iterations only
-    caps the run.  Deterministic for fixed options.
+    doubles); the better of the two is returned.  It stops, with status
+    "converged", at a zero subgradient, at a projected fixed point (a step
+    that the projection gives back bit for bit), or when STOP_WINDOW
+    iterations gain less than OBJECTIVE_TOLERANCE, or nothing that is a
+    number; max_iterations only caps the run.  Under a convexity
+    certificate the first two stops prove the returned objective optimal,
+    up to the rounding of the step; the window stop proves nothing.
+    Deterministic for fixed options.
 
     Raises InfeasibleProblem, naming the first period no reachable energy
     meets, when the polytope is empty; the first projection (or the exact

@@ -499,7 +499,7 @@ def test_energies_at_the_float_limit_solve_without_warning(tmp_path):
     doc["bounds"]["x_max"] = [1e308, 1e308]
     peak = dict(doc, cost={"family": "peak_shaving", "load": [0.75, 0.375]})
     for name, scenario, objective, stop in (
-        ("peak", peak, 0.75, ("converged", 1000)),
+        ("peak", peak, 0.75, ("converged", 1)),
         ("arbitrage", doc, 0.0, ("exact", 0)),
     ):
         path = write_json(tmp_path, scenario, f"{name}.json")
@@ -596,6 +596,23 @@ def test_tiny_charge_efficiency_solves(tmp_path, cost, objective, delta):
     assert code == cli.EXIT_OK
     solution = json.loads((tmp_path / "out" / "solution.json").read_text(encoding="utf-8"))
     assert solution["objective"] == pytest.approx(objective, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [
+        {"family": "peak_shaving", "load": [0.5, 0.2]},
+        {"family": "energy_arbitrage", "p_buy": [1, 1], "p_sell": [0.3, 0.5]},
+    ],
+    ids=["peak-shaving", "arbitrage"],
+)
+def test_charge_efficiency_without_a_finite_reciprocal_is_a_scenario_error(tmp_path, capsys, cost):
+    # 1 / 1e-310 overflows, so recovering any power would give NaN; the
+    # efficiency is refused before the solve, by name
+    path = write_json(tmp_path, shipped_two_period(cost, {("storage", "eta_c"): 1e-310}))
+    err = assert_scenario_error(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert "eta_c" in err
+    assert not (tmp_path / "out" / "solution.json").exists()
 
 
 @pytest.mark.parametrize("solve", [5, None, [], "fast"], ids=["int", "null", "list", "string"])

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import lossy_storage as ls
+from lossy_storage import cli
 from lossy_storage.errors import InfeasibleProblem, ObjectiveOutOfRange
 from lossy_storage.transform import (
     _energy_boxes,
@@ -247,7 +249,7 @@ def test_solve_on_a_point_energy_box():
     bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[0.75, 0.75], x_min=[0.75, 0.75])
     problem = ls.validate_params(params, bounds)
     for cost, objective, stop in (
-        (ls.PeakShaving(load=[0.75, 0.375]), 0.75, ("converged", 1000)),
+        (ls.PeakShaving(load=[0.75, 0.375]), 0.75, ("converged", 1)),
         (ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1]), 0.0, ("exact", 0)),
     ):
         solution = ls.solve(problem, cost)
@@ -315,14 +317,15 @@ def test_an_overflowing_subgradient_is_taken_again_rescaled():
     problem = ls.validate_params(params, bounds)
     assert not ls.certify_convexity(cost, params).certified
     solution = ls.solve(problem, cost, ls.SolveOptions(max_iterations=50))
-    assert (solution.status, solution.iterations_used) == ("max-iterations", 50)
-    assert math.isfinite(solution.objective)
+    assert (solution.status, solution.iterations_used) == ("converged", 2)
+    assert solution.objective == -2.0000001654807422e+300
 
 
 def test_an_infinite_objective_ends_the_first_stop_window(monkeypatch):
     # renewable output swinging by 2e308 overflows every iterate's variation
     # to inf, so the first window gains inf - inf, which is NaN; it must
-    # stop the solve, not the budget
+    # stop the solve, not the budget.  The flat tail keeps the subgradient
+    # changing, so no iterate of that window is a projected fixed point
     calls = []
 
     def counted(*args, _fn=ls.solver.subgradient_energy_cost, **kwargs):
@@ -330,12 +333,11 @@ def test_an_infinite_objective_ends_the_first_stop_window(monkeypatch):
         return _fn(*args, **kwargs)
 
     monkeypatch.setattr(ls.solver, "subgradient_energy_cost", counted)
-    params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=10.0, horizon=2)
-    bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[4, 4], x_max=[10, 10], x_min=[0, 0])
+    params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=5.0, horizon=6)
+    bounds = ls.Bounds(u_max=[1] * 6, u_min_mag=[4] * 6, x_max=[10] * 6, x_min=[0] * 6)
+    cost = ls.PowerSmoothing(renewable=[1e308, -1e308, 0, 0, 0, 0])
     with pytest.raises(ObjectiveOutOfRange):
-        ls.solve(
-            ls.validate_params(params, bounds), ls.PowerSmoothing(renewable=[1e308, -1e308])
-        )
+        ls.solve(ls.validate_params(params, bounds), cost)
     assert len(calls) == ls.solver.STOP_WINDOW + 1
 
 
@@ -386,6 +388,101 @@ def test_trace_grows_with_the_solve(two_period_problem):
     )
     assert solution.iterations_used == 1
     assert solution.best_objective_trace.tolist() == [0.0, 0.0]
+
+
+def test_certified_descents_stop_at_a_projected_fixed_point():
+    # a step that the projection gives back proves, for a convex cost, that
+    # -g is normal to the polytope there: the iterate is optimal
+    rng = np.random.default_rng(2406)
+    drawn = dict.fromkeys(itertools.product((2, 3, 4), (ls.PeakShaving, ls.PowerRegulation)), 0)
+    while min(drawn.values()) < 3:
+        horizon = int(rng.integers(2, 5))
+        params, bounds, cost, optimum = make_certified_instance(rng, horizon)
+        if (horizon, type(cost)) not in drawn:
+            continue
+        drawn[horizon, type(cost)] += 1
+        solution = ls.solve(ls.validate_params(params, bounds), cost)
+        assert solution.certificate.certified
+        assert solution.status == "converged"
+        assert solution.iterations_used < 100
+        assert len(solution.best_objective_trace) == solution.iterations_used + 1
+        assert cli._solution_exit_code(solution) == cli.EXIT_OK
+        assert abs(solution.objective - optimum) <= 1e-12
+
+
+def peak_shaving_lp_optimum(params, bounds, cost):
+    """The peak-shaving optimum by HiGHS in energy coordinates.  With a
+    nonnegative load each period's |f_inv(v) + load| is the largest of
+    v / eta_c + load, eta_d * v + load and -(eta_d * v + load), so the
+    epigraph of the peak is an LP in the energies x and the peak z."""
+    n, lam, delta = params.horizon, params.lam, params.delta
+    steps = (np.eye(n) - lam * np.eye(n, k=-1)) / delta  # v = steps @ x - first
+    first = np.zeros(n)
+    first[0] = lam * params.x0 / delta
+    minus_z = -np.ones((n, 1))
+    rows = np.vstack([
+        np.hstack([steps / params.eta_c, minus_z]),
+        np.hstack([params.eta_d * steps, minus_z]),
+        np.hstack([-params.eta_d * steps, minus_z]),
+        np.hstack([steps, 0.0 * minus_z]),
+        np.hstack([-steps, 0.0 * minus_z]),
+    ])
+    limits = np.concatenate([
+        first / params.eta_c - cost.load,
+        params.eta_d * first - cost.load,
+        cost.load - params.eta_d * first,
+        params.eta_c * bounds.u_max + first,
+        bounds.u_min_mag / params.eta_d - first,
+    ])
+    res = linprog(
+        np.concatenate([np.zeros(n), [1.0]]),
+        A_ub=rows, b_ub=limits,
+        bounds=list(zip(bounds.x_min, bounds.x_max)) + [(None, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("horizon", [3, 24])
+def test_fixed_point_stops_match_highs(horizon):
+    # a leaky store that charges to a binding cap ahead of one spike of load;
+    # a budget under STOP_WINDOW leaves the fixed point as the only stop
+    rng = np.random.default_rng([2406, horizon])
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=0.999, delta=1.0, x0=0.0, horizon=horizon)
+    ones = np.ones(horizon)
+    for _ in range(10):
+        cap = float(rng.uniform(0.2, 0.8))
+        bounds = ls.Bounds(u_max=ones, u_min_mag=ones, x_max=cap * ones, x_min=0.0 * ones)
+        load = rng.uniform(0.0, 0.5, horizon)
+        load[rng.integers(1, horizon)] += rng.uniform(2.0, 3.0)
+        cost = ls.PeakShaving(load=load)
+        solution = ls.solve(
+            ls.validate_params(params, bounds), cost, ls.SolveOptions(max_iterations=999)
+        )
+        assert solution.certificate.certified
+        assert (solution.status, cli._solution_exit_code(solution)) == ("converged", 0)
+        assert np.max(solution.x_star) == pytest.approx(cap, abs=1e-12)  # the cap binds
+        reference = peak_shaving_lp_optimum(params, bounds, cost)
+        assert abs(solution.objective - reference) <= 1e-9 * abs(reference)
+
+
+def test_a_day_without_a_fixed_point_spends_its_budget():
+    # the evening peak is shaved flat over several hours, where the one-hot
+    # subgradient of the max keeps turning, so no step is given back
+    rng = np.random.default_rng(2406)
+    horizon = 24
+    hours = np.arange(horizon, dtype=float)
+    load = 2.0 + np.sin(2.0 * np.pi * (hours - 13.0) / 24.0) + rng.uniform(0.0, 0.3, horizon)
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=0.999, delta=1.0, x0=1.0, horizon=horizon)
+    ones = np.ones(horizon)
+    bounds = ls.Bounds(u_max=ones, u_min_mag=ones, x_max=2.0 * ones, x_min=0.0 * ones)
+    solution = ls.solve(
+        ls.validate_params(params, bounds), ls.PeakShaving(load=load), ls.SolveOptions(max_iterations=400)
+    )
+    assert (solution.status, solution.iterations_used) == ("max-iterations", 400)
+    assert len(solution.best_objective_trace) == 401
 
 
 def test_solve_best_effort_flag_for_uncertified_cost(two_period_problem):
