@@ -174,12 +174,10 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
             g = subgradient_energy_cost(cost, x, params, dyn, rescale=True)[1]
             g_norm = _norm(g)
         if g_norm == 0.0:
-            # zero subgradient at a feasible point: unconstrained minimum
-            trace.append(best_f)
-            status = STATUS_CONVERGED
-            break
-        step = step_base / math.sqrt(k)
-        x_next = project_onto_polytope(x - (step / g_norm) * g, polytope)
+            x_next = x  # an unconstrained minimum: no step, and no 0/0
+        else:
+            step = step_base / math.sqrt(k)
+            x_next = project_onto_polytope(x - (step / g_norm) * g, polytope)
         if x_next.tobytes() == x.tobytes():
             # a projected fixed point: -g is normal to the polytope at x,
             # and every later step, being shorter, projects back to x
