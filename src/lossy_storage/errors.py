@@ -26,8 +26,9 @@ class LengthMismatch(ValidationError):
 
 
 class ObjectiveOutOfRange(ValidationError):
-    """The scenario's objective at the solution is beyond the float range,
-    so no solution can be written."""
+    """The scenario's objective is beyond the float range: at the solution,
+    so no solution can be written, or at every feasible oracle grid point,
+    so the grid has no minimum."""
 
 
 class NoSubgradientOracle(LossyStorageError):

@@ -5,23 +5,38 @@ nonconvex power set.  Deliberately independent of the energy-coordinate
 reformulation it is used to validate: it works in power coordinates and the
 storage step recursion, never through the polytope.
 
-The grid is walked as a chain.  The energy at period t depends on the first
-t powers only, so the walk extends the surviving prefixes one period at a
-time: each prefix's energy y_t = lam * y_{t-1} + delta * f(u_t) is computed
-once, in `power_to_energy`'s order of operations (so the energy-box test is
-`power_feasibility_mask`'s, bit for bit), and a prefix is dropped as soon as
-it leaves its box.  The sum and max families fold their per-period terms
-along each prefix (the family's `terms`, by its `fold`, as
-`power_cost_batch` reduces them); power smoothing and custom costs are
-evaluated by `power_cost_batch` on the feasible rows of each block.  The
-folded sums match `power_cost_batch`'s bit for bit up to T = 7, where np.sum
-adds in order; from 8 periods on np.sum adds pairwise and the two may differ
-in the last bits.  The reported cost is always `power_cost_batch`'s.
+The grid is walked as a chain, period by period, by runs of levels.  The
+energy at period t depends on the first t powers only: a surviving prefix
+carries y_{t-1}, and level j of period t gives it the energy
+x_t = fl(fl(fl(lam * y_{t-1}) + rate_j) + b_t), in `power_to_energy`'s order
+of operations, so the energy-box test is `power_feasibility_mask`'s, bit for
+bit.  Each axis is ascending, and f, delta *, + rate and + b are each
+monotone under round-to-nearest, so x_t never decreases along the axis and
+the levels that keep a prefix inside its box form one run [lo, hi), empty
+for NaN.  np.searchsorted on the rates guesses each end, and `_inside`'s own
+test, applied level by level, corrects it until it is exact.  The survivors
+expand by np.repeat, and each takes the elementwise arithmetic that a
+(prefix x level) mask would give it.  A grid point is held as its
+lexicographic code (its level indices in mixed radix) and rebuilt as a row
+only when a row is asked for.
+
+The sum and max families fold their per-period terms along each prefix (the
+family's `terms`, by its `fold`, as `power_cost_batch` reduces them).  Their
+last period is reduced per prefix, with nothing expanded: fl(F + t) and
+max(F, t) never decrease in t, so the least fold over a run is, exactly, the
+fold of the run's least term, which a sparse table of the axis's terms gives
+in two lookups.  Power smoothing and custom costs are evaluated by
+`power_cost_batch` on the expanded completions.  The folded sums match
+`power_cost_batch`'s bit for bit up to T = 7, where np.sum adds in order;
+from 8 periods on np.sum adds pairwise and the two may differ in the last
+bits.  The reported cost is always `power_cost_batch`'s.
 
 Grids include the axis endpoints and the exact zero level (zero power and
 bound-saturating profiles are the natural optimum candidates).  The walk
 visits the grid in lexicographic order and keeps the first minimum, so ties
-are broken lexicographically.
+are broken lexicographically: the first prefix that reaches a block's least
+value, then the first level of its run whose fold equals it.  A NaN cost is
+never a minimum.
 """
 
 from __future__ import annotations
@@ -38,6 +53,7 @@ from .errors import (
     HorizonTooLarge,
     InstanceMismatch,
     NoFeasiblePoint,
+    ObjectiveOutOfRange,
 )
 from .model import Bounds, Dynamics, StorageParams, build_dynamics
 from .transform import MEMBERSHIP_TOL, _inside, loss_map, power_feasibility_mask
@@ -54,7 +70,7 @@ __all__ = [
 GRID_SIZE_GUARD = 10**8
 #: Largest gap between solver and grid objectives that `compare` passes.
 GAP_TOLERANCE = 1e-3
-#: Most candidate points (prefix x level) one broadcast step of the walk holds.
+#: Most completions (prefix x level) one expansion of the walk holds.
 _BLOCK = 1 << 14
 
 
@@ -97,7 +113,7 @@ class GapReport:
     was best-effort only.  Otherwise it is "fail" when gap > tolerance (the
     solver is worse than a feasible grid point) or, with a known bound, when
     gap < -(tolerance + bound) (the solver beats the grid by more than its
-    spacing explains), and "pass" in between.
+    spacing explains), and "pass" in between.  A NaN gap fails.
     """
 
     gap: float
@@ -141,70 +157,170 @@ def _grid_axes(params: StorageParams, bounds: Bounds, grid: GridSpec) -> list[np
     return axes
 
 
+def _periods(
+    params: StorageParams, bounds: Bounds, grid: GridSpec, cost: Optional[CostSpec]
+) -> tuple[list[np.ndarray], list[np.ndarray], Optional[list[np.ndarray]]]:
+    """Per period: the grid levels inside the power box (the test of
+    `power_feasibility_mask`), their energy rates delta * f(level) and, for
+    a sum or max family, their cost terms (None otherwise)."""
+    levels = [
+        axis[_inside(axis, -bounds.u_min_mag[t], bounds.u_max[t], MEMBERSHIP_TOL)]
+        for t, axis in enumerate(_grid_axes(params, bounds, grid))
+    ]
+    padded = np.zeros((max(map(len, levels)), params.horizon))
+    for t, level in enumerate(levels):
+        padded[: len(level), t] = level
+    # power_to_energy's order: f, then delta *
+    rates = params.delta * loss_map(padded, params)
+    terms = None if cost is None or cost.fold is None else cost.terms(padded)
+
+    def columns(table):
+        return [np.ascontiguousarray(table[: len(level), t]) for t, level in enumerate(levels)]
+
+    return levels, columns(rates), None if terms is None else columns(terms)
+
+
+def _first(passes, energy, j: np.ndarray, n: int) -> np.ndarray:
+    """Per row, the least level index in [0, n] whose energy `passes`,
+    corrected in place from the guess j.  `passes` must fail, then hold,
+    along each row; energy(rows, cols) gives those rows' energies."""
+    rows = np.flatnonzero(j < n)
+    rows = rows[~passes(energy(rows, j[rows]))]
+    while rows.size:  # the guess fails: step up
+        j[rows] += 1
+        rows = rows[j[rows] < n]
+        rows = rows[~passes(energy(rows, j[rows]))]
+    rows = np.flatnonzero(j > 0)
+    rows = rows[passes(energy(rows, j[rows] - 1))]
+    while rows.size:  # the level below passes too: step down
+        j[rows] -= 1
+        rows = rows[j[rows] > 0]
+        rows = rows[passes(energy(rows, j[rows] - 1))]
+    return j
+
+
+def _runs(
+    held: np.ndarray, rates: np.ndarray, b: float, low: float, high: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per prefix, the run [lo, hi) of levels whose energy
+    fl(fl(held + rate) + b) is inside [low, high] by `_inside`'s test, where
+    held = fl(lam * y_{t-1}).
+
+    The energy never decreases along the ascending rates, so "on or above
+    the lower face" and "above the upper face" each fail, then hold.  (An
+    eta_d whose reciprocal overflows gives -inf below zero and 0 * inf = NaN
+    from zero up: the first test never holds, and the run is empty.)
+    np.searchsorted guesses where each starts to hold; `_first` makes it
+    exact.
+    """
+    tol = MEMBERSHIP_TOL
+
+    def energy(rows, cols):
+        return (held[rows] + rates[cols]) + b
+
+    lo = np.searchsorted(rates, (low - tol - b) - held)
+    hi = np.searchsorted(rates, (high + tol - b) - held, side="right")
+    lo = _first(lambda x: _inside(x, low, math.inf, tol), energy, lo, len(rates))
+    hi = _first(lambda x: ~_inside(x, -math.inf, high, tol), energy, hi, len(rates))
+    return lo, np.maximum(lo, hi)
+
+
+def _chunks(lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The completions of each row's run [lo, hi), in lexicographic order,
+    as (rows, cols) chunks of at most _BLOCK completions, or of one row's
+    run where that alone is longer."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    start = done = 0
+    while done < ends[-1]:
+        stop = max(int(np.searchsorted(ends, done + _BLOCK, side="right")), start + 1)
+        size = counts[start:stop]
+        if ends[stop - 1] > done:
+            rows = np.repeat(np.arange(start, stop), size)
+            offsets = ends[start:stop] - size - lo[start:stop]
+            yield rows, np.arange(done, ends[stop - 1]) - np.repeat(offsets, size)
+        start, done = stop, ends[stop - 1]
+
+
+def _rows(codes: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
+    """The grid points whose lexicographic codes (mixed-radix level
+    indices, the first period most significant) are `codes`, as rows."""
+    rows = np.empty((len(codes), len(levels)))
+    for t in range(len(levels) - 1, -1, -1):
+        codes, digit = np.divmod(codes, len(levels[t]))
+        rows[:, t] = levels[t][digit]
+    return rows
+
+
 def _walk(
-    params: StorageParams,
     bounds: Bounds,
-    axes: list[np.ndarray],
     dyn: Dynamics,
-    cost: Optional[CostSpec],
+    rates: list[np.ndarray],
+    terms: Optional[list[np.ndarray]],
+    fold,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
     """Walk the grid period by period; yield its last-period blocks in
     lexicographic order.
 
-    A block is (prefix, last, ok, folded): m prefixes (m, T-1) whose every
-    period is inside its energy box, the last axis, whether each of the m x
-    len(last) completions is inside the last box, and their folded cost
-    when `cost` is separable (None otherwise).  No broadcast step holds
-    more than _BLOCK candidates, or one axis where an axis alone is longer.
+    A block is (codes, lo, hi, folded): m prefixes whose every period is
+    inside its energy box, as lexicographic codes, the run [lo, hi) of last
+    levels that keeps each inside the last box, and each prefix's folded
+    cost when `fold` is set.  Rounding is monotone, so a prefix's energy
+    never decreases along the ascending axis, and the levels it keeps are
+    one run, found exactly by `_runs`: its completions are the points a
+    (prefix x level) mask would keep.  They expand by np.repeat, and each
+    survivor's energy and fold take the same elementwise arithmetic as under
+    that mask, bit for bit.  No expansion
+    holds more than _BLOCK completions, or one run where a run alone is
+    longer, so neither does a block.
     """
-    tol = MEMBERSHIP_TOL
-    horizon = params.horizon
-    # the power box test of power_feasibility_mask, level by level
-    axes = [
-        axis[_inside(axis, -bounds.u_min_mag[t], bounds.u_max[t], tol)]
-        for t, axis in enumerate(axes)
-    ]
-    levels = np.zeros((max(len(axis) for axis in axes), horizon))
-    for t, axis in enumerate(axes):
-        levels[: len(axis), t] = axis
-    # power_to_energy's order: f, then delta *, then the recurrence, then + b
-    rates = params.delta * loss_map(levels, params)
-    fold = None if cost is None else cost.fold
-    terms = None if fold is None else cost.terms(levels)
-    x_min, x_max = bounds.x_min.tolist(), bounds.x_max.tolist()
+    x_min, x_max, b = bounds.x_min.tolist(), bounds.x_max.tolist(), dyn.b_offset.tolist()
+    last = len(rates) - 1
 
-    def extend(t, prefix, y, folded):
-        axis = axes[t]
-        n = len(axis)
-        step = max(1, _BLOCK // n)
-        for s in range(0, len(y), step):
-            block = slice(s, s + step)
-            y_t = dyn.lam * y[block, None] + rates[:n, t]
-            x_t = y_t + dyn.b_offset[t]
-            ok = _inside(x_t, x_min[t], x_max[t], tol)
-            folded_t = None
-            if fold is not None:
-                folded_t = fold(folded[block, None], terms[:n, t])
-            if t == horizon - 1:
-                yield prefix[block], axis, ok, folded_t
-                continue
-            rows, cols = np.nonzero(ok)
+    def extend(t, codes, y, folded):
+        held = dyn.lam * y
+        lo, hi = _runs(held, rates[t], b[t], x_min[t], x_max[t])
+        if t == last:
+            yield codes, lo, hi, folded
+            return
+        for rows, cols in _chunks(lo, hi):
             yield from extend(
                 t + 1,
-                np.column_stack((prefix[block][rows], axis[cols])),
-                y_t[rows, cols],
-                None if folded_t is None else folded_t[rows, cols],
+                codes[rows] * len(rates[t]) + cols,
+                held[rows] + rates[t][cols],
+                None if fold is None else fold(folded[rows], terms[t][cols]),
             )
 
     # one empty prefix; -0.0 is exact for + (y_0 is f's rate bit for bit),
     # and every fold starts from 0.0 like np.sum (max terms are >= 0)
-    yield from extend(0, np.empty((1, 0)), np.array([-0.0]), np.zeros(1))
+    yield from extend(0, np.zeros(1, dtype=np.int64), np.array([-0.0]), np.zeros(1))
 
 
-def _completions(prefix: np.ndarray, last: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """The feasible rows of a block, in lexicographic order."""
-    rows, cols = np.nonzero(ok)
-    return np.column_stack((prefix[rows], last[cols]))
+def _run_minimum(terms: np.ndarray):
+    """The function (lo, hi) -> min(terms[lo:hi]) over arrays of nonempty
+    runs, by a sparse table: row k holds the least term of each window of
+    2**k, and two such windows cover a run of 2**k to 2**(k+1) - 1 terms."""
+    n = len(terms)
+    rows = [terms]
+    while 2 ** len(rows) <= n:
+        width = 2 ** (len(rows) - 1)
+        rows.append(np.minimum(rows[-1][:-width], rows[-1][width:]))
+    table = np.full((len(rows), n), math.inf)
+    for k, row in enumerate(rows):
+        table[k, : len(row)] = row
+    table = table.ravel()
+    k = np.array([0] + [length.bit_length() - 1 for length in range(1, n + 1)])
+    first, second = k * n, k * n - (1 << k)
+
+    def run_min(lo, hi):
+        return np.minimum(table[first[hi - lo] + lo], table[second[hi - lo] + hi])
+
+    return run_min
+
+
+def _least(values: np.ndarray) -> int:
+    """The index of the first least value; NaN is never least."""
+    return int(np.argmin(np.where(np.isnan(values), math.inf, values)))
 
 
 def enumerate_feasible(
@@ -212,40 +328,56 @@ def enumerate_feasible(
 ) -> Iterator[np.ndarray]:
     """Yield every feasible grid point of the power box, ascending
     lexicographically."""
-    axes = _grid_axes(params, bounds, grid)
+    levels, rates, _ = _periods(params, bounds, grid, None)
     dyn = build_dynamics(params)
-    for prefix, last, ok, _ in _walk(params, bounds, axes, dyn, None):
-        yield from _completions(prefix, last, ok)
+    for codes, lo, hi, _ in _walk(bounds, dyn, rates, None, None):
+        for rows, cols in _chunks(lo, hi):
+            yield from _rows(codes[rows] * len(levels[-1]) + cols, levels)
 
 
 def brute_force_solve(
     params: StorageParams, bounds: Bounds, cost: CostSpec, grid: GridSpec
 ) -> OracleResult:
-    """Minimum-cost feasible grid point; ties broken lexicographically by u."""
-    axes = _grid_axes(params, bounds, grid)
+    """Minimum-cost feasible grid point; ties broken lexicographically by u.
+    A NaN cost is never a minimum."""
+    levels, rates, terms = _periods(params, bounds, grid, cost)
     dyn = build_dynamics(params)
-    best_cost = math.inf
-    best_u: Optional[np.ndarray] = None
-    count = 0
-    for prefix, last, ok, folded in _walk(params, bounds, axes, dyn, cost):
-        feasible = int(np.count_nonzero(ok))
-        if feasible == 0:
+    fold, n = cost.fold, len(levels[-1])
+    run_min = None if fold is None else _run_minimum(terms[-1])
+    best_cost, best, count = math.inf, None, 0
+    for codes, lo, hi, folded in _walk(bounds, dyn, rates, terms, fold):
+        count += int(np.sum(hi - lo))
+        if fold is None:
+            for rows, cols in _chunks(lo, hi):
+                flat = codes[rows] * n + cols
+                values = power_cost_batch(cost, _rows(flat, levels))
+                first = _least(values)
+                if values[first] < best_cost:
+                    best_cost, best = values[first], flat[first]
             continue
-        count += feasible
-        if folded is None:
-            folded = np.full(ok.shape, math.inf)
-            folded[ok] = power_cost_batch(cost, _completions(prefix, last, ok))
-        values = np.where(ok, folded, math.inf)
-        # row-major order is lexicographic, so argmin is the first minimum
-        first = int(np.argmin(values))
-        if values.flat[first] < best_cost:
-            best_cost = values.flat[first]
-            row, col = divmod(first, len(last))
-            best_u = np.append(prefix[row], last[col])
-    if best_u is None:
+        live = np.flatnonzero(hi > lo)
+        if live.size == 0:
+            continue
+        codes, lo, hi, folded = codes[live], lo[live], hi[live], folded[live]
+        # fold(F, t) is nondecreasing in t under rounding, so a run's least
+        # fold is the fold of its least term; ties then go to the first
+        # level of the first row that reaches the block's least value
+        values = fold(folded, run_min(lo, hi))
+        row = _least(values)
+        if values[row] < best_cost:
+            best_cost = values[row]
+            run = fold(folded[row], terms[-1][lo[row] : hi[row]])
+            best = codes[row] * n + lo[row] + int(np.argmax(run == best_cost))
+    if best is None:
+        if count:
+            raise ObjectiveOutOfRange(
+                f"every one of the {count} feasible grid points costs NaN or +inf, "
+                "so none is a minimum"
+            )
         raise NoFeasiblePoint(
             "no grid point was feasible; the set may be empty or the grid too coarse"
         )
+    best_u = _rows(np.array([best]), levels)[0]
     if not power_feasibility_mask(best_u, params, bounds, dyn)[0]:
         raise RuntimeError(
             f"the grid walk kept {best_u.tolist()}, which power_feasibility_mask rejects"
@@ -277,7 +409,7 @@ def compare(solution, oracle_result: OracleResult) -> GapReport:
     bound, tolerance = oracle_result.discretization_bound, GAP_TOLERANCE
     if not solution.certificate.certified:
         verdict = "no-guarantee"
-    elif gap > tolerance or (bound is not None and gap < -(tolerance + bound)):
+    elif not gap <= tolerance or (bound is not None and gap < -(tolerance + bound)):
         verdict = "fail"
     else:
         verdict = "pass"

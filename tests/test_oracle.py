@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from lossy_storage.errors import (
     HorizonTooLarge,
     InstanceMismatch,
     NoFeasiblePoint,
+    ObjectiveOutOfRange,
 )
 from lossy_storage.transform import MEMBERSHIP_TOL, power_feasibility_mask
 
@@ -135,6 +137,32 @@ def test_no_feasible_point_detected():
         )
 
 
+def nan_cost_instance():
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=0.5, horizon=2)
+    bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[10, 10], x_min=[-10, -10])
+    return params, bounds
+
+
+def test_a_nan_cost_is_never_the_minimum():
+    # the NaN sits on the lexicographically first point, the block's first
+    # entry; the minimum is then the first of the two points that sum to -1.5
+    params, bounds = nan_cost_instance()
+    cost = ls.CustomCost(
+        evaluator=lambda u: math.nan if u.tolist() == [-1.0, -1.0] else float(np.sum(u))
+    )
+    result = ls.brute_force_solve(params, bounds, cost, ls.GridSpec(5))
+    assert result.u_best.tolist() == [-1.0, -0.5]
+    assert result.cost_best == -1.5
+    assert result.feasible_count == 25
+
+
+def test_a_grid_of_nan_costs_says_so():
+    params, bounds = nan_cost_instance()
+    cost = ls.CustomCost(evaluator=lambda u: math.nan)
+    with pytest.raises(ObjectiveOutOfRange, match="every one of the 25 feasible grid points costs NaN"):
+        ls.brute_force_solve(params, bounds, cost, ls.GridSpec(5))
+
+
 def test_compare_pass_and_digest_guard(two_period_problem, two_period_params, two_period_bounds):
     cost = ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1])
     oracle = ls.brute_force_solve(two_period_params, two_period_bounds, cost, ls.GridSpec(401))
@@ -171,6 +199,13 @@ def test_compare_fails_a_solver_beating_the_grid_beyond_its_spacing(two_period_a
     better = dataclasses.replace(solution, objective=oracle.cost_best - (1e-3 + bound) - 0.01)
     report = ls.compare(better, oracle)
     assert report.discretization_bound == bound
+    assert report.verdict == "fail"
+
+
+def test_compare_fails_a_nan_gap(two_period_arbitrage_compare):
+    solution, oracle = two_period_arbitrage_compare
+    report = ls.compare(dataclasses.replace(solution, objective=math.nan), oracle)
+    assert math.isnan(report.gap)
     assert report.verdict == "fail"
 
 
@@ -365,3 +400,51 @@ def test_reference_cases_reach_the_edge_cases():
     assert min(zero_on_grid, zero_appended, pruned_any, infeasible, ties) >= 3
     assert any(isinstance(reference_instance(i)[2], ls.CustomCost)
                for i in range(len(REFERENCE_CASES)))
+
+
+def assert_walk_matches_reference(params, bounds, cost, grid, monkeypatch):
+    feasible, u_best, cost_best, _ = row_by_row_reference(params, bounds, cost, grid)
+    for block in (oracle._BLOCK, 4):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        walked = list(ls.enumerate_feasible(params, bounds, grid))
+        assert len(walked) == feasible.shape[0]
+        assert all(w.tobytes() == f.tobytes() for w, f in zip(walked, feasible))
+        result = ls.brute_force_solve(params, bounds, cost, grid)
+        assert result.u_best.tobytes() == u_best.tobytes()
+        assert result.cost_best.hex() == float(cost_best).hex()
+        assert result.feasible_count == feasible.shape[0]
+    return u_best
+
+
+def test_a_rounding_tie_inside_one_run_keeps_the_first_level(monkeypatch):
+    # fl(1e16 + 1) == 1e16: after u_0 = -1, both u_1 = -1 (term 1) and
+    # u_1 = 0 (term 0) fold to 1e16, so the run's least term is not its
+    # first least fold
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=5.0, horizon=2)
+    bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[10, 10], x_min=[0, 0])
+    cost = ls.LoadBalancing(load=[1e8 + 1, 0.0])
+    tied = power_cost_batch(cost, np.array([[-1.0, -1.0], [-1.0, 0.0]]))
+    assert tied[0] == tied[1] == 1e16
+    u_best = assert_walk_matches_reference(params, bounds, cost, ls.GridSpec(3), monkeypatch)
+    assert u_best.tolist() == [-1.0, -1.0]
+
+
+def test_run_ends_where_rates_are_finer_than_the_energy_ulp(monkeypatch):
+    # at x0 = 1e9 one ulp is 2**-23 = 1.2e-7, and the rates 1e-7 * u are
+    # 2.5e-8 apart, so about five levels round to each energy: both faces sit
+    # on such a shared energy, and a run end guessed from the rates alone is
+    # several levels off
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1e-7, x0=1e9, horizon=2)
+    ulp = math.ulp(1e9)
+    bounds = ls.Bounds(
+        u_max=[4.0, 4.0], u_min_mag=[4.0, 4.0],
+        x_max=[1e9 + ulp, 1e9 + 2 * ulp], x_min=[1e9 - ulp, 1e9 - 2 * ulp],
+    )
+    grid = ls.GridSpec(33)
+    levels = oracle._axis_levels(-4.0, 4.0, 33)
+    first = ls.power_to_energy(np.column_stack((levels, levels * 0.0)), params,
+                               ls.build_dynamics(params))[:, 0]
+    for face in (bounds.x_min[0], bounds.x_max[0]):
+        assert np.count_nonzero(first == face) >= 3
+    for cost in (ls.LoadBalancing(load=[0.3, -0.2]), ls.PowerSmoothing(renewable=[0.5, 0.1])):
+        assert_walk_matches_reference(params, bounds, cost, grid, monkeypatch)
