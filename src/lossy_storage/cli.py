@@ -41,7 +41,7 @@ solved exactly, with no iterations, and ignore it.
 Exit codes: 0 ok (status "exact" or "converged", with a certificate), 2
 infeasible, 3 not converged (status "max-iterations"), 4 best-effort only
 (no convexity guarantee), 64 usage, 65 schema/validation, including an
-eta_c whose reciprocal overflows.  Exit 2 is an
+eta_c or eta_d whose reciprocal overflows.  Exit 2 is an
 exact verdict; diagnostic.json names the first unreachable period.  An
 oracle grid with under 3 points per axis, more periods than its cap or
 too many points exits 64 before the solve; one with no feasible point

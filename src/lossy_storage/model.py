@@ -12,8 +12,10 @@ paper writes it as x = A f(u) + b, with A[i, j] = delta * lam**(i-j) below
 the diagonal and the zero-power trajectory b[t] = lam * b[t-1] from b[-1] =
 x0, rounded as `simulate` rounds it.  A is never formed: `Dynamics` keeps b,
 lam and delta, and `transform` applies A, A^{-1} and A^{-T} as O(T)
-recurrences.  Decision vectors are stored 0-based as (x_1 .. x_T); x0 is
-data, not a decision variable.
+recurrences.  Every energy map, like the oracle's grid walk, rounds the
+recursion as `step` does, each x[t] from fl(lam * x[t-1]), the first from
+b[0] = fl(lam * x0).  Decision vectors are stored 0-based as (x_1 .. x_T);
+x0 is data, not a decision variable.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class StorageParams:
     """Physical storage description.
 
     eta_c, eta_d: charging / discharging efficiencies in (0, 1]; 1/eta_c
-                  must be finite.
+                  and 1/eta_d must be finite.
     lam:          per-period self-discharge retention factor in (0, 1]
                   (1 means no leakage).
     delta:        period duration in hours.
@@ -125,10 +127,10 @@ def validate_params(raw: StorageParams, bounds: Bounds) -> ValidatedProblem:
     for name, value in (("eta_c", raw.eta_c), ("eta_d", raw.eta_d), ("lam", raw.lam)):
         if not (0.0 < value <= 1.0):
             raise InvalidEfficiency(f"{name} must lie in (0, 1], got {value!r}")
-    # the recovered charging power is v / eta_c, which a subnormal eta_c
-    # takes to inf
-    if not np.isfinite(1.0 / float(raw.eta_c)):
-        raise InvalidEfficiency(f"eta_c must have a finite reciprocal, got {raw.eta_c!r}")
+    # f and its inverse divide by each efficiency, which a subnormal one overflows
+    for name, value in (("eta_c", raw.eta_c), ("eta_d", raw.eta_d)):
+        if not np.isfinite(1.0 / float(value)):
+            raise InvalidEfficiency(f"{name} must have a finite reciprocal, got {value!r}")
     if not (raw.delta > 0.0 and np.isfinite(raw.delta)):
         raise ValidationError(f"delta must be a positive duration, got {raw.delta!r}")
     if not np.isfinite(raw.x0):

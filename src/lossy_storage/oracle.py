@@ -5,20 +5,20 @@ nonconvex power set.  Deliberately independent of the energy-coordinate
 reformulation it is used to validate: it works in power coordinates and the
 storage step recursion, never through the polytope.
 
-The grid is walked as a chain, period by period, by runs of levels.  The
-energy at period t depends on the first t powers only: a surviving prefix
-carries y_{t-1}, and level j of period t gives it the energy
-x_t = fl(fl(fl(lam * y_{t-1}) + rate_j) + b_t), in `power_to_energy`'s order
-of operations, so the energy-box test is `power_feasibility_mask`'s, bit for
-bit.  Each axis is ascending, and f, delta *, + rate and + b are each
-monotone under round-to-nearest, so x_t never decreases along the axis and
-the levels that keep a prefix inside its box form one run [lo, hi), empty
-for NaN.  np.searchsorted on the rates guesses each end, and `_inside`'s own
-test, applied level by level, corrects it until it is exact.  The survivors
-expand by np.repeat, and each takes the elementwise arithmetic that a
-(prefix x level) mask would give it.  A grid point is held as its
-lexicographic code (its level indices in mixed radix) and rebuilt as a row
-only when a row is asked for.
+The grid is walked as a chain, period by period, by runs of levels, on the
+pair that `validate_params` passed.  The energy at period t depends on the
+first t powers only: a surviving prefix carries its held energy
+fl(lam * x_{t-1}), from fl(lam * x0), and level j of period t gives it the
+energy x_t = fl(fl(lam * x_{t-1}) + rate_j), in `model.step`'s arithmetic,
+so the energy-box test is `power_feasibility_mask`'s, bit for bit.  Each
+axis is ascending, and f, delta * and + rate are each monotone under
+round-to-nearest, so x_t never decreases along the axis and the levels that
+keep a prefix inside its box form one run [lo, hi).  np.searchsorted on the
+rates guesses each end, and `_inside`'s own test, applied level by level,
+corrects it until it is exact.  The survivors expand by np.repeat, and each
+takes the elementwise arithmetic that a (prefix x level) mask would give
+it.  A grid point is held as its lexicographic code (its level indices in
+mixed radix) and rebuilt as a row only when a row is asked for.
 
 The sum and max families fold their per-period terms along each prefix (the
 family's `terms`, by its `fold`, as `power_cost_batch` reduces them).  Their
@@ -55,7 +55,7 @@ from .errors import (
     NoFeasiblePoint,
     ObjectiveOutOfRange,
 )
-from .model import Bounds, Dynamics, StorageParams, build_dynamics
+from .model import Bounds, Dynamics, StorageParams, build_dynamics, validate_params
 from .transform import MEMBERSHIP_TOL, _inside, loss_map, power_feasibility_mask
 
 __all__ = [
@@ -170,7 +170,7 @@ def _periods(
     padded = np.zeros((max(map(len, levels)), params.horizon))
     for t, level in enumerate(levels):
         padded[: len(level), t] = level
-    # power_to_energy's order: f, then delta *
+    # model.step's arithmetic: f, then delta *
     rates = params.delta * loss_map(padded, params)
     terms = None if cost is None or cost.fold is None else cost.terms(padded)
 
@@ -200,26 +200,24 @@ def _first(passes, energy, j: np.ndarray, n: int) -> np.ndarray:
 
 
 def _runs(
-    held: np.ndarray, rates: np.ndarray, b: float, low: float, high: float
+    held: np.ndarray, rates: np.ndarray, low: float, high: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per prefix, the run [lo, hi) of levels whose energy
-    fl(fl(held + rate) + b) is inside [low, high] by `_inside`'s test, where
-    held = fl(lam * y_{t-1}).
+    """Per prefix, the run [lo, hi) of levels whose energy fl(held + rate),
+    `model.step`'s arithmetic with held = fl(lam * x_{t-1}), is inside [low,
+    high] by `_inside`'s test.
 
     The energy never decreases along the ascending rates, so "on or above
-    the lower face" and "above the upper face" each fail, then hold.  (An
-    eta_d whose reciprocal overflows gives -inf below zero and 0 * inf = NaN
-    from zero up: the first test never holds, and the run is empty.)
+    the lower face" and "above the upper face" each fail, then hold.
     np.searchsorted guesses where each starts to hold; `_first` makes it
     exact.
     """
     tol = MEMBERSHIP_TOL
 
     def energy(rows, cols):
-        return (held[rows] + rates[cols]) + b
+        return held[rows] + rates[cols]
 
-    lo = np.searchsorted(rates, (low - tol - b) - held)
-    hi = np.searchsorted(rates, (high + tol - b) - held, side="right")
+    lo = np.searchsorted(rates, (low - tol) - held)
+    hi = np.searchsorted(rates, (high + tol) - held, side="right")
     lo = _first(lambda x: _inside(x, low, math.inf, tol), energy, lo, len(rates))
     hi = _first(lambda x: ~_inside(x, -math.inf, high, tol), energy, hi, len(rates))
     return lo, np.maximum(lo, hi)
@@ -265,21 +263,21 @@ def _walk(
     A block is (codes, lo, hi, folded): m prefixes whose every period is
     inside its energy box, as lexicographic codes, the run [lo, hi) of last
     levels that keeps each inside the last box, and each prefix's folded
-    cost when `fold` is set.  Rounding is monotone, so a prefix's energy
-    never decreases along the ascending axis, and the levels it keeps are
-    one run, found exactly by `_runs`: its completions are the points a
-    (prefix x level) mask would keep.  They expand by np.repeat, and each
-    survivor's energy and fold take the same elementwise arithmetic as under
-    that mask, bit for bit.  No expansion
-    holds more than _BLOCK completions, or one run where a run alone is
-    longer, so neither does a block.
+    cost when `fold` is set.  Each prefix carries its held energy
+    fl(lam * x_{t-1}), and each level steps from it in `model.step`'s
+    arithmetic.  Rounding is monotone, so a prefix's energy never decreases
+    along the ascending axis, and the levels it keeps are one run, found
+    exactly by `_runs`: its completions are the points a (prefix x level)
+    mask would keep.  They expand by np.repeat, and each survivor's energy
+    and fold take the same elementwise arithmetic as under that mask, bit
+    for bit.  No expansion holds more than _BLOCK completions, or one run
+    where a run alone is longer, so neither does a block.
     """
-    x_min, x_max, b = bounds.x_min.tolist(), bounds.x_max.tolist(), dyn.b_offset.tolist()
+    x_min, x_max = bounds.x_min.tolist(), bounds.x_max.tolist()
     last = len(rates) - 1
 
-    def extend(t, codes, y, folded):
-        held = dyn.lam * y
-        lo, hi = _runs(held, rates[t], b[t], x_min[t], x_max[t])
+    def extend(t, codes, held, folded):
+        lo, hi = _runs(held, rates[t], x_min[t], x_max[t])
         if t == last:
             yield codes, lo, hi, folded
             return
@@ -287,13 +285,13 @@ def _walk(
             yield from extend(
                 t + 1,
                 codes[rows] * len(rates[t]) + cols,
-                held[rows] + rates[t][cols],
+                dyn.lam * (held[rows] + rates[t][cols]),
                 None if fold is None else fold(folded[rows], terms[t][cols]),
             )
 
-    # one empty prefix; -0.0 is exact for + (y_0 is f's rate bit for bit),
-    # and every fold starts from 0.0 like np.sum (max terms are >= 0)
-    yield from extend(0, np.zeros(1, dtype=np.int64), np.array([-0.0]), np.zeros(1))
+    # one empty prefix, held at b_0 = fl(lam * x0); every fold starts from
+    # 0.0 like np.sum (max terms are >= 0)
+    yield from extend(0, np.zeros(1, dtype=np.int64), dyn.b_offset[:1], np.zeros(1))
 
 
 def _run_minimum(terms: np.ndarray):
@@ -327,7 +325,8 @@ def enumerate_feasible(
     params: StorageParams, bounds: Bounds, grid: GridSpec
 ) -> Iterator[np.ndarray]:
     """Yield every feasible grid point of the power box, ascending
-    lexicographically."""
+    lexicographically.  Raises `validate_params`'s errors on invalid input."""
+    bounds = validate_params(params, bounds).bounds
     levels, rates, _ = _periods(params, bounds, grid, None)
     dyn = build_dynamics(params)
     for codes, lo, hi, _ in _walk(bounds, dyn, rates, None, None):
@@ -339,7 +338,9 @@ def brute_force_solve(
     params: StorageParams, bounds: Bounds, cost: CostSpec, grid: GridSpec
 ) -> OracleResult:
     """Minimum-cost feasible grid point; ties broken lexicographically by u.
-    A NaN cost is never a minimum."""
+    A NaN cost is never a minimum.  Raises `validate_params`'s errors on
+    invalid input."""
+    bounds = validate_params(params, bounds).bounds
     levels, rates, terms = _periods(params, bounds, grid, cost)
     dyn = build_dynamics(params)
     fold, n = cost.fold, len(levels[-1])

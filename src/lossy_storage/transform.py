@@ -9,7 +9,12 @@ the bijection
     energy_to_power(x) = f_inv(A^{-1} (x - b))  (convex per component)
 
 A is never formed: this module alone applies A, A^{-1} and A^{-T} as O(T)
-recurrences (`power_to_energy`, `velocity`, `velocity_adjoint`).
+recurrences (`power_to_energy`, `velocity`, `velocity_adjoint`).  A and
+A^{-1} round by one rule, `model.step`'s: x_t = fl(fl(lam * x_{t-1}) +
+delta * f(u_t)), the first period stepping from the held energy b_0 =
+fl(lam * x0).  `power_to_energy` takes those steps, so it is `simulate` bit
+for bit; `velocity` undoes each, (x_t - fl(lam * x_{t-1})) / delta, so b has
+velocity exactly 0; and the chain passes below step the same way.
 
 The set of feasible power profiles
 
@@ -369,12 +374,9 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     clipped = x.clip(polytope.x_lower, polytope.x_upper)
     # only the clip's steps can be outside, tested as the recovery rounds
-    # them, which `velocity` does not, so that a projection passes the test
-    dyn = polytope.dynamics
+    # them, previous + step against x, so that a projection passes the test
     step_lower, step_upper = polytope.steps
-    previous = dyn.lam * clipped
-    previous[1:] = previous[:-1]
-    previous[0] = dyn.b_offset[0]
+    previous = _held(clipped, polytope.dynamics)
     if ((previous + step_lower <= clipped) & (clipped <= previous + step_upper)).all():
         return clipped
     if math.isnan(np.vdot(x, x)):  # squares are >= 0, so only a NaN entry gives NaN
@@ -457,25 +459,38 @@ def inverse_loss_map(v, params: StorageParams) -> np.ndarray:
 
 
 def power_to_energy(u, params: StorageParams, dyn: Dynamics) -> np.ndarray:
-    """Energy profile induced by a power profile: A f(u) + b, with A applied
-    as the recurrence y_t = lam * y_{t-1} + delta * f(u_t) from y_{-1} = 0."""
+    """Energy profile induced by a power profile, A f(u) + b, in
+    `model.step`'s arithmetic: x_t = fl(fl(lam * x_{t-1}) + delta * f(u_t))
+    from the held energy b_0 = fl(lam * x0), so a profile's energies are
+    `simulate`'s bit for bit."""
     rates = params.delta * loss_map(u, params)
     # one profile steps through Python floats (numpy scalars are several
     # times slower); a batch takes one vector step per period, across rows
     periods = rates.tolist() if rates.ndim == 1 else rates.T
-    y = accumulate(periods, lambda y_prev, rate: dyn.lam * y_prev + rate)
-    return np.array(list(y)).T + dyn.b_offset
+    first = float(dyn.b_offset[0]) + periods[0]
+    x = accumulate(periods[1:], lambda x_prev, rate: dyn.lam * x_prev + rate, initial=first)
+    return np.array(list(x)).T
+
+
+def _held(x: np.ndarray, dyn: Dynamics) -> np.ndarray:
+    """The energy fl(lam * x_{t-1}) that each x_t steps from, b_0 = fl(lam *
+    x0) first, in x's shape and memory order."""
+    held = np.empty_like(x)
+    np.multiply(dyn.lam, x[..., :-1], out=held[..., 1:])
+    held[..., 0] = dyn.b_offset[0]
+    return held
 
 
 def velocity(x, dyn: Dynamics) -> np.ndarray:
     """The intermediate v = A^{-1}(x - b), the natural coordinate of the
-    polytope's second box: the first difference (d_t - lam * d_{t-1}) / delta
-    of d = x - b, so x = b gives v = 0 exactly.  The dynamics alone fix it."""
+    polytope's second box: each step of `model.step`'s recursion undone,
+    (x_t - fl(lam * x_{t-1})) / delta, so x = b gives v = 0 exactly.  The
+    dynamics alone fix it."""
     x = _check_length(x, dyn.b_offset.shape[0], "x")
-    d = x - dyn.b_offset
-    d[..., 1:] -= dyn.lam * d[..., :-1]
-    d /= dyn.delta
-    return d
+    v = _held(x, dyn)
+    np.subtract(x, v, out=v)
+    v /= dyn.delta
+    return v
 
 
 def velocity_adjoint(w, dyn: Dynamics) -> np.ndarray:

@@ -615,6 +615,18 @@ def test_charge_efficiency_without_a_finite_reciprocal_is_a_scenario_error(tmp_p
     assert not (tmp_path / "out" / "solution.json").exists()
 
 
+@pytest.mark.parametrize("verb", ["solve", "oracle-check"])
+def test_discharge_efficiency_without_a_finite_reciprocal_is_a_scenario_error(tmp_path, capsys, verb):
+    # the loss map multiplies min(u, 0) by 1 / 1e-310 = inf, so every idle or
+    # charging period would take the energy inf * 0 = NaN; the efficiency is
+    # refused before the solve, by name
+    cost = {"family": "peak_shaving", "load": [0.5, 0.2]}
+    path = write_json(tmp_path, shipped_two_period(cost, {("storage", "eta_d"): 1e-310}))
+    err = assert_scenario_error([verb, "--scenario", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert "eta_d" in err
+    assert not (tmp_path / "out" / "solution.json").exists()
+
+
 @pytest.mark.parametrize("solve", [5, None, [], "fast"], ids=["int", "null", "list", "string"])
 def test_solve_section_must_be_an_object(tmp_path, capsys, solve):
     doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))

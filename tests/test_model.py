@@ -29,12 +29,13 @@ def test_validate_rejects_zero_efficiency(two_period_bounds):
 
 
 def test_validate_rejects_a_charge_efficiency_without_a_finite_reciprocal(two_period_bounds):
-    # 1 / eta_c overflows below about 5.6e-309; eta_d is only multiplied
+    # 1 / eta overflows below about 5.6e-309, for either efficiency
     bad = ls.StorageParams(eta_c=1e-310, eta_d=0.5, lam=1.0, delta=1.0, x0=0.75, horizon=2)
     with pytest.raises(InvalidEfficiency, match="eta_c"):
         ls.validate_params(bad, two_period_bounds)
     tiny_d = ls.StorageParams(eta_c=0.5, eta_d=1e-310, lam=1.0, delta=1.0, x0=0.75, horizon=2)
-    ls.validate_params(tiny_d, two_period_bounds)
+    with pytest.raises(InvalidEfficiency, match="eta_d"):
+        ls.validate_params(tiny_d, two_period_bounds)
     tiny_c = ls.StorageParams(eta_c=1e-300, eta_d=0.5, lam=1.0, delta=1.0, x0=0.75, horizon=2)
     ls.validate_params(tiny_c, two_period_bounds)
 

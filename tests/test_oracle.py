@@ -13,6 +13,8 @@ from lossy_storage.errors import (
     GridTooLarge,
     HorizonTooLarge,
     InstanceMismatch,
+    InvalidBound,
+    InvalidEfficiency,
     NoFeasiblePoint,
     ObjectiveOutOfRange,
 )
@@ -138,8 +140,8 @@ def test_no_feasible_point_detected():
 
 
 def nan_cost_instance():
-    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=0.5, horizon=2)
-    bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[10, 10], x_min=[-10, -10])
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=5.0, horizon=2)
+    bounds = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[10, 10], x_min=[0, 0])
     return params, bounds
 
 
@@ -161,6 +163,32 @@ def test_a_grid_of_nan_costs_says_so():
     cost = ls.CustomCost(evaluator=lambda u: math.nan)
     with pytest.raises(ObjectiveOutOfRange, match="every one of the 25 feasible grid points costs NaN"):
         ls.brute_force_solve(params, bounds, cost, ls.GridSpec(5))
+
+
+def invalid_oracle_inputs():
+    """(params, bounds, error, name) the oracle must refuse as `validate_params`
+    does: a discharging efficiency whose reciprocal overflows, for which the
+    loss map's inf * 0 makes every idle grid point's energy NaN, and a
+    negative energy floor."""
+    params, bounds = nan_cost_instance()
+    tiny_d = dataclasses.replace(params, eta_d=1e-310)
+    below = ls.Bounds(u_max=[1, 1], u_min_mag=[1, 1], x_max=[10, 10], x_min=[-10, -10])
+    return [(tiny_d, bounds, InvalidEfficiency, "eta_d"), (params, below, InvalidBound, "x_min")]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["subnormal-eta-d", "negative-floor"])
+def test_brute_force_solve_validates_its_input(case):
+    params, bounds, error, name = invalid_oracle_inputs()[case]
+    cost = ls.PeakShaving(load=[0.5, 0.2])
+    with pytest.raises(error, match=name):
+        ls.brute_force_solve(params, bounds, cost, ls.GridSpec(5))
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["subnormal-eta-d", "negative-floor"])
+def test_enumerate_feasible_validates_its_input(case):
+    params, bounds, error, name = invalid_oracle_inputs()[case]
+    with pytest.raises(error, match=name):
+        list(ls.enumerate_feasible(params, bounds, ls.GridSpec(5)))
 
 
 def test_compare_pass_and_digest_guard(two_period_problem, two_period_params, two_period_bounds):

@@ -46,6 +46,36 @@ def test_power_to_energy_examples(two_period_params, two_period_dyn):
     )
 
 
+def test_power_to_energy_is_simulate_bit_for_bit():
+    # both run model.step's arithmetic from the held energy fl(lam * x0), so
+    # a profile gives the same bits alone, as a row of a batch and stepped
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        horizon = int(rng.integers(1, 50))
+        params = ls.StorageParams(
+            eta_c=float(rng.uniform(0.3, 1.0)), eta_d=float(rng.uniform(0.3, 1.0)),
+            lam=1.0 if rng.random() < 0.3 else float(rng.uniform(0.5, 1.0)),
+            delta=float(rng.uniform(0.1, 2.0)), x0=float(rng.uniform(0.0, 10.0)), horizon=horizon,
+        )
+        dyn = ls.build_dynamics(params)
+        u = rng.uniform(-1.0, 1.0, (3, horizon))
+        reference = np.array([ls.simulate(row, params) for row in u])
+        assert ls.power_to_energy(u[0], params, dyn).tobytes() == reference[0].tobytes()
+        assert ls.power_to_energy(u, params, dyn).tobytes() == reference.tobytes()
+
+
+def test_velocity_keeps_a_fortran_order_batch():
+    # the convexity probe maps period-major blocks, and a result in C order
+    # would make every later map of the block stride across it
+    rng = np.random.default_rng(5)
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.8, lam=0.999, delta=1.0, x0=1.0, horizon=24)
+    dyn = ls.build_dynamics(params)
+    x = np.asfortranarray(rng.uniform(0.0, 2.0, (64, 24)))
+    v, u = ls.velocity(x, dyn), ls.energy_to_power(x, params, dyn)
+    assert v.flags.f_contiguous and u.flags.f_contiguous
+    assert v.tobytes() == ls.velocity(np.ascontiguousarray(x), dyn).tobytes()
+
+
 def test_energy_to_power_examples(two_period_params, two_period_dyn):
     assert np.allclose(ls.energy_to_power([0.75, 0.75], two_period_params, two_period_dyn), [0.0, 0.0], atol=1e-15)
     assert np.allclose(ls.energy_to_power([1.0, 1.0], two_period_params, two_period_dyn), [0.5, 0.0], atol=1e-15)
@@ -320,17 +350,17 @@ def test_witness_of_leaky_storage():
 
 def test_witness_ends_rounded_past_the_power_box():
     # at energies near 1e6, energy_to_power amplifies the rounding of the
-    # pair's energies by 1 / (eta_c * delta), about 34 here, so an end built
+    # pair's energies by 1 / (eta_c * delta), about 35 here, so an end built
     # on its power bound comes back outside it by more than MEMBERSHIP_TOL;
     # the clip into the power box keeps the witness
     params = ls.StorageParams(
-        eta_c=0.029503700777674308, eta_d=0.229323139880528, lam=0.999, delta=1.0,
-        x0=494864.31263744534, horizon=6,
+        eta_c=0.028342020646327508, eta_d=0.2486133982884593, lam=0.999, delta=1.0,
+        x0=769930.5382044995, horizon=6,
     )
     bounds = ls.Bounds(
-        u_max=[709020.0, 154722.0, 600037.0, 344306.0, 891686.0, 157793.0],
-        u_min_mag=[711263.0, 883080.0, 304587.0, 905903.0, 884976.0, 116665.0],
-        x_max=[559764.0, 475008.0, 535268.0, 527264.0, 499255.0, 513857.0],
+        u_max=[867098.0, 530826.0, 155490.0, 813070.0, 768647.0, 183496.0],
+        u_min_mag=[581992.0, 773633.0, 936645.0, 222757.0, 735667.0, 390453.0],
+        x_max=[520676.0, 586877.0, 531559.0, 546089.0, 599268.0, 546081.0],
         x_min=[0.0] * 6,
     )
     dyn = ls.build_dynamics(params)
