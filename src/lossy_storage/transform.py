@@ -35,10 +35,10 @@ energy).  One forward sweep of reachable energy intervals per polytope
 decides emptiness, naming the first empty period, and bounds the witness
 pairs.  Dynamic programs over the periods minimize over X exactly, each in
 one backward and one forward pass: `project_onto_polytope` a quadratic pull
-of each energy toward a target, with free steps, and `_chain_argmin` a
-convex cost of each step with one kink at 0, linear or quadratic on each
-side, which is the solver's exact pass for arbitrage (linear step costs)
-and load balancing (quadratic ones).
+toward a target, with free steps, over the window its broken steps reach,
+and `_chain_argmin` a convex cost of each step with one kink at 0, linear
+or quadratic on each side, which is the solver's exact pass for arbitrage
+(linear step costs) and load balancing (quadratic ones).
 
 Each set is two boxes, listed once (`_power_boxes`, `_energy_boxes`), and
 its verdict and mask share one membership rule: every value lies within
@@ -350,6 +350,41 @@ def _chain_argmin(
     return out
 
 
+def _pull_pass(polytope: EnergyPolytope, y: list, lo: int, hi: int, start: float) -> list:
+    """The projection's chain pass: as a list, the energies x_lo..x_hi that
+    minimize sum_t (x_t - y_t)^2 / 2 from the held energy start = lam *
+    x_{lo-1}, with a free end at hi."""
+    # Backward pass as in `_chain_argmin`, with the pull's derivative
+    # x - y_t added to each cost-to-go and no step cost.  Seen from period
+    # t - 1, knots left of the crossing are reached by the highest step and
+    # those right of it by the lowest, with a flat at 0 between.
+    lam = polytope.dynamics.lam
+    x_lower, x_upper, step_lower, step_upper = polytope.chain
+    plan = [None] * (hi + 1 - lo)
+    xs = [x_lower[hi], x_upper[hi]]
+    ds = [xs[0] - y[hi], xs[1] - y[hi]]
+    for t in range(hi, lo - 1, -1):
+        xs, ds, low, high = _clip_knots(xs, ds, x_lower[t], x_upper[t])
+        k = bisect_left(ds, 0.0)
+        zero = _crossing(xs, ds, k, 0.0)
+        plan[t - lo] = zero, low, high
+        if t > lo:
+            a, c, y_prev = step_lower[t], step_upper[t], y[t - 1]
+            xs = (
+                [(z - c) / lam for z in xs[:k]]
+                + [(zero - c) / lam, (zero - a) / lam]
+                + [(z - a) / lam for z in xs[k:]]
+            )
+            ds = [lam * d + z - y_prev for z, d in zip(xs, ds[:k] + [0.0, 0.0] + ds[k:])]
+
+    # Recovery: each period moves toward its crossing.
+    out, previous = [0.0] * len(plan), start
+    for t, (zero, low, high) in enumerate(plan, lo):
+        out[t - lo] = _recovered(zero, previous, low, high, step_lower[t], step_upper[t])
+        previous = lam * out[t - lo]
+    return out
+
+
 def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     """Exact Euclidean projection of x onto the feasible energy polytope.
 
@@ -357,12 +392,16 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     when each step x_t - lam * x_{t-1}, rounded as the recovery rounds it,
     is in the step box: it is then the nearest point of a superset.  So
     members, and projections inside the energy box, come back unchanged.
-    Otherwise one pass of the chain dynamic program finds the projection,
-    as `_chain_argmin` does for a step cost, here with a quadratic pull
-    (x_t - y_t)^2 / 2 of each energy and no step cost: the derivative of
-    each cost-to-go is piecewise linear, and a free step turns its crossing
-    of 0 into one flat.  The recovery clips each crossing into its energy
-    range, then into the step box reachable from lam * x_{t-1}, which wins.
+    Otherwise `_pull_pass` projects over a window [lo, hi], first the clip's
+    broken steps padded by 2 periods, entered from lam * clip(x)_{lo-1}
+    (b_0 when lo = 0).  Copied into the clip, it is the projection when
+    each step lo..hi+1 passes the test above, each window energy is in its
+    box, and step lo is strictly inside its box or lo = 0: the window's KKT
+    multipliers, extended by 0, then satisfy the full problem's, since a
+    slack entry step has multiplier 0, the exit step hi+1 is not in the
+    window's problem and needs only be feasible, and outside the window
+    clip(x)_t is optimal for its own term.  Else the pad doubles, and the
+    window [0, T-1] comes back unchecked.
 
     Raises InfeasibleProblem naming the first period that no energy
     reachable from the earlier periods can meet, when it misses the energy
@@ -377,7 +416,8 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     # them, previous + step against x, so that a projection passes the test
     step_lower, step_upper = polytope.steps
     previous = _held(clipped, polytope.dynamics)
-    if ((previous + step_lower <= clipped) & (clipped <= previous + step_upper)).all():
+    fits = (previous + step_lower <= clipped) & (clipped <= previous + step_upper)
+    if fits.all():
         return clipped
     if math.isnan(np.vdot(x, x)):  # squares are >= 0, so only a NaN entry gives NaN
         raise ValueError("cannot project a profile with a NaN entry")
@@ -385,40 +425,20 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     if empty is not None:  # a fresh error on every call
         raise InfeasibleProblem(*empty)
 
-    # Backward pass as in `_chain_argmin`, with the pull's derivative
-    # x - y_t added to each cost-to-go and no step cost: per period the
-    # energy where the derivative crosses 0 and the energy range.  Seen
-    # from period t - 1, knots left of the crossing are reached by the
-    # highest step and those right of it by the lowest, with a flat at 0
-    # between.
-    y = x.tolist()
-    lam = polytope.dynamics.lam
-    x_lower, x_upper, step_lower, step_upper = polytope.chain
-    horizon = len(y)
-    plan = [None] * horizon
-    xs = [x_lower[-1], x_upper[-1]]
-    ds = [xs[0] - y[-1], xs[1] - y[-1]]
-    for t in range(horizon - 1, -1, -1):
-        xs, ds, low, high = _clip_knots(xs, ds, x_lower[t], x_upper[t])
-        k = bisect_left(ds, 0.0)
-        zero = _crossing(xs, ds, k, 0.0)
-        plan[t] = zero, low, high
-        if t:
-            a, c, y_prev = step_lower[t], step_upper[t], y[t - 1]
-            xs = (
-                [(z - c) / lam for z in xs[:k]]
-                + [(zero - c) / lam, (zero - a) / lam]
-                + [(z - a) / lam for z in xs[k:]]
-            )
-            ds = [lam * d + z - y_prev for z, d in zip(xs, ds[:k] + [0.0, 0.0] + ds[k:])]
-
-    # Recovery: each period moves toward its crossing.
-    out, previous = [0.0] * horizon, float(polytope.dynamics.b_offset[0])
-    for t in range(horizon):
-        zero, low, high = plan[t]
-        out[t] = _recovered(zero, previous, low, high, step_lower[t], step_upper[t])
-        previous = lam * out[t]
-    return np.array(out)
+    y, last, broken = x.tolist(), len(x) - 1, (~fits).nonzero()[0]
+    lo, hi, pad = int(broken[0]), int(broken[-1]), 2
+    while True:  # each window reaches past the last, so previous[lo] is the clip's
+        lo, hi, pad = max(lo - pad, 0), min(hi + pad, last), 2 * pad
+        window = _pull_pass(polytope, y, lo, hi, float(previous[lo]))
+        if hi - lo == last:
+            return np.array(window)
+        clipped[lo : hi + 1] = window
+        previous = _held(clipped, polytope.dynamics)
+        floor, ceiling = previous + step_lower, previous + step_upper
+        fits = (floor <= clipped) & (clipped <= ceiling)
+        fits &= _inside(clipped, polytope.x_lower, polytope.x_upper, 0.0)
+        if fits.all() and (lo == 0 or floor[lo] < clipped[lo] < ceiling[lo]):
+            return clipped
 
 
 @dataclass(frozen=True, eq=False)
