@@ -159,27 +159,25 @@ def _section_schema(cls) -> dict[str, tuple[str, object, bool]]:
     }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_value(value, kind, where: str, horizon: Optional[int]):
-    """A scenario value, checked against the type of the field it fills."""
+    """A scenario value, checked against the type of the field it fills; a
+    vector comes back as a float64 array.  The JSON decoder gives numbers as
+    int or float exactly, and a bool is neither."""
     if kind is np.ndarray:
-        if not isinstance(value, list) or not all(map(_is_number, value)):
+        if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
             raise SchemaError(f"{where}: expected a list of numbers")
         if len(value) != horizon:
             raise SchemaError(
                 f"{where}: length {len(value)} does not match horizon {horizon}"
             )
     elif kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int:
             raise SchemaError(f"{where}: expected an integer, got {value!r}")
         return value
-    elif not _is_number(value):
+    elif type(value) not in (int, float):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
     try:
-        return [float(v) for v in value] if kind is np.ndarray else float(value)
+        return np.array(value, dtype=float) if kind is np.ndarray else float(value)
     except OverflowError:  # an integer literal beyond the float range
         raise SchemaError(f"{where}: an integer is too large for a float") from None
 

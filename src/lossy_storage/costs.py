@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import LengthMismatch, NoSubgradientOracle, ValidationError
-from .model import Bounds, Dynamics, StorageParams, build_dynamics
+from .model import Bounds, Dynamics, StorageParams, _check_count, build_dynamics
 from .transform import _adjoint_in_place, energy_to_power, inverse_loss_map, velocity
 
 __all__ = [
@@ -441,8 +441,7 @@ def midpoint_convexity_probe(
     changes no bit of the report.  samples must be an integer of at least
     1; a box beyond the float range raises ValidationError.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    _check_count(samples, "samples", 1)
     _check_cost_length(cost, params.horizon)
     dyn = build_dynamics(params)
     radius = 1.0 + abs(params.x0)
@@ -493,24 +492,27 @@ def instance_digest(params: StorageParams, bounds: Bounds, cost: CostSpec) -> st
     """Short stable hash of (params, bounds, cost family + vectors).
 
     Used to refuse apples-to-oranges comparisons between a solver run and an
-    oracle run.  Custom costs hash by label and declaration only.
+    oracle run.  SHA-256 of, in order: eta_c, eta_d, lam, delta and x0, the
+    horizon, each bound's name and entries, then the family tag and each
+    field's name and entries, with "|" before each name, tag and the horizon;
+    every float goes in as its little-endian float64 bytes, so -0.0 and 0.0
+    differ and an int hashes as the float it equals.  Custom costs hash by
+    label and declaration only.  Digests differ from those of versions that
+    hashed 17-digit text.
     """
-    parts = [
-        f"{params.eta_c:.17g}",
-        f"{params.eta_d:.17g}",
-        f"{params.lam:.17g}",
-        f"{params.delta:.17g}",
-        f"{params.x0:.17g}",
-        str(params.horizon),
-    ]
+    digest = hashlib.sha256()
+
+    def add(text: str, values=()) -> None:
+        digest.update(text.encode() + np.asarray(values, "<f8").tobytes())
+
+    add("", [params.eta_c, params.eta_d, params.lam, params.delta, params.x0])
+    add(f"|{params.horizon}")
     for name in ("u_max", "u_min_mag", "x_max", "x_min"):
-        parts.append(name)
-        parts.extend(f"{v:.17g}" for v in getattr(bounds, name))
+        add(f"|{name}|", getattr(bounds, name))
     if isinstance(cost, CustomCost):
-        parts.append(f"custom:{cost.label}:{cost.nondecreasing_on_nonneg!r}")
+        add(f"|custom:{cost.label}:{cost.nondecreasing_on_nonneg!r}")
     else:
-        parts.append(FAMILY_TAGS[type(cost)])
+        add(f"|{FAMILY_TAGS[type(cost)]}")
         for name in _FAMILY_FIELDS[type(cost)]:
-            parts.append(name)
-            parts.extend(f"{v:.17g}" for v in getattr(cost, name))
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+            add(f"|{name}|", getattr(cost, name))
+    return digest.hexdigest()[:16]

@@ -117,6 +117,12 @@ class Dynamics:
     delta: float
 
 
+def _check_count(value, name: str, minimum: int, error: type = ValueError) -> None:
+    """Raise error unless value is an integer (not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def validate_params(raw: StorageParams, bounds: Bounds) -> ValidatedProblem:
     """Check every parameter/bound invariant; return the validated pair.
 
@@ -135,11 +141,9 @@ def validate_params(raw: StorageParams, bounds: Bounds) -> ValidatedProblem:
         raise ValidationError(f"delta must be a positive duration, got {raw.delta!r}")
     if not np.isfinite(raw.x0):
         raise ValidationError(f"x0 must be finite, got {raw.x0!r}")
-    horizon = raw.horizon
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise InvalidHorizon(f"horizon must be an integer >= 1, got {horizon!r}")
+    _check_count(raw.horizon, "horizon", 1, InvalidHorizon)
 
-    t = int(horizon)
+    t = int(raw.horizon)
     checked = {}
     for name in ("u_max", "u_min_mag", "x_max", "x_min"):
         vec = _vector(getattr(bounds, name), t, name)

@@ -55,7 +55,7 @@ from .errors import (
     NoFeasiblePoint,
     ObjectiveOutOfRange,
 )
-from .model import Bounds, Dynamics, StorageParams, build_dynamics, validate_params
+from .model import Bounds, Dynamics, StorageParams, _check_count, build_dynamics, validate_params
 from .transform import MEMBERSHIP_TOL, _inside, loss_map, power_feasibility_mask
 
 __all__ = [
@@ -84,10 +84,8 @@ class GridSpec:
     horizon_cap: int = 3
 
     def __post_init__(self):
-        for name, minimum in (("points_per_axis", 3), ("horizon_cap", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        _check_count(self.points_per_axis, "points_per_axis", 3)
+        _check_count(self.horizon_cap, "horizon_cap", 1)
 
 
 @dataclass(frozen=True, eq=False)

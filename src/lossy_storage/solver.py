@@ -40,7 +40,7 @@ from .costs import (
     subgradient_energy_cost,
 )
 from .errors import ObjectiveOutOfRange
-from .model import ValidatedProblem, build_dynamics
+from .model import ValidatedProblem, _check_count, build_dynamics
 from .transform import (
     _chain_argmin,
     _energy_boxes,
@@ -88,9 +88,7 @@ class SolveOptions:
     max_iterations: int = 20000
 
     def __post_init__(self):
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
+        _check_count(self.max_iterations, "max_iterations", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +161,8 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
     avg_count = 1
     avg_restart = 2
 
-    window_best = best_f
-
     status = STATUS_MAX_ITERATIONS
-    iterations = 0
     for k in range(1, max_iterations + 1):
-        iterations = k
         g_norm = _norm(g)
         if not math.isfinite(g_norm):
             g = subgradient_energy_cost(cost, x, params, dyn, rescale=True)[1]
@@ -197,18 +191,17 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
             avg_count = 1
             avg_restart *= 2
 
-        if k % STOP_WINDOW == 0:
-            # an infinite objective gains NaN, which stops the solve too
-            if not window_best - best_f >= OBJECTIVE_TOLERANCE:
-                status = STATUS_CONVERGED
-                break
-            window_best = best_f
+        # trace[-STOP_WINDOW - 1] is the best objective when the window
+        # began; an infinite objective gains NaN, which stops the solve too
+        if k % STOP_WINDOW == 0 and not trace[-STOP_WINDOW - 1] - best_f >= OBJECTIVE_TOLERANCE:
+            status = STATUS_CONVERGED
+            break
 
     x_avg = project_onto_polytope(avg_sum / avg_count / tail_scale, polytope)
     f_avg = evaluate_energy_cost(cost, x_avg, params, dyn)
     if f_avg < best_f:
         best_f, best_x = f_avg, x_avg
-    return best_x, best_f, trace, status, iterations
+    return best_x, best_f, trace, status, k  # max_iterations >= 1 ran the loop
 
 
 # Costs near the float limit may overflow without a warning: a subgradient

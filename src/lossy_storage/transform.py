@@ -596,11 +596,11 @@ def power_feasibility_mask(
     params: StorageParams,
     bounds: Bounds,
     dyn: Dynamics,
-    tol: float = MEMBERSHIP_TOL,
 ) -> np.ndarray:
-    """Vectorized `in_power_set` over rows of an (n, T) array; returns bools."""
+    """Vectorized `in_power_set` over rows of an (n, T) array, within
+    MEMBERSHIP_TOL; returns bools."""
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
-    return _mask(_power_boxes(profiles, params, bounds, dyn), tol)
+    return _mask(_power_boxes(profiles, params, bounds, dyn), MEMBERSHIP_TOL)
 
 
 def build_energy_polytope(

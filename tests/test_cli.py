@@ -49,6 +49,32 @@ def test_load_scenario_caption_values(two_period_scenario_path):
     assert scenario.outputs == ("solution", "certificate")
 
 
+def test_load_scenario_gives_vectors_as_the_float_of_each_json_number(tmp_path):
+    # ints beyond 2**53 round to nearest even, as float() rounds them, and
+    # -0.0 keeps its sign
+    big = "9" * 300
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["bounds"] = {"u_max": [1, "BIG"], "u_min": [0.5, "TWO53"], "x_max": ["BIG", 3], "x_min": [-0.0, 0]}
+    doc["cost"] = {"family": "energy_arbitrage", "p_buy": ["TWO53", -0.0], "p_sell": [0.1, "BIG"]}
+    text = json.dumps(doc).replace('"BIG"', big).replace('"TWO53"', str(2**53 + 1))
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    raw = json.loads(text)
+    scenario = cli.load_scenario(path)
+    fields = [(scenario.bounds, "u_max", raw["bounds"]["u_max"]),
+              (scenario.bounds, "u_min_mag", raw["bounds"]["u_min"]),
+              (scenario.bounds, "x_max", raw["bounds"]["x_max"]),
+              (scenario.bounds, "x_min", raw["bounds"]["x_min"]),
+              (scenario.cost, "p_buy", raw["cost"]["p_buy"]),
+              (scenario.cost, "p_sell", raw["cost"]["p_sell"])]
+    for owner, name, values in fields:
+        vec = getattr(owner, name)
+        assert type(vec) is np.ndarray and vec.dtype == np.float64, name
+        assert [v.hex() for v in vec.tolist()] == [float(v).hex() for v in values], name
+    assert scenario.bounds.u_min_mag[1] == 2.0**53
+    assert scenario.cost.p_sell[1] == float(big)
+
+
 def test_load_scenario_rejects_length_mismatch(tmp_path):
     bad = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
     bad["cost"] = {"family": "peak_shaving", "load": [1, 1, 1]}
@@ -396,9 +422,16 @@ _DELETE = object()
         ("solve", "max_iterations", 0, "max_iterations"),
         ("storage", "x0", float("nan"), "x0 must be finite"),
         ("bounds", "x_max", [float("inf"), 1], "x_max must be finite"),
+        ("bounds", "u_min", [1, True], "bounds.u_min"),
+        ("bounds", "x_min", [None, 0], "bounds.x_min"),
+        ("cost", "p_buy", [1, [1]], "cost.p_buy"),
+        ("storage", "horizon", True, "storage.horizon"),
+        ("storage", "x0", True, "storage.x0"),
     ],
     ids=["list-entry-not-a-number", "fractional-horizon", "number-as-string", "no-x0",
-         "no-family", "no-bounds", "zero-iterations", "nan-x0", "infinite-cap"],
+         "no-family", "no-bounds", "zero-iterations", "nan-x0", "infinite-cap",
+         "true-in-a-vector", "null-in-a-vector", "list-in-a-vector", "true-horizon",
+         "true-x0"],
 )
 def test_ill_typed_or_missing_values_are_scenario_errors(tmp_path, capsys, section, key, value, named):
     doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))

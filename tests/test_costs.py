@@ -487,6 +487,43 @@ def test_probe_memory_is_bounded_by_its_draws():
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def _digest_instance(cls):
+    """Params, bounds and a cost of family cls whose entries all differ."""
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.8, lam=0.99, delta=0.5, x0=0.25, horizon=3)
+    bounds = ls.Bounds(u_max=[1.0, 2.0, 3.0], u_min_mag=[4.0, 5.0, 6.0],
+                       x_max=[7.0, 8.0, 9.0], x_min=[0.0, 0.5, 0.25])
+    cost = cls(**{
+        field.name: [0.1 * (3 * k + t + 1) for t in range(3)]
+        for k, field in enumerate(dataclasses.fields(cls))
+    })
+    return params, bounds, cost
+
+
+def _one_entry_changes(params, bounds, cost):
+    """Instances that differ from (params, bounds, cost) in one entry: by an
+    ulp, by the sign of a zero, or by swapping two vectors."""
+    def up(vec, t):
+        vec = np.array(vec, dtype=float)
+        vec[t] = np.nextafter(vec[t], np.inf)
+        return vec
+
+    for name in ("eta_c", "eta_d", "lam", "delta", "x0"):
+        value = float(np.nextafter(getattr(params, name), np.inf))
+        yield dataclasses.replace(params, **{name: value}), bounds, cost
+    for name in ("u_max", "u_min_mag", "x_max", "x_min"):
+        for t in range(params.horizon):
+            yield params, dataclasses.replace(bounds, **{name: up(getattr(bounds, name), t)}), cost
+    for field in dataclasses.fields(cost):
+        for t in range(params.horizon):
+            yield params, bounds, dataclasses.replace(
+                cost, **{field.name: up(getattr(cost, field.name), t)})
+    assert bounds.x_min[0] == 0.0 and not np.signbit(bounds.x_min[0])
+    yield params, dataclasses.replace(bounds, x_min=np.copysign(bounds.x_min, -1.0)), cost
+    yield params, dataclasses.replace(bounds, u_max=bounds.u_min_mag, u_min_mag=bounds.u_max), cost
+    if isinstance(cost, ls.EnergyArbitrage):
+        yield params, bounds, ls.EnergyArbitrage(p_buy=cost.p_sell, p_sell=cost.p_buy)
+
+
 def test_instance_digest_distinguishes(two_period_params, two_period_bounds):
     cost = ls.EnergyArbitrage(p_buy=[1, 1], p_sell=[1, 1])
     base = ls.instance_digest(two_period_params, two_period_bounds, cost)
@@ -495,3 +532,27 @@ def test_instance_digest_distinguishes(two_period_params, two_period_bounds):
     assert base != ls.instance_digest(two_period_params, two_period_bounds, other_cost)
     other_params = ls.StorageParams(eta_c=0.6, eta_d=0.5, lam=1.0, delta=1.0, x0=0.75, horizon=2)
     assert base != ls.instance_digest(other_params, two_period_bounds, cost)
+
+    for cls in FAMILIES.values():
+        instance = _digest_instance(cls)
+        digests = [ls.instance_digest(*changed) for changed in _one_entry_changes(*instance)]
+        assert ls.instance_digest(*instance) not in digests, cls.__name__
+        assert len(set(digests)) == len(digests), cls.__name__
+    at_zero = dataclasses.replace(two_period_params, x0=0.0)
+    at_negative_zero = dataclasses.replace(two_period_params, x0=-0.0)
+    assert ls.instance_digest(at_zero, two_period_bounds, cost) != ls.instance_digest(
+        at_negative_zero, two_period_bounds, cost)
+
+    # equal values give equal digests, whether lists or arrays, ints or floats
+    as_floats = ls.instance_digest(
+        ls.StorageParams(eta_c=1.0, eta_d=1.0, lam=1.0, delta=2.0, x0=0.0, horizon=2),
+        ls.Bounds(u_max=np.array([1.0, 2.0]), u_min_mag=np.array([3.0, 4.0]),
+                  x_max=np.array([5.0, 6.0]), x_min=np.array([0.0, 0.0])),
+        ls.EnergyArbitrage(p_buy=np.array([1.0, 2.0]), p_sell=np.array([0.5, 1.0])),
+    )
+    as_ints_and_lists = ls.instance_digest(
+        ls.StorageParams(eta_c=1, eta_d=1, lam=1, delta=2, x0=0, horizon=2),
+        ls.Bounds(u_max=[1, 2], u_min_mag=[3, 4], x_max=[5, 6], x_min=[0, 0]),
+        ls.EnergyArbitrage(p_buy=[1, 2], p_sell=[0.5, 1]),
+    )
+    assert as_floats == as_ints_and_lists

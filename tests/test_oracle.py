@@ -377,7 +377,7 @@ def row_by_row_reference(params, bounds, cost, grid):
     axes = oracle._grid_axes(params, bounds, grid)
     rows = np.array(list(itertools.product(*axes)), dtype=float)
     dyn = ls.build_dynamics(params)
-    mask = power_feasibility_mask(rows, params, bounds, dyn, tol=MEMBERSHIP_TOL)
+    mask = power_feasibility_mask(rows, params, bounds, dyn)
     x = ls.power_to_energy(rows, params, dyn)[:, :-1]
     tol = MEMBERSHIP_TOL
     pruned = bool(np.any((x < bounds.x_min[:-1] - tol) | (x > bounds.x_max[:-1] + tol)))

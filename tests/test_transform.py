@@ -11,6 +11,8 @@ from lossy_storage.errors import LengthMismatch
 from lossy_storage.transform import (
     MEMBERSHIP_TOL,
     _cap_face_pair,
+    _mask,
+    _power_boxes,
     energy_membership_mask,
     power_feasibility_mask,
     velocity_adjoint,
@@ -383,7 +385,7 @@ def _grid_pair_breaks_convexity(params, bounds, points):
     dyn = ls.build_dynamics(params)
     for start in range(0, len(grid), 256):
         mid = (0.5 * grid[start : start + 256, None] + 0.5 * grid[None]).reshape(-1, params.horizon)
-        if not power_feasibility_mask(mid, params, bounds, dyn, tol=1e-7).all():
+        if not _mask(_power_boxes(mid, params, bounds, dyn), 1e-7).all():
             return True
     return False
 
@@ -488,7 +490,7 @@ def test_witness_search_at_extreme_parameters(
     mid = witness.theta * witness.u_a + (1.0 - witness.theta) * witness.u_b
     assert np.array_equal(mid, witness.midpoint)
     dyn = ls.build_dynamics(params)
-    assert not power_feasibility_mask(mid, params, bounds, dyn, tol=1e-7)[0]
+    assert not _mask(_power_boxes(mid[None], params, bounds, dyn), 1e-7)[0]
     # the power box and the lower energy faces are convex constraints, so a
     # mixture of members can only break an upper energy face
     assert witness.violation.constraint == "energy_upper"
