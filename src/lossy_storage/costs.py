@@ -429,20 +429,31 @@ def midpoint_convexity_probe(
     cost: CostSpec,
     params: StorageParams,
     samples: int,
-    seed: int,
+    seed: Optional[int],
 ) -> ProbeReport:
     """Randomized search for midpoint-convexity violations of the composition.
 
     Draws pairs x_a, x_b uniformly from a box of half-width 1 + |x0| around
     the zero-power offset b, mixes them with a uniform theta and flags any
     triple where the convexity inequality fails by more than PROBE_MARGIN.
-    The draws are taken whole, in that order; the mixture and the cost maps
-    then run over blocks of rows small enough to stay in cache, which
-    changes no bit of the report.  samples must be an integer of at least
-    1; a box beyond the float range raises ValidationError.
+    The stream is `default_rng(seed)`'s doubles: x_a is the first
+    samples * T of them, row by row, x_b the next samples * T and theta the
+    samples after those.  Each part is read from its own copy of the
+    stream, advanced to the part's first double, in blocks of rows small
+    enough to stay in cache, so the probe holds one block and the margin
+    (8 bytes per sample), never the whole draw; the blocks change no bit of
+    the report.  seed=None draws fresh entropy once, for all three
+    parts; a Generator or BitGenerator, whose stream the probe would use
+    up, raises ValidationError.  samples must be an integer of at least 1;
+    a box beyond the float range, or a cost that is not finite at a sampled
+    profile, raises ValidationError.
     """
     _check_count(samples, "samples", 1)
     _check_cost_length(cost, params.horizon)
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise ValidationError(
+            f"seed must be None, an integer or a SeedSequence, not a {type(seed).__name__}"
+        )
     dyn = build_dynamics(params)
     radius = 1.0 + abs(params.x0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -453,28 +464,52 @@ def midpoint_convexity_probe(
             f"the probe box b +- (1 + |x0|) is not finite for x0 = {params.x0!r}"
         )
 
-    # uniform(lo, hi) draws lo + (hi - lo) * random(), bit for bit
-    rng = np.random.default_rng(seed)
-    x_a, x_b = draws = rng.random((2, samples, params.horizon))
-    draws *= span
-    draws += lo
-    theta = rng.random((samples, 1))
+    samples = int(samples)  # PCG64.advance overflows on a numpy integer
+    n = samples * params.horizon
+    origin = np.random.default_rng(seed).bit_generator.state
 
-    # on a period-major (Fortran-order) copy of a block, every map steps
-    # along rows of profiles, and the sum over the periods folds whole
-    # columns in period order.  A lone row is contiguous, which np.sum adds
-    # pairwise from 8 periods on, so no block is one row unless samples is.
+    def stream(offset: int) -> np.random.Generator:
+        """The probe's stream from its offset-th double on."""
+        bits = np.random.PCG64()
+        bits.state = origin
+        return np.random.Generator(bits.advance(offset))
+
+    def box(draws: np.ndarray) -> np.ndarray:
+        # uniform(lo, hi) draws lo + (hi - lo) * random(), bit for bit
+        draws *= span
+        draws += lo
+        return draws
+
+    # on a period-major (Fortran-order) block, the scaling, the mixture and
+    # every map step along rows of profiles, and the sum over the periods
+    # folds whole columns in period order.  A lone row is contiguous, which
+    # np.sum adds pairwise from 8 periods on, so no block is one row unless
+    # samples is.
     rows = max(2, _PROBE_BLOCK // params.horizon)
     cuts = [0, *range(rows, samples - 1, rows), samples]
+    parts = stream(0), stream(n), stream(2 * n)
     margin = np.empty(samples)
-    for block in map(slice, cuts, cuts[1:]):
-        w = theta[block]
-        mid = w * x_a[block] + (1.0 - w) * x_b[block]
-        f_a, f_b, f_mid = (
-            power_cost_batch(cost, energy_to_power(np.asfortranarray(x), params, dyn))
-            for x in (x_a[block], x_b[block], mid)
-        )
-        margin[block] = f_mid - (w[:, 0] * f_a + (1.0 - w[:, 0]) * f_b)
+    # a cost that overflows or is NaN is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop in zip(cuts, cuts[1:]):
+            x_a, x_b = (
+                box(np.asfortranarray(part.random((stop - start, params.horizon))))
+                for part in parts[:2]
+            )
+            w = parts[2].random((stop - start, 1))
+            mid = w * x_a + (1.0 - w) * x_b
+            f_a, f_b, f_mid = (
+                power_cost_batch(cost, energy_to_power(x, params, dyn)) for x in (x_a, x_b, mid)
+            )
+            finite = np.isfinite(f_a) & np.isfinite(f_b) & np.isfinite(f_mid)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                values = ", ".join(str(float(f[i])) for f in (f_a, f_b, f_mid))
+                raise ValidationError(
+                    f"the cost is not finite at probe sample {start + i}: "
+                    f"f(x_a), f(x_b), f(mid) = {values}"
+                )
+            margin[start:stop] = f_mid - (w[:, 0] * f_a + (1.0 - w[:, 0]) * f_b)
 
     violating = margin > PROBE_MARGIN
     worst = int(np.argmax(margin))
@@ -482,7 +517,11 @@ def midpoint_convexity_probe(
         samples=samples,
         violations=int(np.count_nonzero(violating)),
         worst_margin=float(margin[worst]),
-        worst_triple=(x_a[worst].copy(), x_b[worst].copy(), float(theta[worst, 0]))
+        worst_triple=(
+            box(stream(worst * params.horizon).random(params.horizon)),
+            box(stream(n + worst * params.horizon).random(params.horizon)),
+            stream(2 * n + worst).random(),
+        )
         if violating.any()
         else None,
     )

@@ -9,7 +9,7 @@ import lossy_storage as ls
 from lossy_storage import costs
 from lossy_storage.costs import FAMILIES, power_cost_batch
 from lossy_storage.errors import LengthMismatch, NoSubgradientOracle, ValidationError
-from lossy_storage.transform import velocity_adjoint
+from lossy_storage.transform import energy_to_power, velocity_adjoint
 
 from conftest import dense_dynamics, random_instance
 
@@ -485,6 +485,122 @@ def test_probe_memory_is_bounded_by_its_draws():
         tracemalloc.stop()
     # the draws, theta and margin alone take 7.6 MB
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _whole_draw_probe(cost, params, samples, seed):
+    """The probe as it read its stream whole: x_a and x_b from one
+    (2, samples, T) draw scaled in place, then theta, with the mixture and
+    the maps on C-order slices of each block."""
+    dyn = ls.build_dynamics(params)
+    radius = 1.0 + abs(params.x0)
+    lo = dyn.b_offset - radius
+    span = (dyn.b_offset + radius) - lo
+    rng = np.random.default_rng(seed)
+    x_a, x_b = draws = rng.random((2, samples, params.horizon))
+    draws *= span
+    draws += lo
+    theta = rng.random((samples, 1))
+    rows = max(2, costs._PROBE_BLOCK // params.horizon)
+    cuts = [0, *range(rows, samples - 1, rows), samples]
+    margin = np.empty(samples)
+    for block in map(slice, cuts, cuts[1:]):
+        w = theta[block]
+        mid = w * x_a[block] + (1.0 - w) * x_b[block]
+        f_a, f_b, f_mid = (
+            power_cost_batch(cost, energy_to_power(np.asfortranarray(x), params, dyn))
+            for x in (x_a[block], x_b[block], mid)
+        )
+        margin[block] = f_mid - (w[:, 0] * f_a + (1.0 - w[:, 0]) * f_b)
+    violating = margin > costs.PROBE_MARGIN
+    worst = int(np.argmax(margin))
+    return ls.ProbeReport(
+        samples=samples,
+        violations=int(np.count_nonzero(violating)),
+        worst_margin=float(margin[worst]),
+        worst_triple=(x_a[worst].copy(), x_b[worst].copy(), float(theta[worst, 0]))
+        if violating.any()
+        else None,
+    )
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 9])
+def test_probe_reads_the_stream_of_a_whole_draw(horizon):
+    params = ls.StorageParams(eta_c=0.8, eta_d=0.7, lam=0.95, delta=1.0, x0=0.5, horizon=horizon)
+    inverted = ls.EnergyArbitrage(p_buy=np.full(horizon, 0.1), p_sell=np.full(horizon, 2.0))
+    certified = ls.EnergyArbitrage(p_buy=np.linspace(1.0, 2.0, horizon), p_sell=np.full(horizon, 0.5))
+    assert ls.certify_convexity(certified, params).certified
+    rows = max(2, costs._PROBE_BLOCK // horizon)
+    for cost in (inverted, certified):
+        for samples in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 1):
+            report = ls.midpoint_convexity_probe(cost, params, samples, seed=11)
+            assert _probe_bytes(report) == _probe_bytes(
+                _whole_draw_probe(cost, params, samples, seed=11)
+            ), (cost, samples)
+    report = ls.midpoint_convexity_probe(inverted, params, np.int64(rows + 1), seed=11)
+    assert report.violations > 0
+    assert _probe_bytes(report) == _probe_bytes(_whole_draw_probe(inverted, params, rows + 1, 11))
+
+
+def test_probe_draws_the_entropy_of_seed_none_once(two_period_params, monkeypatch):
+    # with seed=None every part of the stream, and the worst triple rebuilt
+    # from it, comes from one default_rng: here one that a fixed seed stands in for
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def fixed_rng(seed=None):
+        seeds.append(seed)
+        return default_rng(5 if seed is None else seed)
+
+    monkeypatch.setattr(np.random, "default_rng", fixed_rng)
+    cost = ls.EnergyArbitrage(p_buy=[0.1, 0.1], p_sell=[2.0, 2.0])
+    report = ls.midpoint_convexity_probe(cost, two_period_params, 1000, seed=None)
+    assert seeds == [None]
+    assert report.violations > 0
+    assert _probe_bytes(report) == _probe_bytes(_whole_draw_probe(cost, two_period_params, 1000, 5))
+
+
+@pytest.mark.parametrize("seed", [np.random.default_rng(1), np.random.PCG64(1)], ids=type)
+def test_probe_refuses_a_seed_that_it_would_use_up(two_period_params, seed):
+    with pytest.raises(ValidationError, match="seed must be None, an integer or a SeedSequence"):
+        ls.midpoint_convexity_probe(ls.PeakShaving(load=[0.5, 0.5]), two_period_params, 10, seed)
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [
+        # certified, and every margin was NaN: 0 violations that checked nothing
+        ls.LoadBalancing(load=[1e200, 1e200]),
+        # certified by the price-ratio rule, and overflowing costs made violations
+        ls.EnergyArbitrage(p_buy=[1e308, 1e308], p_sell=[-1e308, -1e308]),
+        ls.CustomCost(evaluator=lambda u: float("inf"), nondecreasing_on_nonneg=True),
+    ],
+    ids=["load-balancing", "arbitrage", "custom"],
+)
+def test_probe_refuses_a_cost_that_is_not_finite(two_period_params, cost):
+    assert ls.certify_convexity(cost, two_period_params).certified
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="the cost is not finite at probe sample"):
+            ls.midpoint_convexity_probe(cost, two_period_params, 1000, seed=1)
+
+
+def test_probe_memory_is_one_block_and_the_margin():
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.8, lam=0.99, delta=1.0, x0=1.0, horizon=4)
+    cost = ls.EnergyArbitrage(p_buy=[1.0, 2.0, 3.0, 1.5], p_sell=[0.5, 1.0, 1.5, 0.5])
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            ls.midpoint_convexity_probe(cost, params, samples=samples, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ls.midpoint_convexity_probe(cost, params, samples=1000, seed=3)  # warm-up
+    small, large = peak(100_000), peak(400_000)
+    assert small <= 4e6, f"peak {small / 1e6:.1f} MB"
+    # the margin holds 8 bytes per sample; nothing else grows with samples
+    assert large - small <= 8 * 300_000 + 1e6, f"peaks {small / 1e6:.1f}, {large / 1e6:.1f} MB"
 
 
 def _digest_instance(cls):
