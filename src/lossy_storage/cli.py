@@ -20,40 +20,38 @@ nonnegative); the admissible power interval per period is
 families and their fields: peak_shaving (load), load_balancing (load),
 power_regulation (signal), energy_arbitrage (p_buy, p_sell),
 power_smoothing (renewable).  Cost vectors must be finite.
-"max_iterations", a positive integer, is the one solve setting.  The solve
-always starts from the zero-power profile, takes steps a/sqrt(k) where a is
-a tenth of the energy-box diameter, and stops by fixed rules, so "solve"
-has no "step_rule", "initial_point", "step_parameter",
+"max_iterations", a positive integer, is the one solve setting: it caps the
+descent, whose start, steps and stops are fixed (`solver.solve` gives
+them), so "solve" has no "step_rule", "initial_point", "step_parameter",
 "objective_tolerance" or "seed", and the projection is exact, so it has no
 "projection_tolerance"; a scenario that still sets any of them gets the
-unknown-field schema error.
+unknown-field schema error.  Certified energy arbitrage and load balancing
+are solved exactly, with no iterations, and ignore it.
 
 Verbs: solve, certify, sample-sets, oracle-check.  sample-sets alone
 writes the feasible-set rasters, and oracle-check is solve followed by the
-oracle report; --resolution is their points per axis.  The descent
-stops, with status "converged", at a zero subgradient, at a projected
-fixed point (a step the projection gives back bit for bit) or when 1000
-iterations improve the best objective by less than 1e-9; under a convexity
-certificate the first two prove the solution optimal.  "max_iterations"
-only caps the run.  Certified energy arbitrage and load balancing are
-solved exactly, with no iterations, and ignore it.
+oracle report; --resolution is their points per axis.
 
 Exit codes: 0 ok (status "exact" or "converged", with a certificate), 2
 infeasible, 3 not converged (status "max-iterations"), 4 best-effort only
 (no convexity guarantee), 64 usage, 65 schema/validation, including an
 eta_c or eta_d whose reciprocal overflows.  Exit 2 is an
 exact verdict; diagnostic.json names the first unreachable period.  An
-oracle grid with under 3 points per axis, more periods than its cap or
-too many points exits 64 before the solve; one with no feasible point
-exits 64 after solution.json is written: raise --resolution.  A directory
-as --scenario, or an --out that is or lies under a file, exits 64; a
-scenario that is not UTF-8, holds an integer beyond the float range or
-nests too deeply exits 65, and so does one whose objective at the solution
-is beyond the float range, with no solution.json or trace.csv written.
+oracle grid with under 3 points per axis, more periods than its cap, too
+many points or a power box wider than the float range exits 64 before the
+solve; one with no feasible point exits 64 after solution.json is written:
+raise --resolution.  sample-sets exits 64, writing nothing, at a
+resolution outside [11, 2001] or on a power box wider than the float
+range.  A directory as --scenario, or an --out that is or lies under a
+file, exits 64; a scenario that is not UTF-8, holds an integer beyond the
+float range or nests too deeply exits 65, and so does one whose objective
+at the solution is beyond the float range, with no solution.json or
+trace.csv written.
 
 Floats in emitted JSON/CSV are written as Python's repr, the shortest text
 that parses back to the same double, so identical runs produce
-byte-identical artifacts.
+byte-identical artifacts.  oracle.json holds a null discretization_bound
+for custom costs and where the bound is beyond the float range.
 """
 
 from __future__ import annotations
@@ -109,6 +107,8 @@ OUTPUT_KINDS = ("solution", "certificate")
 _RENAMED_KEYS = {"lam": "lambda", "u_min_mag": "u_min"}
 
 MIN_SAMPLE_RESOLUTION = 11
+#: The two rasters at 2001 points per axis already hold 190 MB of CSV.
+MAX_SAMPLE_RESOLUTION = 2001
 DEFAULT_SAMPLE_RESOLUTION = 201
 
 
@@ -359,6 +359,9 @@ def emit_feasible_set_samples(
     power_samples.csv marks grid points of the power box feasible/infeasible
     for the nonconvex power set; energy_samples.csv marks grid points of the
     energy box as members/non-members of the convex energy polytope.
+    Raises HorizonNot2 unless the horizon is 2, ValueError for a resolution
+    outside [MIN_SAMPLE_RESOLUTION, MAX_SAMPLE_RESOLUTION] and GridTooLarge
+    for a power box wider than the float range, before writing anything.
     """
     if scenario.storage.horizon != 2:
         raise HorizonNot2(
@@ -368,6 +371,11 @@ def emit_feasible_set_samples(
         raise ValueError(
             f"resolution {resolution} too coarse, minimum {MIN_SAMPLE_RESOLUTION}"
         )
+    if resolution > MAX_SAMPLE_RESOLUTION:
+        raise ValueError(
+            f"resolution {resolution} too fine, maximum {MAX_SAMPLE_RESOLUTION}"
+        )
+    oracle_mod._check_spans(scenario.bounds)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params, bounds = scenario.storage, scenario.bounds
@@ -421,7 +429,7 @@ def _build_parser() -> _Parser:
     common(sub.add_parser("sample-sets", help="rasterize the two feasible sets (T=2)")).add_argument(
         "--resolution", type=int, default=DEFAULT_SAMPLE_RESOLUTION, help=(
             f"raster points per axis (default {DEFAULT_SAMPLE_RESOLUTION}, "
-            f"min {MIN_SAMPLE_RESOLUTION})"))
+            f"min {MIN_SAMPLE_RESOLUTION}, max {MAX_SAMPLE_RESOLUTION})"))
     common(sub.add_parser("oracle-check", help="solve, then write the oracle report")).add_argument(
         "--resolution", type=int, default=None, help=(
             "oracle grid points per axis (min 3; default 401 for T<=2, else 101)"))

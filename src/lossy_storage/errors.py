@@ -49,7 +49,8 @@ class HorizonTooLarge(LossyStorageError, ValueError):
 
 
 class GridTooLarge(LossyStorageError, ValueError):
-    """Brute-force enumeration refused: total grid size exceeds the guard."""
+    """Grid refused: its total size exceeds the guard, or a power box is
+    wider than the float range."""
 
 
 class NoFeasiblePoint(LossyStorageError, RuntimeError):

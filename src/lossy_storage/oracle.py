@@ -92,7 +92,8 @@ class GridSpec:
 class OracleResult:
     """The best grid point and its cost.  discretization_bound is the
     family's Lipschitz constant over the power box times the widest grid
-    spacing, None for custom costs."""
+    spacing; it is None for custom costs and where that product is not a
+    finite float, which JSON cannot hold."""
 
     u_best: np.ndarray
     cost_best: float
@@ -130,6 +131,18 @@ def _axis_levels(lo: float, hi: float, points: int) -> np.ndarray:
     return np.unique(levels)
 
 
+def _check_spans(bounds: Bounds) -> None:
+    """Raise GridTooLarge naming the first period whose power box
+    [-u_min_mag, u_max] is wider than the float range: no grid over it has
+    a finite spacing."""
+    for t, (high, low) in enumerate(zip(bounds.u_max.tolist(), bounds.u_min_mag.tolist())):
+        if not math.isfinite(high + low):
+            raise GridTooLarge(
+                f"the power box of period {t}, [-{low!r}, {high!r}], is wider "
+                "than the float range"
+            )
+
+
 def _grid_axes(params: StorageParams, bounds: Bounds, grid: GridSpec) -> list[np.ndarray]:
     if params.horizon > grid.horizon_cap:
         raise HorizonTooLarge(
@@ -139,6 +152,7 @@ def _grid_axes(params: StorageParams, bounds: Bounds, grid: GridSpec) -> list[np
         raise GridTooLarge(
             f"{grid.points_per_axis} points per axis exceed the {GRID_SIZE_GUARD:.0e} guard"
         )
+    _check_spans(bounds)
     # an axis may gain the zero level, so the guard counts the real lengths,
     # after each axis, so that no axis is built once the grid is too large
     axes = []
@@ -170,7 +184,8 @@ def _periods(
         padded[: len(level), t] = level
     # model.step's arithmetic: f, then delta *
     rates = params.delta * loss_map(padded, params)
-    terms = None if cost is None or cost.fold is None else cost.terms(padded)
+    with np.errstate(over="ignore"):  # an infinite term is a real cost
+        terms = None if cost is None or cost.fold is None else cost.terms(padded)
 
     def columns(table):
         return [np.ascontiguousarray(table[: len(level), t]) for t, level in enumerate(levels)]
@@ -385,13 +400,15 @@ def brute_force_solve(
         (bounds.u_max[t] + bounds.u_min_mag[t]) / (grid.points_per_axis - 1)
         for t in range(params.horizon)
     )
-    lipschitz = cost.lipschitz(-bounds.u_min_mag, bounds.u_max)
+    with np.errstate(over="ignore"):
+        lipschitz = cost.lipschitz(-bounds.u_min_mag, bounds.u_max)
+    bound = None if lipschitz is None else lipschitz * float(spacing)
     return OracleResult(
         u_best=best_u,
         cost_best=float(power_cost_batch(cost, best_u)[0]),
         feasible_count=count,
         instance_digest=instance_digest(params, bounds, cost),
-        discretization_bound=None if lipschitz is None else lipschitz * float(spacing),
+        discretization_bound=bound if bound is not None and math.isfinite(bound) else None,
     )
 
 

@@ -1,22 +1,9 @@
 """Solver for the energy-coordinate problem.
 
-Minimizes cost(energy_to_power(x)) over the feasible energy polytope.
-Certified energy arbitrage and load balancing are separable and convex in
-the energy steps, piecewise linear and piecewise quadratic, so the chain's
-step-cost pass (`transform._chain_argmin`), with the step terms those two
-family classes declare, solves them exactly in one backward and one forward
-pass: status "exact".  Every other cost takes projected subgradient descent
-with normalized directions, best-iterate tracking and tail averaging.  One
-cost pass per iterate gives both its objective and its subgradient, and
-`transform.project_onto_polytope` takes each step back into the polytope.
-
-The descent has three stops, each with status "converged": a zero
-subgradient, a projected fixed point (the step's projection is the iterate
-itself, bit for bit) and a stalled window (STOP_WINDOW iterations that gain
-less than OBJECTIVE_TOLERANCE).  For a convex cost the first two prove the
-iterate optimal: then -g lies in the normal cone of the polytope at x, so
-F(z) >= F(x) + g.(z - x) >= F(x) for every feasible z.  The window stop
-proves nothing.
+Minimizes cost(energy_to_power(x)) over the feasible energy polytope: in
+one exact chain pass for certified energy arbitrage and load balancing, and
+by projected subgradient descent for every other cost.  `solve` says how
+each runs and why the descent stops.
 
 The solver never claims more than the certificate supports: solutions carry
 "global-optimum-claimed" only when the convexity certificate fired,
@@ -73,17 +60,9 @@ OBJECTIVE_TOLERANCE = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SolveOptions:
-    """The one solver setting: max_iterations, a positive integer.
-
-    The descent starts from the projection of the zero-power profile b and
-    takes steps a/sqrt(k) along normalized subgradients, where a is a tenth
-    of the energy-box diameter.  It stops at a zero subgradient, at a
-    projected fixed point, and every STOP_WINDOW (1000) iterations when
-    that window improved the best objective by less than
-    OBJECTIVE_TOLERANCE (1e-9); max_iterations only caps the run.  The
-    exact pass of certified energy arbitrage and load balancing takes no
-    iterations.
-    """
+    """The one solver setting: max_iterations, a positive integer that
+    caps the descent (`solve` gives its stops).  The exact pass takes no
+    iterations."""
 
     max_iterations: int = 20000
 
@@ -125,31 +104,9 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _descend(cost, polytope, params, dyn, max_iterations: int):
-    """Projected subgradient descent from the projection of b; returns
-    (best x, its objective, the best-objective trace, status, iterations
-    used).
-
-    Iteration k stops with STATUS_CONVERGED, appending the best objective
-    to the trace, when the subgradient is zero or when the projection of
-    x - (a / sqrt(k)) g / |g| is x bit for bit: the iterate and so its
-    subgradient would repeat, and each later step, being shorter, projects
-    back onto x too (the projection is onto a convex set).  Every
-    STOP_WINDOW iterations it also stops when the window gained less than
-    OBJECTIVE_TOLERANCE, or nothing that is a number.  Otherwise it runs
-    max_iterations and reports STATUS_MAX_ITERATIONS."""
+    """The descent of `solve`; returns (best x, its objective, the
+    best-objective trace, status, iterations used)."""
     step_base = _norm(polytope.x_upper - polytope.x_lower) / 10.0
-
-    # The tail sum holds up to max_iterations energies.  When those near the
-    # float limit could overflow it, it sums them scaled by a power of two,
-    # which is exact.
-    shift = max(
-        0,
-        math.frexp(float(np.max(polytope.x_upper)))[1]
-        + int(max_iterations).bit_length()
-        - 1023,
-    )
-    tail_scale = 2.0**-shift
-
     x = project_onto_polytope(dyn.b_offset, polytope)
     # one cost pass per iterate: its value, and the subgradient of the
     # step that leaves it
@@ -157,7 +114,7 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
     best_x = x
     trace = [best_f]
 
-    avg_sum = tail_scale * x
+    avg_sum = x.copy()  # x is also best_x and the base of the next step
     avg_count = 1
     avg_restart = 2
 
@@ -184,12 +141,12 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
             best_f, best_x = f, x
         trace.append(best_f)
 
-        avg_sum += tail_scale * x if shift else x
-        avg_count += 1
         if k >= avg_restart:
-            avg_sum = tail_scale * x
-            avg_count = 1
+            avg_sum, avg_count = x.copy(), 1
             avg_restart *= 2
+        else:
+            avg_sum += x
+            avg_count += 1
 
         # trace[-STOP_WINDOW - 1] is the best objective when the window
         # began; an infinite objective gains NaN, which stops the solve too
@@ -197,7 +154,7 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
             status = STATUS_CONVERGED
             break
 
-    x_avg = project_onto_polytope(avg_sum / avg_count / tail_scale, polytope)
+    x_avg = project_onto_polytope(avg_sum / avg_count, polytope)
     f_avg = evaluate_energy_cost(cost, x_avg, params, dyn)
     if f_avg < best_f:
         best_f, best_x = f_avg, x_avg
@@ -206,8 +163,9 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
 
 # Costs near the float limit may overflow without a warning: a subgradient
 # that overflowed is taken again rescaled, which the normalized step does not
-# see, a bound beyond the float range is no bound, and an objective that
-# overflowed is an error.
+# see, a bound beyond the float range is no bound, a tail sum that overflowed
+# is clipped by its projection and evaluated like any other point, and an
+# objective that overflowed is an error.
 @np.errstate(over="ignore", invalid="ignore")
 def solve(
     problem: ValidatedProblem,
@@ -223,18 +181,29 @@ def solve(
     "exact", no iterations, and a trace of one entry.  An uncertified cost
     never takes that pass.
 
-    Every other cost takes projected subgradient descent on normalized
-    directions with steps a/sqrt(k), where a is a tenth of the energy-box
-    diameter, starting from the projection of b and tracking the best
-    iterate and a tail average (restarted each time the iteration count
-    doubles); the better of the two is returned.  It stops, with status
-    "converged", at a zero subgradient, at a projected fixed point (a step
-    that the projection gives back bit for bit), or when STOP_WINDOW
-    iterations gain less than OBJECTIVE_TOLERANCE, or nothing that is a
-    number; max_iterations only caps the run.  Under a convexity
-    certificate the first two stops prove the returned objective optimal,
-    up to the rounding of the step; the window stop proves nothing.
-    Deterministic for fixed options.
+    Every other cost takes projected subgradient descent, from the
+    projection of the zero-power profile b.  Iteration k steps from x to
+    the projection of x - (a / sqrt(k)) g / |g|, where a is a tenth of the
+    energy-box diameter and g the subgradient at x; one cost pass gives
+    each iterate's objective and subgradient.  The descent tracks the best
+    iterate, whose objective the trace holds per iteration, and a tail
+    average: the mean of the iterates from the latest power-of-two k of at
+    least 2 on, kept as one running sum, whose projection is evaluated once
+    the descent stops.  The better of the two is returned.
+
+    The descent stops, with status "converged", at
+    - a zero subgradient;
+    - a projected fixed point: the step's projection is x bit for bit, so
+      the iterate and its subgradient would repeat, and each later step,
+      being shorter, projects back onto x too (the polytope is convex);
+    - a stalled window: STOP_WINDOW iterations that improve the best
+      objective by less than OBJECTIVE_TOLERANCE, or by nothing that is a
+      number.
+    Otherwise it runs max_iterations, with status "max-iterations".  For a
+    convex cost the first two stops prove the iterate optimal, up to the
+    rounding of the step: -g then lies in the normal cone of the polytope
+    at x, so F(z) >= F(x) + g.(z - x) >= F(x) for every feasible z.  The
+    window stop proves nothing.  Deterministic for fixed options.
 
     Raises InfeasibleProblem, naming the first period no reachable energy
     meets, when the polytope is empty; the first projection (or the exact

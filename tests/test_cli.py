@@ -25,6 +25,15 @@ TWO_PERIOD_SCENARIO = {
 }
 
 
+#: Two periods at the float limit: x0 5e307 and power and energy bounds
+#: 1e308, so each power box is wider than the float range.
+FLOAT_LIMIT_SCENARIO = {
+    "storage": {"eta_c": 0.5, "eta_d": 0.5, "lambda": 1.0, "delta": 1.0, "x0": 5e307, "horizon": 2},
+    "bounds": {"u_max": [1e308, 1e308], "u_min": [1e308, 1e308], "x_max": [1e308, 1e308], "x_min": [0, 0]},
+    "cost": {"family": "peak_shaving", "load": [0.5, 3e307]},
+}
+
+
 def write_json(tmp_path, obj, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -303,16 +312,55 @@ def test_too_small_resolution_is_a_usage_error(tmp_path, capsys, verb, resolutio
 
 
 @pytest.mark.parametrize(
-    "horizon, resolution",
-    [(4, []), (3, ["--resolution", "1001"])],
-    ids=["horizon-cap", "size-guard"],
+    "doc, resolution",
+    [
+        (scenario_with_horizon(4), []),
+        (scenario_with_horizon(3), ["--resolution", "1001"]),
+        (FLOAT_LIMIT_SCENARIO, []),
+    ],
+    ids=["horizon-cap", "size-guard", "power-box-wider-than-floats"],
 )
-def test_oracle_check_refuses_its_grid_before_solving(tmp_path, capsys, horizon, resolution):
-    # four periods exceed the grid cap 3; 1001**3 points exceed the size guard
-    path = write_json(tmp_path, scenario_with_horizon(horizon))
+def test_oracle_check_refuses_its_grid_before_solving(tmp_path, capsys, doc, resolution):
+    # four periods exceed the grid cap 3; 1001**3 points exceed the size
+    # guard; a box [-1e308, 1e308] has no finite grid spacing
+    path = write_json(tmp_path, doc)
     out = tmp_path / "o"
     assert_usage_error(["oracle-check", "--scenario", str(path), "--out", str(out), *resolution], capsys)
     assert not (out / "solution.json").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, resolution",
+    [(TWO_PERIOD_SCENARIO, ["--resolution", "10000000"]), (FLOAT_LIMIT_SCENARIO, [])],
+    ids=["resolution-too-fine", "power-box-wider-than-floats"],
+)
+def test_sample_sets_refuses_its_rasters_before_writing(tmp_path, capsys, doc, resolution):
+    # 10**7 points per axis would take 10**14 raster rows
+    path = write_json(tmp_path, doc)
+    out = tmp_path / "o"
+    assert_usage_error(["sample-sets", "--scenario", str(path), "--out", str(out), *resolution], capsys)
+    assert not out.exists()
+
+
+def test_oracle_report_is_strict_json_when_the_bound_overflows(tmp_path):
+    # u_max 1e308 makes the grid spacing 2.5e305 and the load-balancing
+    # terms and Lipschitz constant overflow: the bound is reported as null
+    doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
+    doc["cost"] = {"family": "load_balancing", "load": [0.5, 0.2]}
+    doc["bounds"]["u_max"] = [1e308, 1e308]
+    doc["storage"]["x0"] = 0.5
+    path = write_json(tmp_path, doc)
+    out = tmp_path / "o"
+
+    def refuse(constant):
+        raise AssertionError(f"non-JSON token {constant}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["oracle-check", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads((out / "oracle.json").read_text(encoding="utf-8"), parse_constant=refuse)
+    assert report["discretization_bound"] is None
+    assert report["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("kind", ["feasible-set-samples", "oracle-comparison"])
@@ -525,8 +573,9 @@ def test_huge_finite_inputs_solve_like_their_unscaled_twin(
 
 
 def test_energies_at_the_float_limit_solve_without_warning(tmp_path):
-    # peak shaving descends, and its tail average sums up to max_iterations
-    # energies of 1e308; arbitrage takes the exact pass, with knots there
+    # peak shaving descends but stops at a projected fixed point in its first
+    # iteration, so its tail average sums nothing; arbitrage takes the exact
+    # pass, with knots at 1e308
     doc = json.loads(json.dumps(TWO_PERIOD_SCENARIO))
     doc["storage"]["x0"] = 1e308
     doc["bounds"]["x_max"] = [1e308, 1e308]
@@ -547,6 +596,34 @@ def test_energies_at_the_float_limit_solve_without_warning(tmp_path):
         assert solution["u_star"] == [0.0, 0.0]
         assert (solution["status"], solution["iterations_used"]) == stop
         assert solution["feasibility_residual"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "cost, code, stop, objective",
+    [
+        ({"family": "power_regulation", "signal": [0.5, -0.5]},
+         cli.EXIT_BEST_EFFORT, 1000, 1.0),
+        ({"family": "peak_shaving", "load": [0.5, 3e307]},
+         cli.EXIT_OK, 2000, 4.000460170090069e306),
+        ({"family": "power_smoothing", "renewable": [0, 1e307]},
+         cli.EXIT_BEST_EFFORT, 4000, 1.2474001934592e291),
+    ],
+    ids=["regulation", "peak-shaving", "smoothing"],
+)
+def test_descents_at_the_float_limit_average_their_tail_without_warning(
+    tmp_path, cost, code, stop, objective
+):
+    # thousands of iterates of energies near 1e307 go into the tail sum,
+    # which stays finite here; the window stop ends each descent
+    path = write_json(tmp_path, dict(FLOAT_LIMIT_SCENARIO, cost=cost))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["solve", "--scenario", str(path), "--out", str(out)]) == code
+    solution = json.loads((out / "solution.json").read_text(encoding="utf-8"))
+    assert (solution["status"], solution["iterations_used"]) == ("converged", stop)
+    assert solution["objective"] == objective
+    assert np.isfinite(solution["feasibility_residual"])
 
 
 def shipped_two_period(cost, changes):
