@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NoSubgradientOracle, ValidationError
 from .model import Bounds, Dynamics, StorageParams, _check_count, build_dynamics
-from .transform import _adjoint_in_place, energy_to_power, inverse_loss_map, velocity
+from .transform import _adjoint_in_place, energy_to_power, velocity
 
 __all__ = [
     "PeakShaving",
@@ -259,12 +259,11 @@ class PowerSmoothing(_VectorFamily):
         return np.sum(np.abs(np.diff(self.renewable - u, axis=-1)), axis=-1)
 
     def value_and_subgradient(self, u):
-        steps = np.diff(self.renewable - u)
-        sigma = np.sign(steps)
-        g = np.zeros(u.shape[0])
-        g[1:] -= sigma
-        g[:-1] += sigma
-        return float(np.sum(np.abs(steps))), g
+        net = self.renewable - u
+        steps = net[1:] - net[:-1]
+        sigma = np.zeros(u.shape[0] + 1)  # each step's sign, 0 beyond both ends
+        np.sign(steps, out=sigma[1:-1])
+        return float(np.sum(np.abs(steps))), sigma[1:] - sigma[:-1]
 
     def lipschitz(self, lo, hi):
         return 2.0 * (lo.shape[0] - 1)
@@ -405,18 +404,27 @@ def subgradient_energy_cost(
     subgradient is A^{-T} D(v) g: g is a subgradient of the family at u, D
     is diagonal with 1/eta_c on charging coordinates (v_i >= 0, the kink
     included) and eta_d on discharging ones, and A^{-T} is the reversed
-    first difference of the recursion (`velocity_adjoint`).  Valid
+    first difference of the recursion (`velocity_adjoint`).  D's diagonal
+    gives u = D v + 0.0 (`inverse_loss_map(v)` bit for bit, since the + 0.0
+    turns -0.0 into +0.0) and, in place, D g.  Valid
     subgradient of the composition whenever the certificate holds.  With
     rescale, g is first divided by its largest magnitude, which keeps the
     direction and keeps the product finite for costs near the float limit.
     """
     _check_cost_length(cost, params.horizon)
-    v = velocity(x, dyn)
-    value, g = cost.value_and_subgradient(inverse_loss_map(v, params))
+    return _cost_pass(cost, velocity(x, dyn), params, dyn, rescale)
+
+
+def _cost_pass(cost: CostSpec, v: np.ndarray, params, dyn, rescale=False) -> tuple:
+    """`subgradient_energy_cost` at the profile of velocity v, unchecked."""
+    slope = np.where(v >= 0.0, 1.0 / params.eta_c, params.eta_d)
+    u = slope * v
+    u += 0.0  # -0.0 becomes +0.0, as in inverse_loss_map's sum of a max and a min
+    value, g = cost.value_and_subgradient(u)
     if rescale:
         g = g / np.max(np.abs(g))
-    scale = np.where(v >= 0.0, 1.0 / params.eta_c, params.eta_d)
-    return value, _adjoint_in_place(scale * g, dyn)
+    slope *= g
+    return value, _adjoint_in_place(slope, dyn)
 
 
 def certify_convexity(cost: CostSpec, params: StorageParams) -> ConvexityCertificate:

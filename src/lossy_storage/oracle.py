@@ -184,8 +184,7 @@ def _periods(
         padded[: len(level), t] = level
     # model.step's arithmetic: f, then delta *
     rates = params.delta * loss_map(padded, params)
-    with np.errstate(over="ignore"):  # an infinite term is a real cost
-        terms = None if cost is None or cost.fold is None else cost.terms(padded)
+    terms = None if cost is None or cost.fold is None else cost.terms(padded)
 
     def columns(table):
         return [np.ascontiguousarray(table[: len(level), t]) for t, level in enumerate(levels)]
@@ -347,12 +346,14 @@ def enumerate_feasible(
             yield from _rows(codes[rows] * len(levels[-1]) + cols, levels)
 
 
+# an infinite term, fold or Lipschitz bound is real: no overflow warning
+@np.errstate(over="ignore")
 def brute_force_solve(
     params: StorageParams, bounds: Bounds, cost: CostSpec, grid: GridSpec
 ) -> OracleResult:
     """Minimum-cost feasible grid point; ties broken lexicographically by u.
-    A NaN cost is never a minimum.  Raises `validate_params`'s errors on
-    invalid input."""
+    A NaN or +inf cost is never a minimum.  Raises `validate_params`'s
+    errors on invalid input."""
     bounds = validate_params(params, bounds).bounds
     levels, rates, terms = _periods(params, bounds, grid, cost)
     dyn = build_dynamics(params)
@@ -400,8 +401,7 @@ def brute_force_solve(
         (bounds.u_max[t] + bounds.u_min_mag[t]) / (grid.points_per_axis - 1)
         for t in range(params.horizon)
     )
-    with np.errstate(over="ignore"):
-        lipschitz = cost.lipschitz(-bounds.u_min_mag, bounds.u_max)
+    lipschitz = cost.lipschitz(-bounds.u_min_mag, bounds.u_max)
     bound = None if lipschitz is None else lipschitz * float(spacing)
     return OracleResult(
         u_best=best_u,

@@ -21,18 +21,22 @@ import numpy as np
 from .costs import (
     ConvexityCertificate,
     CostSpec,
+    _cost_pass,
     certify_convexity,
     evaluate_energy_cost,
     instance_digest,
-    subgradient_energy_cost,
+    subgradient_energy_cost,  # noqa: F401 -- a name perfbench/spans.py traces
 )
 from .errors import ObjectiveOutOfRange
 from .model import ValidatedProblem, _check_count, build_dynamics
 from .transform import (
     _chain_argmin,
+    _clip_held,
     _energy_boxes,
+    _held,
     _largest_violation,
     _power_boxes,
+    _velocity_over,
     build_energy_polytope,
     energy_to_power,
     project_onto_polytope,
@@ -108,9 +112,10 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
     best-objective trace, status, iterations used)."""
     step_base = _norm(polytope.x_upper - polytope.x_lower) / 10.0
     x = project_onto_polytope(dyn.b_offset, polytope)
-    # one cost pass per iterate: its value, and the subgradient of the
-    # step that leaves it
-    best_f, g = subgradient_energy_cost(cost, x, params, dyn)
+    # one unchecked cost pass per iterate (`certify_convexity` checked the
+    # cost's length): its value, and the subgradient of the step that leaves it
+    v = _velocity_over(x, _held(x, dyn), dyn)
+    best_f, g = _cost_pass(cost, v, params, dyn)
     best_x = x
     trace = [best_f]
 
@@ -120,15 +125,21 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
 
     status = STATUS_MAX_ITERATIONS
     for k in range(1, max_iterations + 1):
-        g_norm = _norm(g)
+        g_norm = math.sqrt(np.vdot(g, g))  # _norm's, unless it overflows
+        if math.isinf(g_norm):
+            g_norm = _norm(g)
         if not math.isfinite(g_norm):
-            g = subgradient_energy_cost(cost, x, params, dyn, rescale=True)[1]
+            g = _cost_pass(cost, v, params, dyn, rescale=True)[1]
             g_norm = _norm(g)
         if g_norm == 0.0:
             x_next = x  # an unconstrained minimum: no step, and no 0/0
         else:
             step = step_base / math.sqrt(k)
-            x_next = project_onto_polytope(x - (step / g_norm) * g, polytope)
+            target = x - (step / g_norm) * g
+            x_next, held, fits = _clip_held(target, polytope)
+            if not np.logical_and.reduce(fits):
+                x_next = project_onto_polytope(target, polytope)
+                held = _held(x_next, dyn)
         if x_next.tobytes() == x.tobytes():
             # a projected fixed point: -g is normal to the polytope at x,
             # and every later step, being shorter, projects back to x
@@ -136,7 +147,8 @@ def _descend(cost, polytope, params, dyn, max_iterations: int):
             status = STATUS_CONVERGED
             break
         x = x_next
-        f, g = subgradient_energy_cost(cost, x, params, dyn)
+        v = _velocity_over(x, held, dyn)
+        f, g = _cost_pass(cost, v, params, dyn)
         if f < best_f:
             best_f, best_x = f, x
         trace.append(best_f)
@@ -184,8 +196,10 @@ def solve(
     Every other cost takes projected subgradient descent, from the
     projection of the zero-power profile b.  Iteration k steps from x to
     the projection of x - (a / sqrt(k)) g / |g|, where a is a tenth of the
-    energy-box diameter and g the subgradient at x; one cost pass gives
-    each iterate's objective and subgradient.  The descent tracks the best
+    energy-box diameter and g the subgradient at x.  An iterate is one
+    fast-path test, whose clip is the projection when every step fits
+    (else `project_onto_polytope` runs), then one cost pass, at the
+    velocity from the test's held energies.  The descent tracks the best
     iterate, whose objective the trace holds per iteration, and a tail
     average: the mean of the iterates from the latest power-of-two k of at
     least 2 on, kept as one running sum, whose projection is evaluated once

@@ -385,6 +385,15 @@ def _pull_pass(polytope: EnergyPolytope, y: list, lo: int, hi: int, start: float
     return out
 
 
+def _clip_held(x: np.ndarray, polytope: EnergyPolytope) -> tuple:
+    """The fast path of `project_onto_polytope`: x clipped onto the energy
+    box, the clip's held energies (`_held`) and which of its steps fit."""
+    clipped = np.minimum(np.maximum(x, polytope.x_lower), polytope.x_upper)
+    held = _held(clipped, polytope.dynamics)
+    step_lower, step_upper = polytope.steps
+    return clipped, held, (held + step_lower <= clipped) & (clipped <= held + step_upper)
+
+
 def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     """Exact Euclidean projection of x onto the feasible energy polytope.
 
@@ -411,13 +420,8 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
     ValueError when x has a NaN entry.
     """
     x = np.asarray(x, dtype=float)
-    clipped = x.clip(polytope.x_lower, polytope.x_upper)
-    # only the clip's steps can be outside, tested as the recovery rounds
-    # them, previous + step against x, so that a projection passes the test
-    step_lower, step_upper = polytope.steps
-    previous = _held(clipped, polytope.dynamics)
-    fits = (previous + step_lower <= clipped) & (clipped <= previous + step_upper)
-    if fits.all():
+    clipped, previous, fits = _clip_held(x, polytope)
+    if np.logical_and.reduce(fits):
         return clipped
     if math.isnan(np.vdot(x, x)):  # squares are >= 0, so only a NaN entry gives NaN
         raise ValueError("cannot project a profile with a NaN entry")
@@ -434,7 +438,7 @@ def project_onto_polytope(x, polytope: EnergyPolytope) -> np.ndarray:
             return np.array(window)
         clipped[lo : hi + 1] = window
         previous = _held(clipped, polytope.dynamics)
-        floor, ceiling = previous + step_lower, previous + step_upper
+        floor, ceiling = (previous + step for step in polytope.steps)
         fits = (floor <= clipped) & (clipped <= ceiling)
         fits &= _inside(clipped, polytope.x_lower, polytope.x_upper, 0.0)
         if fits.all() and (lo == 0 or floor[lo] < clipped[lo] < ceiling[lo]):
@@ -507,10 +511,14 @@ def velocity(x, dyn: Dynamics) -> np.ndarray:
     (x_t - fl(lam * x_{t-1})) / delta, so x = b gives v = 0 exactly.  The
     dynamics alone fix it."""
     x = _check_length(x, dyn.b_offset.shape[0], "x")
-    v = _held(x, dyn)
-    np.subtract(x, v, out=v)
-    v /= dyn.delta
-    return v
+    return _velocity_over(x, _held(x, dyn), dyn)
+
+
+def _velocity_over(x: np.ndarray, held: np.ndarray, dyn: Dynamics) -> np.ndarray:
+    """`velocity` of x from its held energies `_held(x, dyn)`, over them."""
+    np.subtract(x, held, out=held)
+    held /= dyn.delta
+    return held
 
 
 def velocity_adjoint(w, dyn: Dynamics) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 
 import lossy_storage as ls
 from lossy_storage import costs
-from lossy_storage.costs import FAMILIES, power_cost_batch
+from lossy_storage.costs import FAMILIES, _cost_pass, power_cost_batch
 from lossy_storage.errors import LengthMismatch, NoSubgradientOracle, ValidationError
 from lossy_storage.transform import energy_to_power, velocity_adjoint
 
@@ -335,6 +335,9 @@ def test_cost_pass_matches_its_public_pieces_bit_for_bit(horizon):
                 family_g = cost.value_and_subgradient(ls.inverse_loss_map(v, params))[1]
                 slope = np.where(v >= 0, 1 / params.eta_c, params.eta_d)
                 assert _same_bits(g, velocity_adjoint(slope * family_g, dyn))
+                # the descent's pass, which takes the velocity
+                pass_value, pass_g = _cost_pass(cost, v, params, dyn)
+                assert _same_bits(pass_value, value) and _same_bits(pass_g, g)
 
 
 def test_rescaled_subgradient_keeps_the_direction(two_period_params, two_period_dyn):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ def test_a_grid_of_nan_costs_says_so():
     cost = ls.CustomCost(evaluator=lambda u: math.nan)
     with pytest.raises(ObjectiveOutOfRange, match="every one of the 25 feasible grid points costs NaN"):
         ls.brute_force_solve(params, bounds, cost, ls.GridSpec(5))
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_a_sum_past_the_float_range_costs_inf_without_warning(horizon):
+    # each square of 1e154 is finite, near 1e308, but two of them sum past
+    # the float range: in the last period's fold at T = 2 and in the walk's
+    # prefix fold at T = 3.  Every point then costs +inf, which is no minimum
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=1.0, delta=1.0, x0=0.5, horizon=horizon)
+    ones = [1.0] * horizon
+    bounds = ls.Bounds(u_max=ones, u_min_mag=ones, x_max=ones, x_min=[0.0] * horizon)
+    cost = ls.LoadBalancing(load=[1e154] * horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ObjectiveOutOfRange, match="costs NaN or \\+inf"):
+            ls.brute_force_solve(params, bounds, cost, ls.GridSpec(41))
 
 
 def invalid_oracle_inputs():

@@ -293,7 +293,7 @@ def test_solve_reports_max_iterations_status(two_period_problem):
 def test_one_cost_pass_per_iterate(two_period_problem, monkeypatch):
     # N iterations take the value and subgradient of each of the N + 1
     # iterates in one pass; only the tail average is evaluated apart
-    calls = dict.fromkeys(("subgradient_energy_cost", "evaluate_energy_cost"), 0)
+    calls = dict.fromkeys(("_cost_pass", "evaluate_energy_cost"), 0)
     for name in calls:
 
         def counted(*args, _name=name, _fn=getattr(ls.solver, name), **kwargs):
@@ -304,7 +304,7 @@ def test_one_cost_pass_per_iterate(two_period_problem, monkeypatch):
     cost = ls.PeakShaving(load=[0.75, 0.375])
     solution = ls.solve(two_period_problem, cost, ls.SolveOptions(max_iterations=50))
     assert solution.iterations_used == 50
-    assert calls == {"subgradient_energy_cost": 51, "evaluate_energy_cost": 1}
+    assert calls == {"_cost_pass": 51, "evaluate_energy_cost": 1}
 
 
 def test_an_overflowing_subgradient_is_taken_again_rescaled():
@@ -328,11 +328,11 @@ def test_an_infinite_objective_ends_the_first_stop_window(monkeypatch):
     # changing, so no iterate of that window is a projected fixed point
     calls = []
 
-    def counted(*args, _fn=ls.solver.subgradient_energy_cost, **kwargs):
+    def counted(*args, _fn=ls.solver._cost_pass, **kwargs):
         calls.append(1)
         return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(ls.solver, "subgradient_energy_cost", counted)
+    monkeypatch.setattr(ls.solver, "_cost_pass", counted)
     params = ls.StorageParams(eta_c=0.5, eta_d=0.5, lam=1.0, delta=1.0, x0=5.0, horizon=6)
     bounds = ls.Bounds(u_max=[1] * 6, u_min_mag=[4] * 6, x_max=[10] * 6, x_min=[0] * 6)
     cost = ls.PowerSmoothing(renewable=[1e308, -1e308, 0, 0, 0, 0])
@@ -485,6 +485,80 @@ def test_a_day_without_a_fixed_point_spends_its_budget():
     assert len(solution.best_objective_trace) == 401
     # the tail average (2.8341) beats the best iterate (2.8479)
     assert solution.objective < solution.best_objective_trace[-1]
+
+
+def reference_descent(problem, cost, max_iterations):
+    """The descent of `solve`'s docstring from public pieces alone: a
+    projection, a cost pass and an evaluation per use, the step, the tail
+    average and the stops, as (x, objective, trace, status, iterations)."""
+    params = problem.params
+    dyn = ls.build_dynamics(params)
+    polytope = ls.build_energy_polytope(params, problem.bounds, dyn)
+    a = np.linalg.norm(polytope.x_upper - polytope.x_lower) / 10.0
+    x = project_onto_polytope(dyn.b_offset, polytope)
+    best_f, g = ls.subgradient_energy_cost(cost, x, params, dyn)
+    best_x, trace, status = x, [best_f], "max-iterations"
+    tail, count, restart = x.copy(), 1, 2
+    for k in range(1, max_iterations + 1):
+        norm = np.linalg.norm(g)
+        assert math.isfinite(norm)  # these costs never take the rescaled pass
+        x_next = x if norm == 0.0 else project_onto_polytope(x - (a / math.sqrt(k) / norm) * g, polytope)
+        if x_next.tobytes() == x.tobytes():
+            trace.append(best_f)
+            status = "converged"
+            break
+        x = x_next
+        f, g = ls.subgradient_energy_cost(cost, x, params, dyn)
+        if f < best_f:
+            best_f, best_x = f, x
+        trace.append(best_f)
+        if k >= restart:
+            tail, count, restart = x.copy(), 1, 2 * restart
+        else:
+            tail += x
+            count += 1
+        window = ls.solver.STOP_WINDOW
+        if k % window == 0 and not trace[-window - 1] - best_f >= ls.solver.OBJECTIVE_TOLERANCE:
+            status = "converged"
+            break
+    x_avg = project_onto_polytope(tail / count, polytope)
+    f_avg = ls.evaluate_energy_cost(cost, x_avg, params, dyn)
+    if f_avg < best_f:
+        best_f, best_x = f_avg, x_avg
+    return best_x, best_f, np.array(trace), status, k
+
+
+def descent_instance(horizon, lam, family):
+    """A storage day or week (eta 0.9, unit power boxes, energy cap 2) and
+    a seeded cost of the family."""
+    rng = np.random.default_rng(horizon)
+    hours = np.arange(horizon, dtype=float)
+    daily = np.sin(2.0 * np.pi * (hours - 13.0) / 24.0) + rng.uniform(0.0, 0.3, horizon)
+    params = ls.StorageParams(eta_c=0.9, eta_d=0.9, lam=lam, delta=1.0, x0=1.0, horizon=horizon)
+    ones = np.ones(horizon)
+    bounds = ls.Bounds(u_max=ones, u_min_mag=ones, x_max=2.0 * ones, x_min=0.0 * ones)
+    cost = {
+        "peak": lambda: ls.PeakShaving(load=2.0 + daily),
+        "regulation": lambda: ls.PowerRegulation(signal=-0.5 * np.abs(daily)),
+        "smoothing": lambda: ls.PowerSmoothing(renewable=np.maximum(daily, 0.0)),
+        "custom": lambda: ls.CustomCost(
+            evaluator=lambda u: float(np.sum((u + daily) ** 2 + np.abs(u))),
+            subgradient=lambda u: 2.0 * (u + daily) + np.sign(u),
+        ),
+    }[family]()
+    return ls.validate_params(params, bounds), cost
+
+
+@pytest.mark.parametrize("family", ["peak", "regulation", "smoothing", "custom"])
+@pytest.mark.parametrize("horizon, lam, budget", [(24, 0.999, 400), (168, 0.9, 30)])
+def test_solve_is_the_reference_descent_bit_for_bit(horizon, lam, budget, family):
+    problem, cost = descent_instance(horizon, lam, family)
+    solution = ls.solve(problem, cost, ls.SolveOptions(max_iterations=budget))
+    x, objective, trace, status, iterations = reference_descent(problem, cost, budget)
+    assert solution.x_star.tobytes() == x.tobytes()
+    assert solution.objective.hex() == objective.hex()
+    assert solution.best_objective_trace.tobytes() == trace.tobytes()
+    assert (solution.status, solution.iterations_used) == (status, iterations)
 
 
 def test_solve_best_effort_flag_for_uncertified_cost(two_period_problem):
